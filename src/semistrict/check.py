@@ -9,12 +9,12 @@ rule is discharged by def_eq.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .syntax import (
     Arrow, Coh, Context, KernelError, Star, Sub, Term, Type, Var,
-    apply_sub_type, dim_type, free_vars, support,
+    apply_sub_type, free_vars, support,
 )
 from .trees import tree_dim, tree_inc, tree_to_ctx
 from .rewriting import RuleSet, SUA, def_eq

@@ -14,9 +14,9 @@ import sys
 from . import parser as P
 from .check import TypingError
 from .elaborate import ElabError, new_env, process_decl
-from .printer import fmt_term, fmt_type
+from .printer import fmt_term
 from .rewriting import (
-    DEFAULT_BUDGET, ReductionStep, RuleSet, StepBudgetExceeded, def_eq,
+    DEFAULT_BUDGET, ReductionStep, RuleSet, StepBudgetExceeded,
     normalize,
 )
 

@@ -10,17 +10,16 @@ to definitional equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .syntax import (
-    Arrow, Coh, Context, STAR, Star, Sub, Term, Type, Var,
-    apply_sub_term, apply_sub_type, dim_type, free_vars, id_sub,
+    Arrow, Coh, Context, STAR, Sub, Term, Type, Var,
+    apply_sub_term, dim_type, free_vars, id_sub,
 )
 from .trees import tree_to_ctx
 from .insertion import locally_maximal_positions
-from .rewriting import RuleSet, SUA, def_eq, normalize
-from .check import TypingError, infer_term
+from .rewriting import RuleSet, SUA, def_eq
+from .check import infer_term
 from . import parser as P
 
 

@@ -10,13 +10,13 @@ inclusions.  Generators are seeded and deterministic.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from .syntax import (
     Arrow, Coh, Context, STAR, Star, Sub, Term, Type, Var,
-    apply_sub_term, apply_sub_type, compose, dim_type, id_sub,
+    compose, dim_type, id_sub,
 )
 from .trees import (
     Label, ctx_len, disc, label_to_sub, point_positions, tree_dim,
@@ -26,7 +26,7 @@ from .insertion import (
     InsertionRedex, branch_height, canonical_branches, exterior_sub,
     interior_sub, inserted_tree, leaf_height, locally_maximal_positions,
 )
-from .unbiased import identity_term, unbiased_coh, unbiased_type
+from .unbiased import identity_term, unbiased_type
 from .rewriting import RuleSet, SUA, def_eq, normalize, one_step, sc, ord_lt
 from .check import infer_term
 
@@ -93,29 +93,6 @@ def trees_with_nodes(n: int) -> tuple:
 def enumerate_trees(max_nodes: int):
     for n in range(1, max_nodes + 1):
         yield from trees_with_nodes(n)
-
-
-def enumerate_trees_capped(max_depth: int, max_width: int):
-    """All trees within depth and width caps (brute force oracle)."""
-    def level(depth: int):
-        if depth >= max_depth:
-            return [()]
-        subs = level(depth + 1)
-        out = [()]
-        layers = [[()]]
-        for w in range(1, max_width + 1):
-            layers.append([p + (c,) for p in layers[-1] for c in subs])
-            out.extend(layers[-1])
-        return out
-
-    return level(0)
-
-
-def gen_branch(rng: random.Random, t: tuple) -> Optional[tuple]:
-    bs = canonical_branches(t)
-    if not bs:
-        return None
-    return rng.choice(bs)
 
 
 # --- well-typed term generation ----------------------------------------------
@@ -239,21 +216,8 @@ class TermGen:
         return 1 + max((self._nesting(a) for a in t.args), default=0)
 
 
-def gen_welltyped_term(cfg: GenConfig, ctx: Optional[Context] = None,
-                       rng: Optional[random.Random] = None) -> Term:
-    rng = rng or random.Random(cfg.seed)
-    if ctx is None:
-        ctx = tree_to_ctx(gen_tree(rng, cfg))
-    gen = TermGen(ctx, cfg, rng)
-    for _ in range(40):
-        t = gen.grow()
-        if t is not None and not isinstance(t, Var):
-            return t
-    raise RuntimeError("generator exhausted under the configured caps")
-
-
 def gen_population(cfg: GenConfig, count: int):
-    """At least `count` distinct well-typed (context, term) pairs."""
+    """Exactly `count` distinct well-typed (context, term) pairs."""
     rng = random.Random(cfg.seed)
     out = []
     seen = set()
@@ -272,7 +236,7 @@ def gen_population(cfg: GenConfig, count: int):
             if key not in seen:
                 seen.add(key)
                 out.append(key)
-    return out[:max(count, len(out))]
+    return out[:count]
 
 
 # --- redex generation ---------------------------------------------------------
@@ -422,51 +386,6 @@ def reduction_graph(t, budget: int = 10_000, rules: RuleSet = SUA) -> ReductionG
     return ReductionGraph(nodes, edges, sinks)
 
 
-# --- shrinking -------------------------------------------------------------------
-
-def shrink_tree(t: tuple, still_fails) -> tuple:
-    """Greedy tree minimization: drop or inline children while failing."""
-    changed = True
-    while changed:
-        changed = False
-        for cand in _tree_shrinks(t):
-            if still_fails(cand):
-                t = cand
-                changed = True
-                break
-    return t
-
-
-def _tree_shrinks(t: tuple):
-    for i, c in enumerate(t):
-        yield t[:i] + t[i + 1:]       # drop child i
-        yield c                       # replace by child i
-        for sub in _tree_shrinks(c):  # shrink within child i
-            yield t[:i] + (sub,) + t[i + 1:]
-
-
-def shrink_term(t: Term, still_fails) -> Term:
-    changed = True
-    while changed:
-        changed = False
-        for cand in _term_shrinks(t):
-            if still_fails(cand):
-                t = cand
-                changed = True
-                break
-    return t
-
-
-def _term_shrinks(t: Term):
-    if not isinstance(t, Coh):
-        return
-    for a in t.args:
-        yield a
-    for i, a in enumerate(t.args):
-        for sub in _term_shrinks(a):
-            yield Coh(t.head, t.cell, t.args[:i] + (sub,) + t.args[i + 1:])
-
-
 # --- summary report ---------------------------------------------------------------
 
 def report(seed: int = 0, count: int = 200) -> str:
@@ -480,6 +399,7 @@ def report(seed: int = 0, count: int = 200) -> str:
 
     max_sc = sc(Var(0))
     graph_sizes = []
+    over_budget = 0
     for i, (ctx, t) in enumerate(population):
         normalize(t, SUA, trace=tally)
         if ord_lt(max_sc, sc(t)):
@@ -488,7 +408,7 @@ def report(seed: int = 0, count: int = 200) -> str:
             try:
                 graph_sizes.append(len(reduction_graph(t).nodes))
             except BudgetExceeded:
-                graph_sizes.append(-1)
+                over_budget += 1
     lines = [("instances", len(population)),
              ("seed", seed),
              ("disc_removal_steps", rule_counts["disc-removal"]),
@@ -496,6 +416,7 @@ def report(seed: int = 0, count: int = 200) -> str:
               rule_counts["endo-coherence-removal"]),
              ("insertion_steps", rule_counts["insertion"]),
              ("max_sc", str(max_sc)),
+             ("graphs_over_budget", over_budget),
              ("max_graph_nodes", max(graph_sizes, default=0)),
              ("mean_graph_nodes",
               round(sum(graph_sizes) / len(graph_sizes), 2) if graph_sizes else 0)]

@@ -15,9 +15,8 @@ from functools import lru_cache
 
 from .syntax import Coh, KernelError, Sub, Term, Tree, Var, apply_sub_term, compose
 from .trees import (
-    Label, block_starts, child_incl, ctx_len, is_linear, label_to_sub,
-    point_positions, sub_to_label, subtree, suspend_sub, tree_dim,
-    trunk_height, window_incl,
+    block_starts, child_incl, ctx_len, is_linear, point_positions, subtree,
+    suspend_sub, tree_dim, trunk_height, window_incl,
 )
 from .unbiased import is_identity, is_unbiased_coh, unbiased_coh, unbiased_type, disc_sub
 
@@ -176,27 +175,25 @@ def exterior_sub(s: Tree, p: Branch, t: Tree) -> Sub:
     return tuple(out)
 
 
-def label_insert(lab: Label, p: Branch, arg: Label) -> Label:
-    k = p[0]
-    if len(p) == 1:
-        points = lab.points[:k] + arg.points + lab.points[k + 2:]
-        branches = lab.branches[:k] + arg.branches + lab.branches[k + 1:]
-    else:
-        if len(arg.branches) != 1:
-            raise NotRedex("argument labelling must be a suspension here")
-        rec = label_insert(lab.branches[k], p[1:], arg.branches[0])
-        points = lab.points[:k] + (arg.points[0], arg.points[1]) + lab.points[k + 2:]
-        branches = lab.branches[:k] + (rec,) + lab.branches[k + 1:]
-    return Label(points, branches)
-
-
 def inserted_sub(sigma: Sub, p: Branch, tau: Sub, s: Tree, t: Tree) -> Sub:
-    """Splice tau's labels over sigma's at branch p."""
+    """Splice tau's entries over sigma's at branch p.
+
+    tau's points replace sigma's points k and k+1; at branch height 0
+    its blocks replace block k, above that its one block is spliced
+    into block k.
+    """
     if branch_height(p) > trunk_height(t):
         raise NotRedex(
             f"branch height {branch_height(p)} exceeds trunk height {trunk_height(t)}")
-    lab = label_insert(sub_to_label(s, sigma), p, sub_to_label(t, tau))
-    return label_to_sub(lab)
+    k = p[0]
+    pts = point_positions(s)
+    lo = block_starts(s)[k]
+    hi = lo + ctx_len(s[k])
+    if len(p) == 1:
+        mid = tau[1:]
+    else:
+        mid = (tau[1],) + inserted_sub(sigma[lo:hi], p[1:], tau[2:], s[k], t[0])
+    return sigma[:pts[k]] + (tau[0],) + sigma[pts[k] + 1:pts[k + 1]] + mid + sigma[hi:]
 
 
 def find_redexes(term: Term):

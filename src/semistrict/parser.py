@@ -19,8 +19,8 @@ Comments run from '#' to end of line.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 from .trees import parse_bracket
 

@@ -8,7 +8,7 @@ argument inference.
 
 from __future__ import annotations
 
-from .syntax import Arrow, Coh, Context, KernelError, Star, Term, Type, Var
+from .syntax import Arrow, Coh, KernelError, Star, Term, Type, Var
 from .trees import Tree, tree_to_ctx
 from .insertion import locally_maximal_positions
 
@@ -59,19 +59,3 @@ def fmt_type(a: Type, names) -> str:
     if isinstance(a, Arrow):
         return f"{fmt_term(a.src, names)} -> {fmt_term(a.tgt, names)}"
     raise KernelError(f"not a type: {a!r}")
-
-
-def fmt_type_full(a: Type, names) -> str:
-    """Fully parenthesized form with explicit bases, for diagnostics."""
-    if isinstance(a, Star):
-        return "*"
-    return (f"({fmt_term(a.src, names)} -> {fmt_term(a.tgt, names)} "
-            f"over {fmt_type_full(a.base, names)})")
-
-
-def fmt_ctx(ctx: Context) -> str:
-    bits = []
-    for i, (n, ty) in enumerate(ctx.entries):
-        prefix = Context(ctx.entries[:i])
-        bits.append(f"({n} : {fmt_type(ty, prefix.names)})")
-    return " ".join(bits)

@@ -11,11 +11,11 @@ through a coherence's cell type.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, List, Optional
+from dataclasses import dataclass, replace
+from typing import Callable, List, Optional
 
 from .syntax import (
-    Arrow, Coh, KernelError, Star, Sub, Term, Tree, Type, Var,
+    Arrow, Coh, KernelError, Star, Sub, Term, Type, Var,
     apply_sub_term, apply_sub_type, dim_type,
 )
 from .trees import bracket, is_linear, tree_dim
@@ -329,7 +329,8 @@ class Normalizer:
                 if redexes:
                     nxt = apply_insertion(cur, redexes[0])
                     rule = "insertion"
-                    detail = _insertion_detail(redexes[0])
+                    if self.trace is not None:
+                        detail = _insertion_detail(redexes[0])
             if nxt is None:
                 return cur
             self.budget.spend()

@@ -14,6 +14,7 @@ substitution into the ambient context.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Union
 
 # A planar rooted tree is a tuple of planar rooted trees (trees.py).
@@ -22,6 +23,12 @@ Tree = tuple
 
 class KernelError(Exception):
     """Structural invariant broken inside the kernel: a bug, not user error."""
+
+
+@lru_cache(maxsize=None)
+def ctx_len(t: Tree) -> int:
+    """Number of variables in the context a tree generates."""
+    return len(t) + 1 + sum(ctx_len(c) for c in t)
 
 
 class Term:
@@ -48,6 +55,9 @@ class Coh(Term):
     _hash: int = field(init=False, repr=False, default=0)
 
     def __post_init__(self):
+        if len(self.args) != ctx_len(self.head):
+            raise KernelError(f"coherence over {self.head} needs {ctx_len(self.head)} "
+                              f"arguments, got {len(self.args)}")
         object.__setattr__(self, "_hash", hash((Coh, self.head, self.cell, self.args)))
 
     def __eq__(self, other):
@@ -110,10 +120,18 @@ Syntax = Union[Term, Type, Sub]
 class Context:
     """Ordered telescope of (display name, type) entries.
 
-    Equality and hashing ignore the display names.
+    Equality and hashing ignore the display names.  The types and
+    their hash are computed once, at construction.
     """
 
     entries: tuple
+    types: tuple = field(init=False, repr=False)
+    _hash: int = field(init=False, repr=False)
+
+    def __post_init__(self):
+        types = tuple(t for _, t in self.entries)
+        object.__setattr__(self, "types", types)
+        object.__setattr__(self, "_hash", hash(types))
 
     def __len__(self):
         return len(self.entries)
@@ -131,10 +149,6 @@ class Context:
     def names(self):
         return tuple(n for n, _ in self.entries)
 
-    @property
-    def types(self):
-        return tuple(t for _, t in self.entries)
-
     def extended(self, name: str, ty: Type) -> "Context":
         return Context(self.entries + ((name, ty),))
 
@@ -143,10 +157,10 @@ class Context:
             return True
         if not isinstance(other, Context):
             return NotImplemented
-        return self.types == other.types
+        return self._hash == other._hash and self.types == other.types
 
     def __hash__(self):
-        return hash(self.types)
+        return self._hash
 
     def __repr__(self):
         return f"Context({self.entries!r})"

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from .syntax import (
     STAR, Arrow, Coh, Context, KernelError, Star, Sub, Term, Tree, Type, Var,
-    apply_sub_term, apply_sub_type, compose, id_sub,
+    apply_sub_term, apply_sub_type, ctx_len, id_sub,
 )
 
 
@@ -31,10 +31,6 @@ class NotPastingError(Exception):
         self.position = position
         self.reason = reason
         super().__init__(f"not a pasting context (entry {position}): {reason}")
-
-
-def is_tree(t) -> bool:
-    return isinstance(t, tuple) and all(is_tree(c) for c in t)
 
 
 def tree_dim(t: Tree) -> int:
@@ -50,7 +46,10 @@ def trunk_height(t: Tree) -> int:
 
 
 def is_linear(t: Tree) -> bool:
-    return trunk_height(t) == tree_dim(t)
+    """trunk_height(t) == tree_dim(t), in O(depth): no branch point below a leaf."""
+    while len(t) == 1:
+        t = t[0]
+    return not t
 
 
 def disc(n: int) -> Tree:
@@ -64,15 +63,6 @@ def subtree(t: Tree, path) -> Tree:
     for k in path:
         t = t[k]
     return t
-
-
-def tree_nodes(t: Tree) -> int:
-    return 1 + sum(tree_nodes(c) for c in t)
-
-
-@lru_cache(maxsize=None)
-def ctx_len(t: Tree) -> int:
-    return len(t) + 1 + sum(ctx_len(c) for c in t)
 
 
 @lru_cache(maxsize=None)

@@ -12,10 +12,9 @@ from functools import lru_cache
 from typing import Optional, Tuple
 
 from .syntax import (
-    Arrow, Coh, KernelError, STAR, Star, Sub, Term, Tree, Type, Var,
-    apply_sub_term, apply_sub_type, dim_type, id_sub,
+    Arrow, Coh, KernelError, STAR, Sub, Term, Tree, Type, Var,
+    apply_sub_term, dim_type, id_sub,
 )
-from . import trees
 from .trees import ctx_len, disc, is_linear, tree_bd, tree_dim, tree_inc
 
 

@@ -6,7 +6,8 @@ from semistrict.syntax import (
     STAR, Arrow, Coh, Var, apply_sub_term, compose, id_sub,
 )
 from semistrict.trees import (
-    ctx_len, disc, suspend_sub, tree_dim, tree_to_ctx, trunk_height,
+    Label, ctx_len, disc, label_to_sub, sub_to_label, suspend_sub, tree_dim,
+    tree_to_ctx, trunk_height,
 )
 from semistrict.insertion import (
     HeightMismatch, InsertionPoint, NotRedex, branch_height, branch_var,
@@ -120,6 +121,31 @@ def test_inserted_sub_flat_splice(f_then_gh):
 def test_inserted_sub_rejects_bad_height():
     with pytest.raises(NotRedex):
         inserted_sub(id_sub(ctx_len(NESTED)), (0, 0), id_sub(5), NESTED, ((), ()))
+
+
+def _label_insert(lab, p, arg):
+    """Reference splice on labellings: arg's points and branches replace
+    points k, k+1 and branch k of lab, recursing at branch height >= 1."""
+    k = p[0]
+    if len(p) == 1:
+        points = lab.points[:k] + arg.points + lab.points[k + 2:]
+        branches = lab.branches[:k] + arg.branches + lab.branches[k + 1:]
+    else:
+        rec = _label_insert(lab.branches[k], p[1:], arg.branches[0])
+        points = lab.points[:k] + arg.points[:2] + lab.points[k + 2:]
+        branches = lab.branches[:k] + (rec,) + lab.branches[k + 1:]
+    return Label(points, branches)
+
+
+def test_inserted_sub_matches_label_splice():
+    cases = 0
+    for s, p, t in enumerate_insertion_points(6):  # trees of at most 5 edges
+        sigma = tuple(Var(i) for i in range(ctx_len(s)))
+        tau = tuple(Var(1000 + i) for i in range(ctx_len(t)))
+        ref = _label_insert(sub_to_label(s, sigma), p, sub_to_label(t, tau))
+        assert inserted_sub(sigma, p, tau, s, t) == label_to_sub(ref), (s, p, t)
+        cases += 1
+    assert cases == 7865
 
 
 def test_pushout_equations_random():

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from semistrict import rewriting
 from semistrict.check import infer_term
 from semistrict.syntax import STAR, Arrow, Coh, Var, apply_sub_term, id_sub
 from semistrict.trees import ctx_len, disc, tree_to_ctx
@@ -10,7 +11,7 @@ from semistrict.unbiased import (
     disc_sub, identity_term, is_identity, unbiased_coh, unbiased_type,
 )
 from semistrict.rewriting import (
-    ORD_ZERO, OrdinalPoly, RuleSet, StepBudgetExceeded, def_eq, disc_removal,
+    ORD_ZERO, OrdinalPoly, RuleSet, StepBudgetExceeded, clear_caches, def_eq, disc_removal,
     endo_coherence_removal, insertion_step, natural_sum, normalize,
     normalize_first_step, omega_pow, one_step, one_step_term, ord_lt, sc,
 )
@@ -215,3 +216,17 @@ def test_trace_stream_is_deterministic(f_then_gh):
     assert first == run()
     assert first and first[0][0] == "insertion"
     assert "S=[[],[]]" in first[0][2]
+
+
+def test_insertion_detail_formatted_only_when_traced(f_then_gh, monkeypatch):
+    def fail(r):
+        raise AssertionError("detail formatted without a trace")
+
+    monkeypatch.setattr(rewriting, "_insertion_detail", fail)
+    clear_caches()  # make sure the insertion really runs, not a memo hit
+    assert normalize(f_then_gh) == unbiased_coh(1, CHAIN3)
+    monkeypatch.undo()
+    log = []
+    normalize(f_then_gh, trace=log.append)
+    assert [(s.rule, s.detail) for s in log] == [
+        ("insertion", "S=[[],[]] P=[1] T=[[],[]] -> [[],[],[]]")]

@@ -103,3 +103,21 @@ def test_alpha_congruence(comp_fg):
 @given(st.integers(min_value=0, max_value=30))
 def test_id_sub_entries(n):
     assert all(t == Var(i) for i, t in enumerate(id_sub(n)))
+
+
+def test_context_equality_ignores_names():
+    a = tree_to_ctx(CHAIN2)
+    b = Context(tuple(zip("abcde", a.types)))
+    assert a.names != b.names
+    assert a == b and hash(a) == hash(b)
+    assert a.types == b.types
+    c = tree_to_ctx(CHAIN1)
+    assert a != c
+    d = Context(a.entries[:4] + (("g", Arrow(Var(0), STAR, Var(3))),))
+    assert a != d
+
+
+def test_coh_rejects_wrong_arity():
+    with pytest.raises(KernelError):
+        Coh(((), ()), unbiased_type(1, CHAIN1), id_sub(3))
+    Coh(CHAIN1, unbiased_type(1, CHAIN1), id_sub(3))

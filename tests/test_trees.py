@@ -203,6 +203,13 @@ def test_tree_statistics():
     assert not is_linear((((), ()), ()))
 
 
+def test_is_linear_is_trunk_height_equals_dimension():
+    trees = list(enumerate_trees(9))  # every tree of at most 8 edges
+    assert len(trees) == 2056
+    for t in trees:
+        assert is_linear(t) == (trunk_height(t) == tree_dim(t))
+
+
 def test_pasting_oracle_agrees_on_trees():
     for t in enumerate_trees(7):
         assert pasting_oracle(tree_to_ctx(t))
