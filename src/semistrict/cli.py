@@ -4,6 +4,11 @@ Subcommands: check (type-check declarations), normalize (print normal
 forms for each normalize command), eq (run asserteq commands), report
 (generator and rule statistics as TSV).  Exit codes: 0 all passed,
 1 any failure, 2 usage or I/O error.
+
+Each failure prints one ``file:line:col: Kind: detail`` line on stderr.
+A term nested too deeply for the interpreter's stack is a failure of
+kind ResourceLimit, located at its declaration, or at 1:1 when the
+parser itself ran out of stack.
 """
 
 from __future__ import annotations
@@ -19,6 +24,15 @@ from .rewriting import (
     DEFAULT_BUDGET, ReductionStep, RuleSet, StepBudgetExceeded,
     normalize,
 )
+
+TOO_DEEP = "ResourceLimit: term nests too deeply"
+
+
+def resource_limit(e: Exception) -> str:
+    """The ``Kind: detail`` of a step budget or stack overrun."""
+    if isinstance(e, RecursionError):
+        return TOO_DEEP
+    return f"StepBudgetExceeded: {e}"
 
 
 def build_argparser() -> argparse.ArgumentParser:
@@ -85,6 +99,9 @@ def run_files(args) -> int:
             print(f"{path}:{e.line}:{e.col}: ParseError: {e.msg}",
                   file=sys.stderr)
             return 1
+        except RecursionError:
+            print(f"{path}:1:1: {TOO_DEEP}", file=sys.stderr)
+            return 1
         for decl in decls:
             try:
                 checked = process_decl(decl, env, rules)
@@ -96,8 +113,8 @@ def run_files(args) -> int:
                       file=sys.stderr)
                 failures += 1
                 continue
-            except StepBudgetExceeded as e:
-                print(f"{path}:{decl.line}:{decl.col}: StepBudgetExceeded: {e}",
+            except (StepBudgetExceeded, RecursionError) as e:
+                print(f"{path}:{decl.line}:{decl.col}: {resource_limit(e)}",
                       file=sys.stderr)
                 failures += 1
                 continue
@@ -116,8 +133,8 @@ def run_files(args) -> int:
                     print(f"{path}:{decl.line}: {verdict}")
                     if not ok:
                         failures += 1
-            except StepBudgetExceeded as e:
-                print(f"{path}:{decl.line}:{decl.col}: StepBudgetExceeded: {e}",
+            except (StepBudgetExceeded, RecursionError) as e:
+                print(f"{path}:{decl.line}:{decl.col}: {resource_limit(e)}",
                       file=sys.stderr)
                 failures += 1
     return 1 if failures else 0

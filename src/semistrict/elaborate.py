@@ -176,13 +176,7 @@ def _elaborate_coh_literal(e: P.CohE, env: Environment,
 
 
 def _apply_value(val, args, ctx, env, rules, line, col) -> Term:
-    if isinstance(val, CohValue):
-        src_ctx = val.ctx
-        lm = val.lm_positions
-    else:
-        src_ctx = val.ctx
-        lm = val.lm_positions
-    sub = _infer_sub(src_ctx, lm, args, ctx, rules, line, col)
+    sub = _infer_sub(val.ctx, val.lm_positions, args, ctx, rules, line, col)
     if isinstance(val, CohValue):
         term = Coh(val.tree, val.cell, sub)
     else:

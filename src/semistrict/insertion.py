@@ -13,12 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .syntax import Coh, KernelError, Sub, Term, Tree, Var, apply_sub_term, compose
+from .syntax import Coh, KernelError, Sub, Term, Tree, apply_sub_type, compose, id_sub
 from .trees import (
     block_starts, child_incl, ctx_len, is_linear, point_positions, subtree,
     suspend_sub, tree_dim, trunk_height, window_incl,
 )
-from .unbiased import is_identity, is_unbiased_coh, unbiased_coh, unbiased_type, disc_sub
+from .unbiased import disc_sub, is_identity, is_unbiased_coh, unbiased_type
 
 
 class HeightMismatch(Exception):
@@ -50,36 +50,47 @@ def leaf_height(s: Tree, p: Branch) -> int:
 
 
 @lru_cache(maxsize=None)
-def branch_var(s: Tree, p: Branch) -> int:
-    """Context position of the locally maximal variable the branch names."""
-    k = p[0]
-    off = block_starts(s)[k]
-    if len(p) == 1:
-        return off + ctx_len(s[k]) - 1
-    return off + branch_var(s[k], p[1:])
+def branch_table(t: Tree) -> tuple:
+    """(branch, variable position, leaf height) per canonical branch.
+
+    One walk in branch (lexicographic) order: a child whose subtree is
+    linear ends a canonical branch at the top variable of its block,
+    any other child is walked into.
+    """
+    out = []
+
+    def walk(node: Tree, path: Branch, pos: int) -> int:
+        # pos is the position of node's first point; returns the one after its context
+        pos += 1
+        for k, c in enumerate(node):
+            pos += 1  # the point before block k
+            p = path + (k,)
+            d, leaf = 0, c
+            while len(leaf) == 1:
+                leaf, d = leaf[0], d + 1
+            if leaf:
+                pos = walk(c, p, pos)
+            else:  # a linear block: a disc of 2d+1 variables
+                out.append((p, pos + 2 * d, len(p) + d))
+                pos += 2 * d + 1
+        return pos
+
+    walk(t, (), 0)
+    return tuple(out)
 
 
-def leaf_paths(t: Tree):
-    if not t:
-        yield ()
-        return
-    for k, c in enumerate(t):
-        for rest in leaf_paths(c):
-            yield (k,) + rest
-
-
-@lru_cache(maxsize=None)
 def canonical_branches(t: Tree) -> tuple:
     """One branch per locally maximal variable, in lexicographic order."""
-    out = []
-    for path in leaf_paths(t):
-        if not path:
-            continue  # the empty tree has no branches
-        for i in range(1, len(path) + 1):
-            if is_linear(subtree(t, path[:i])):
-                out.append(path[:i])
-                break
-    return tuple(sorted(out))
+    return tuple(p for p, _, _ in branch_table(t))
+
+
+def branch_var(s: Tree, p: Branch) -> int:
+    """Context position of the locally maximal variable the branch names."""
+    # every branch extends exactly one canonical branch, naming its variable
+    for q, v, _ in branch_table(s):
+        if p[:len(q)] == q:
+            return v
+    raise KernelError(f"{p} is not a branch of {s}")
 
 
 def locally_maximal_positions(t: Tree) -> tuple:
@@ -90,7 +101,7 @@ def locally_maximal_positions(t: Tree) -> tuple:
     """
     if not t:
         return (0,)
-    return tuple(branch_var(t, p) for p in canonical_branches(t))
+    return tuple(v for _, v, _ in branch_table(t))
 
 
 @dataclass(frozen=True)
@@ -138,41 +149,26 @@ def interior_sub(s: Tree, p: Branch, t: Tree) -> Sub:
 
 
 def exterior_sub(s: Tree, p: Branch, t: Tree) -> Sub:
+    """S's context into the inserted tree's, by splicing three runs.
+
+    Before block k every variable keeps its position and after it every
+    variable keeps its distance from the end; only block k moves.
+    """
     r = inserted_tree(s, p, t)
     k = p[0]
-    n, m = len(s), len(t)
-    spts, sbs = point_positions(s), block_starts(s)
-    rpts, rbs = point_positions(r), block_starts(r)
-    out = [None] * ctx_len(s)
+    lo = block_starts(s)[k]
+    hi = lo + ctx_len(s[k])
+    nr = ctx_len(r)
+    tail = id_sub(nr)[nr - ctx_len(s) + hi:]
     if len(p) == 1:
-        for j in range(n + 1):
-            out[spts[j]] = Var(rpts[j] if j <= k else rpts[j + m - 1])
-        for i in range(n):
-            if i == k:
-                continue
-            ri = i if i < k else i + m - 1
-            for j in range(ctx_len(s[i])):
-                out[sbs[i] + j] = Var(rbs[ri] + j)
         # the grafted child: S_k is linear, so its suspension is a disc
-        # mapping through the unbiased cell over t
-        lh = 1 + tree_dim(s[k])
+        # mapping through the unbiased cell over t; the disc's target
+        # point (position lo - 1) goes to the window's last point
+        ty = unbiased_type(1 + tree_dim(s[k]), t)
         w = window_incl(r, k, t)
-        dvec = disc_sub(unbiased_type(lh, t), unbiased_coh(lh, t))
-        for j in range(ctx_len(s[k])):
-            out[sbs[k] + j] = apply_sub_term(dvec[2 + j], w)
-    else:
-        for j in range(n + 1):
-            out[spts[j]] = Var(rpts[j])
-        for i in range(n):
-            if i == k:
-                rec = compose(suspend_sub(exterior_sub(s[k], p[1:], t[0])),
-                              child_incl(r, k))
-                for j in range(ctx_len(s[k])):
-                    out[sbs[k] + j] = rec[2 + j]
-            else:
-                for j in range(ctx_len(s[i])):
-                    out[sbs[i] + j] = Var(rbs[i] + j)
-    return tuple(out)
+        return id_sub(lo - 1) + disc_sub(apply_sub_type(ty, w), Coh(t, ty, w))[1:] + tail
+    rec = compose(suspend_sub(exterior_sub(s[k], p[1:], t[0])), child_incl(r, k))
+    return id_sub(lo) + rec[2:] + tail
 
 
 def inserted_sub(sigma: Sub, p: Branch, tau: Sub, s: Tree, t: Tree) -> Sub:
@@ -200,15 +196,17 @@ def find_redexes(term: Term):
     """All insertion redexes of a coherence term, in branch order."""
     if not isinstance(term, Coh) or is_identity(term):
         return []
-    s = term.head
+    s, args = term.head, term.args
     out = []
-    for p in canonical_branches(s):
-        arg = term.args[branch_var(s, p)]
+    for p, v, lh in branch_table(s):
+        arg = args[v]
+        if not isinstance(arg, Coh):
+            continue
         m = is_unbiased_coh(arg)
         if m is None:
             continue
         n, t, tau = m
-        if n != leaf_height(s, p):
+        if n != lh:
             continue
         if not (n == tree_dim(t) or is_identity(arg)):
             continue  # only unbiased composites and identities insert

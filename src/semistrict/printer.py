@@ -2,8 +2,8 @@
 
 Printing is deterministic: coherence heads render in the paren pasting
 notation with generated names, and applications list only the locally
-maximal arguments, which reparse to the same term through implicit
-argument inference.
+maximal arguments, which reparse through implicit argument inference
+to a definitionally equal term.
 """
 
 from __future__ import annotations

@@ -150,10 +150,10 @@ DEFAULT_BUDGET = 10 ** 6
 
 def disc_removal(t: Term) -> Optional[Term]:
     """Collapse a unary composite over a disc to its top argument."""
-    if not isinstance(t, Coh):
+    if not isinstance(t, Coh) or not is_linear(t.head):
         return None
     n = tree_dim(t.head)
-    if n < 1 or not is_linear(t.head):
+    if n < 1:
         return None
     if t.cell != unbiased_type(n, t.head):
         return None
@@ -313,6 +313,7 @@ class Normalizer:
                      for i, a in enumerate(t.args))
         cell = self.type(t.cell, path + ("cell",))
         cur = Coh(t.head, cell, args)
+        reducts = []  # insertion reducts met on the way, all sharing the result
         while True:
             rules = self.rules
             nxt = None
@@ -325,21 +326,32 @@ class Normalizer:
                 nxt = endo_coherence_removal(cur)
                 rule = "endo-coherence-removal"
             if nxt is None and rules.insertion:
-                redexes = find_redexes(cur) if isinstance(cur, Coh) else []
+                redexes = find_redexes(cur)
                 if redexes:
                     nxt = apply_insertion(cur, redexes[0])
                     rule = "insertion"
                     if self.trace is not None:
                         detail = _insertion_detail(redexes[0])
             if nxt is None:
-                return cur
+                break
             self.budget.spend()
             if self.trace is not None:
                 self.trace(ReductionStep(rule, path, cur, nxt, nxt, detail))
-            # a head rule can expose further redexes anywhere in the result
-            cur = self.term(nxt, path)
-            if not isinstance(cur, Coh):
-                return cur
+            if rule != "insertion":
+                # a removal can expose further redexes anywhere in the result
+                cur = self.term(nxt, path)
+                break
+            # the reduct's arguments are entries of two normal
+            # substitutions, so only its cell can be unnormalized
+            hit = self.term_memo.get(nxt)
+            if hit is not None:
+                cur = hit
+                break
+            reducts.append(nxt)
+            cur = Coh(nxt.head, self.type(nxt.cell, path + ("cell",)), nxt.args)
+        for r in reducts:
+            self.term_memo[r] = cur
+        return cur
 
     def type(self, a: Type, path: tuple = ()) -> Type:
         if not isinstance(a, Arrow):

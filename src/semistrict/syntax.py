@@ -39,12 +39,48 @@ class Type:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Var(Term):
-    idx: int
+    """Variable at a context position.
+
+    ``Var(i)`` returns the same object for every call with the same
+    ``i``, so equality and hashing are the identity-based ones of
+    ``object``.
+    """
+
+    __slots__ = ("idx",)
+
+    def __new__(cls, idx: int):
+        if idx < 0:
+            raise KernelError(f"variable position {idx} is negative")
+        pool = _VARS if idx < len(_VARS) else _grow_vars(idx + 1)
+        return pool[idx]
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Var is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Var is immutable")
+
+    def __reduce__(self):
+        return Var, (self.idx,)
 
     def __repr__(self):
         return f"Var({self.idx})"
+
+
+# the interned variables, Var(i) at index i
+_VARS: tuple = ()
+
+
+def _grow_vars(n: int) -> tuple:
+    global _VARS
+    fresh = []
+    for i in range(len(_VARS), max(n, 2 * len(_VARS))):
+        v = object.__new__(Var)
+        object.__setattr__(v, "idx", i)
+        fresh.append(v)
+    _VARS += tuple(fresh)
+    return _VARS
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
@@ -200,7 +236,7 @@ def compose(tau: Sub, sigma: Sub) -> Sub:
 
 
 def id_sub(n: int) -> Sub:
-    return tuple(Var(i) for i in range(n))
+    return (_VARS if n <= len(_VARS) else _grow_vars(n))[:n]
 
 
 # --- free variables, support, dimension ----------------------------------

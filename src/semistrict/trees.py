@@ -103,18 +103,14 @@ def child_incl(t: Tree, i: int) -> Sub:
 
 def window_incl(r: Tree, a: int, u: Tree) -> Sub:
     """Inclusion of tree u into r, when r's children a..a+len(u) are u's."""
-    m = len(u)
-    if r[a:a + m] != u:
+    if r[a:a + len(u)] != u:
         raise KernelError("window does not match the target tree")
-    out = [None] * ctx_len(u)
-    upts, ubs = point_positions(u), block_starts(u)
-    rpts, rbs = point_positions(r), block_starts(r)
-    for j in range(m + 1):
-        out[upts[j]] = Var(rpts[a + j])
-    for i in range(m):
-        for j in range(ctx_len(u[i])):
-            out[ubs[i] + j] = Var(rbs[a + i] + j)
-    return tuple(out)
+    rpts = point_positions(r)
+    if not u:
+        return (Var(rpts[a]),)
+    # after its first point, u's layout is a run of r's from point a+1
+    lo = rpts[a + 1]
+    return (Var(rpts[a]),) + id_sub(lo + ctx_len(u) - 1)[lo:]
 
 
 # --- suspension -----------------------------------------------------------

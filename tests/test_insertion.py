@@ -6,19 +6,21 @@ from semistrict.syntax import (
     STAR, Arrow, Coh, Var, apply_sub_term, compose, id_sub,
 )
 from semistrict.trees import (
-    Label, ctx_len, disc, label_to_sub, sub_to_label, suspend_sub, tree_dim,
-    tree_to_ctx, trunk_height,
+    Label, block_starts, child_incl, ctx_len, disc, is_linear, label_to_sub,
+    point_positions, sub_to_label, subtree, suspend_sub, tree_dim, tree_to_ctx,
+    trunk_height, window_incl,
 )
 from semistrict.insertion import (
-    HeightMismatch, InsertionPoint, NotRedex, branch_height, branch_var,
-    canonical_branches, exterior_sub, find_redexes, inserted_sub,
-    inserted_tree, interior_sub, leaf_height, locally_maximal_positions,
+    HeightMismatch, InsertionPoint, NotRedex, branch_height, branch_table,
+    branch_var, canonical_branches, exterior_sub, find_redexes, inserted_sub,
+    inserted_tree, interior_sub, is_branch, leaf_height,
+    locally_maximal_positions,
 )
-from semistrict.unbiased import identity_term, unbiased_coh, unbiased_type
+from semistrict.unbiased import disc_sub, identity_term, unbiased_coh, unbiased_type
 from semistrict.rewriting import def_eq
 from semistrict.harness import (
-    GenConfig, enumerate_insertion_points, eq_max_def, eq_max_syntactic,
-    gen_redex,
+    GenConfig, enumerate_insertion_points, enumerate_trees, eq_max_def,
+    eq_max_syntactic, gen_redex,
 )
 
 from conftest import CHAIN2, CHAIN3
@@ -58,6 +60,56 @@ def test_canonical_branches():
     # one branch per locally maximal variable, at the deepest branch point
     assert canonical_branches(NESTED) == ((0, 0), (0, 1), (1,))
     assert canonical_branches(disc(3)) == ((0,),)
+
+
+def _leaf_paths(t):
+    if not t:
+        yield ()
+        return
+    for k, c in enumerate(t):
+        for rest in _leaf_paths(c):
+            yield (k,) + rest
+
+
+def _branch_var_by_descent(s, p):
+    k = p[0]
+    off = block_starts(s)[k]
+    if len(p) == 1:
+        return off + ctx_len(s[k]) - 1
+    return off + _branch_var_by_descent(s[k], p[1:])
+
+
+def _branch_table_by_leaf_paths(t):
+    """Reference: the shortest linear prefix of every leaf path, sorted."""
+    out = []
+    for path in _leaf_paths(t):
+        for i in range(1, len(path) + 1):
+            if is_linear(subtree(t, path[:i])):
+                out.append(path[:i])
+                break
+    return tuple((p, _branch_var_by_descent(t, p), leaf_height(t, p))
+                 for p in sorted(out))
+
+
+def _all_branches(root, node, path=()):
+    for k, c in enumerate(node):
+        if is_branch(root, path + (k,)):
+            yield path + (k,)
+        yield from _all_branches(root, c, path + (k,))
+
+
+def test_branch_table_matches_leaf_path_walk():
+    trees = list(enumerate_trees(9))  # every tree of at most 8 edges
+    assert len(trees) == 2056
+    for t in trees:
+        want = _branch_table_by_leaf_paths(t)
+        assert branch_table(t) == want
+        assert canonical_branches(t) == tuple(p for p, _, _ in want)
+        if t:
+            assert locally_maximal_positions(t) == tuple(v for _, v, _ in want)
+        for p in _all_branches(t, t):  # non-canonical branches too
+            assert branch_var(t, p) == _branch_var_by_descent(t, p)
+    assert locally_maximal_positions(()) == (0,)
 
 
 def test_interior_first_clause_is_window_inclusion():
@@ -144,6 +196,42 @@ def test_inserted_sub_matches_label_splice():
         tau = tuple(Var(1000 + i) for i in range(ctx_len(t)))
         ref = _label_insert(sub_to_label(s, sigma), p, sub_to_label(t, tau))
         assert inserted_sub(sigma, p, tau, s, t) == label_to_sub(ref), (s, p, t)
+        cases += 1
+    assert cases == 7865
+
+
+def _exterior_sub_by_loop(s, p, t):
+    """Reference: map S's points and blocks one variable at a time."""
+    r = inserted_tree(s, p, t)
+    k, n, m = p[0], len(s), len(t)
+    spts, sbs = point_positions(s), block_starts(s)
+    rpts, rbs = point_positions(r), block_starts(r)
+    out = [None] * ctx_len(s)
+    deep = len(p) > 1
+    for j in range(n + 1):
+        out[spts[j]] = Var(rpts[j] if deep or j <= k else rpts[j + m - 1])
+    for i in range(n):
+        if i == k:
+            continue
+        ri = i if deep or i < k else i + m - 1
+        for j in range(ctx_len(s[i])):
+            out[sbs[i] + j] = Var(rbs[ri] + j)
+    if deep:
+        rec = compose(suspend_sub(_exterior_sub_by_loop(s[k], p[1:], t[0])),
+                      child_incl(r, k))
+    else:
+        lh = 1 + tree_dim(s[k])
+        rec = compose(disc_sub(unbiased_type(lh, t), unbiased_coh(lh, t)),
+                      window_incl(r, k, t))
+    for j in range(ctx_len(s[k])):
+        out[sbs[k] + j] = rec[2 + j]
+    return tuple(out)
+
+
+def test_exterior_sub_matches_loop():
+    cases = 0
+    for s, p, t in enumerate_insertion_points(6):  # trees of at most 5 edges
+        assert exterior_sub(s, p, t) == _exterior_sub_by_loop(s, p, t), (s, p, t)
         cases += 1
     assert cases == 7865
 

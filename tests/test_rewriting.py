@@ -6,10 +6,14 @@ from hypothesis import given, settings, strategies as st
 from semistrict import rewriting
 from semistrict.check import infer_term
 from semistrict.syntax import STAR, Arrow, Coh, Var, apply_sub_term, id_sub
-from semistrict.trees import ctx_len, disc, tree_to_ctx
+from semistrict.trees import (
+    block_starts, ctx_len, disc, point_positions, suspend_term, suspend_tree,
+    tree_to_ctx,
+)
 from semistrict.unbiased import (
     disc_sub, identity_term, is_identity, unbiased_coh, unbiased_type,
 )
+from semistrict.insertion import exterior_sub
 from semistrict.rewriting import (
     ORD_ZERO, OrdinalPoly, RuleSet, StepBudgetExceeded, clear_caches, def_eq, disc_removal,
     endo_coherence_removal, insertion_step, natural_sum, normalize,
@@ -230,3 +234,58 @@ def test_insertion_detail_formatted_only_when_traced(f_then_gh, monkeypatch):
     normalize(f_then_gh, trace=log.append)
     assert [(s.rule, s.detail) for s in log] == [
         ("insertion", "S=[[],[]] P=[1] T=[[],[]] -> [[],[],[]]")]
+
+
+def _comp_chain(n, shape, rng):
+    """A bracketing of the n-arrow chain into binary composites."""
+    tree = ((),) * n
+    pts, arrows = point_positions(tree), block_starts(tree)
+    comp = unbiased_type(1, CHAIN2)
+
+    def build(lo, hi):
+        if hi - lo == 1:
+            return Var(arrows[lo])
+        if shape == "left":
+            cut = hi - 1
+        elif shape == "right":
+            cut = lo + 1
+        else:
+            cut = rng.randint(lo + 1, hi - 1)
+        return Coh(CHAIN2, comp, (Var(pts[lo]), Var(pts[cut]), build(lo, cut),
+                                  Var(pts[hi]), build(cut, hi)))
+
+    return tree, build(0, n)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_comp_chains_normalize_to_the_unbiased_composite(dim):
+    rng = random.Random(dim)
+    for n in (2, 3, 5, 8, 13, 24):
+        for shape in ("left", "right", "random", "random"):
+            tree, t = _comp_chain(n, shape, rng)
+            if dim == 2:
+                tree, t = suspend_tree(tree), suspend_term(t)
+            clear_caches()
+            nf = normalize(t)
+            assert nf == unbiased_coh(dim, tree)
+            assert nf == normalize_first_step(t)
+
+
+@pytest.mark.parametrize("u", [CHAIN2, CHAIN3])
+def test_whisker_insertion_normalizes_the_reduct_cell(u):
+    # alpha whiskered by a composite g1 .. gm: the reduct's cell still
+    # holds f composed with that composite, which inserts in turn
+    s = (((),), ())
+    r = s[:1] + u
+    t = Coh(s, unbiased_type(2, s), exterior_sub(s, (1,), u))
+    infer_term(tree_to_ctx(r), t)
+    clear_caches()
+    nf = normalize(t)
+    assert nf == unbiased_coh(2, r)
+    assert nf == normalize_first_step(t)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_normalize_preserves_type(seed):
+    for ctx, t in gen_population(GenConfig(seed=seed), 150):
+        assert def_eq(infer_term(ctx, normalize(t)), infer_term(ctx, t))

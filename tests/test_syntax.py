@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -121,3 +123,19 @@ def test_coh_rejects_wrong_arity():
     with pytest.raises(KernelError):
         Coh(((), ()), unbiased_type(1, CHAIN1), id_sub(3))
     Coh(CHAIN1, unbiased_type(1, CHAIN1), id_sub(3))
+
+
+def test_var_is_interned():
+    for i in range(2001):
+        v = Var(i)
+        assert v is Var(i) and v.idx == i
+        assert v == Var(i) and hash(v) == hash(Var(i))
+    assert Var(3) != Var(4)
+    assert id_sub(2001) == tuple(Var(i) for i in range(2001))
+    assert pickle.loads(pickle.dumps(id_sub(9))) == id_sub(9)
+    assert pickle.loads(pickle.dumps(Var(7))) is Var(7)
+    assert repr(Var(5)) == "Var(5)"
+    with pytest.raises(KernelError):
+        Var(-1)
+    with pytest.raises(AttributeError):
+        Var(0).idx = 1

@@ -7,11 +7,11 @@ from semistrict.syntax import (
     id_sub, support,
 )
 from semistrict.trees import (
-    Label, NotPastingError, bracket, ctx_len, ctx_to_tree, disc,
+    Label, NotPastingError, block_starts, bracket, ctx_len, ctx_to_tree, disc,
     identity_label, is_linear, label_to_sub, parse_bracket, point_positions,
     sub_to_label, suspend_ctx, suspend_sub, suspend_term, suspend_tree,
     suspend_type, tree_bd, tree_dim, tree_dot, tree_inc, tree_to_ctx,
-    trunk_height, wedge_ctx, wedge_sub,
+    trunk_height, wedge_ctx, wedge_sub, window_incl,
 )
 from semistrict.harness import bd_support_oracle, enumerate_trees, pasting_oracle
 
@@ -208,6 +208,32 @@ def test_is_linear_is_trunk_height_equals_dimension():
     assert len(trees) == 2056
     for t in trees:
         assert is_linear(t) == (trunk_height(t) == tree_dim(t))
+
+
+def _window_incl_by_loop(r, a, u):
+    """Reference: map u's points and blocks one variable at a time."""
+    out = [None] * ctx_len(u)
+    upts, ubs = point_positions(u), block_starts(u)
+    rpts, rbs = point_positions(r), block_starts(r)
+    for j in range(len(u) + 1):
+        out[upts[j]] = Var(rpts[a + j])
+    for i in range(len(u)):
+        for j in range(ctx_len(u[i])):
+            out[ubs[i] + j] = Var(rbs[a + i] + j)
+    return tuple(out)
+
+
+def test_window_incl_matches_loop():
+    cases = 0
+    for r in enumerate_trees(7):  # every tree of at most 6 edges
+        for a in range(len(r) + 1):
+            for m in range(len(r) - a + 1):
+                u = r[a:a + m]
+                assert window_incl(r, a, u) == _window_incl_by_loop(r, a, u)
+                cases += 1
+    assert cases > 1000
+    with pytest.raises(KernelError):
+        window_incl(CHAIN2, 0, ((((),),),))
 
 
 def test_pasting_oracle_agrees_on_trees():
