@@ -26,7 +26,7 @@ from .insertion import (
     find_redexes, inserted_sub, inserted_tree, interior_sub,
 )
 from .rewriting import (
-    OrdinalPoly, ReductionStep, RuleSet, SUA, StepBudgetExceeded, def_eq,
+    OrdinalPoly, ReductionStep, StepBudgetExceeded, def_eq,
     natural_sum, normalize, omega_pow, one_step, ord_lt, sc,
     syntactic_complexity,
 )

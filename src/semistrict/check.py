@@ -17,7 +17,7 @@ from .syntax import (
     apply_sub_type, free_vars, support,
 )
 from .trees import tree_dim, tree_inc, tree_to_ctx
-from .rewriting import RuleSet, SUA, def_eq
+from .rewriting import def_eq
 
 
 @dataclass
@@ -35,11 +35,7 @@ class TypingError(Exception):
 _INFER_CACHE: dict = {}
 
 
-def clear_cache():
-    _INFER_CACHE.clear()
-
-
-def check_ctx(ctx: Context, rules: RuleSet = SUA) -> None:
+def check_ctx(ctx: Context) -> None:
     for i in range(len(ctx)):
         prefix = Context(ctx.entries[:i])
         ty = ctx.type_of(i)
@@ -48,18 +44,18 @@ def check_ctx(ctx: Context, rules: RuleSet = SUA) -> None:
             raise TypingError("UnknownVariable",
                               f"entry {ctx.name_of(i)} refers to variable {bad[0]} "
                               f"outside the preceding telescope")
-        check_type(prefix, ty, rules)
+        check_type(prefix, ty)
 
 
-def check_type(ctx: Context, a: Type, rules: RuleSet = SUA) -> None:
+def check_type(ctx: Context, a: Type) -> None:
     if isinstance(a, Star):
         return
     if not isinstance(a, Arrow):
         raise KernelError(f"not a type: {a!r}")
-    check_type(ctx, a.base, rules)
+    check_type(ctx, a.base)
     for side, t in (("source", a.src), ("target", a.tgt)):
-        got = infer_term(ctx, t, rules)
-        if not def_eq(got, a.base, rules):
+        got = infer_term(ctx, t)
+        if not def_eq(got, a.base):
             raise TypingError("TypeMismatch",
                               f"{side} of arrow has type {got!r}, expected {a.base!r}",
                               expected=a.base, actual=got)
@@ -71,17 +67,17 @@ def boundary_support(tree, eps: str, n: int) -> frozenset:
     return support(ctx, tree_inc(eps, n, tree))
 
 
-def infer_term(ctx: Context, t: Term, rules: RuleSet = SUA) -> Type:
-    key = (ctx, t, rules)
+def infer_term(ctx: Context, t: Term) -> Type:
+    key = (ctx, t)
     hit = _INFER_CACHE.get(key)
     if hit is not None:
         return hit
-    out = _infer(ctx, t, rules)
+    out = _infer(ctx, t)
     _INFER_CACHE[key] = out
     return out
 
 
-def _infer(ctx: Context, t: Term, rules: RuleSet) -> Type:
+def _infer(ctx: Context, t: Term) -> Type:
     if isinstance(t, Var):
         if not 0 <= t.idx < len(ctx):
             raise TypingError("UnknownVariable",
@@ -96,8 +92,8 @@ def _infer(ctx: Context, t: Term, rules: RuleSet) -> Type:
         raise TypingError("TypeMismatch",
                           "a coherence cell must be an arrow type",
                           expected="arrow type", actual=cell)
-    check_type(head_ctx, cell, rules)
-    check_sub(ctx, t.args, head_ctx, rules)
+    check_type(head_ctx, cell)
+    check_sub(ctx, t.args, head_ctx)
     _check_support(t.head, head_ctx, cell)
     return apply_sub_type(cell, t.args)
 
@@ -130,16 +126,15 @@ def _check_support(tree, head_ctx: Context, cell: Arrow) -> None:
         expected=want, actual=got)
 
 
-def check_sub(ctx: Context, sub: Sub, src_ctx: Context,
-              rules: RuleSet = SUA) -> None:
+def check_sub(ctx: Context, sub: Sub, src_ctx: Context) -> None:
     if len(sub) != len(src_ctx):
         raise TypingError("ArityMismatch",
                           f"substitution has {len(sub)} entries for a context "
                           f"of length {len(src_ctx)}")
     for i, t in enumerate(sub):
         want = apply_sub_type(src_ctx.type_of(i), sub)
-        got = infer_term(ctx, t, rules)
-        if not def_eq(got, want, rules):
+        got = infer_term(ctx, t)
+        if not def_eq(got, want):
             raise TypingError(
                 "TypeMismatch",
                 f"argument {i} ({src_ctx.name_of(i)}) has type {got!r}, "
@@ -147,7 +142,7 @@ def check_sub(ctx: Context, sub: Sub, src_ctx: Context,
                 expected=want, actual=got, location=i)
 
 
-def decide_eq(ctx: Context, a: Term, b: Term, rules: RuleSet = SUA) -> bool:
-    infer_term(ctx, a, rules)
-    infer_term(ctx, b, rules)
-    return def_eq(a, b, rules)
+def decide_eq(ctx: Context, a: Term, b: Term) -> bool:
+    infer_term(ctx, a)
+    infer_term(ctx, b)
+    return def_eq(a, b)

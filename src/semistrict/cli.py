@@ -21,7 +21,7 @@ from .check import TypingError
 from .elaborate import ElabError, new_env, process_decl
 from .printer import fmt_term
 from .rewriting import (
-    DEFAULT_BUDGET, ReductionStep, RuleSet, StepBudgetExceeded,
+    DEFAULT_BUDGET, ReductionStep, StepBudgetExceeded,
     normalize,
 )
 
@@ -50,25 +50,11 @@ def build_argparser() -> argparse.ArgumentParser:
                        help="log one-step reductions to stderr")
         p.add_argument("--step-budget", type=int, default=DEFAULT_BUDGET,
                        metavar="N", help="normalizer step budget")
-        p.add_argument("--no-rule", action="append", default=[],
-                       choices=("dr", "ecr", "ins"), metavar="{dr|ecr|ins}",
-                       help="disable a reduction rule (untested configuration)")
     rep = sub.add_parser("report", help="harness summary statistics as TSV")
     rep.add_argument("--seed", type=int, default=0)
     rep.add_argument("--count", type=int, default=200, metavar="N",
                      help="number of generated terms")
     return ap
-
-
-def ruleset_from(args) -> RuleSet:
-    off = set(args.no_rule)
-    rules = RuleSet(disc_removal="dr" not in off,
-                    endo_coherence_removal="ecr" not in off,
-                    insertion="ins" not in off)
-    if rules.disabled():
-        print(f"warning: rules disabled ({', '.join(rules.disabled())}); "
-              f"this configuration is untested", file=sys.stderr)
-    return rules
 
 
 def make_tracer(names):
@@ -83,7 +69,6 @@ def make_tracer(names):
 
 
 def run_files(args) -> int:
-    rules = ruleset_from(args)
     env = new_env()
     failures = 0
     for path in args.files:
@@ -104,7 +89,7 @@ def run_files(args) -> int:
             return 1
         for decl in decls:
             try:
-                checked = process_decl(decl, env, rules)
+                checked = process_decl(decl, env)
             except (TypingError, ElabError) as e:
                 line = getattr(e, "line", 0) or decl.line
                 col = getattr(e, "col", 0) or decl.col
@@ -122,13 +107,12 @@ def run_files(args) -> int:
             trace = make_tracer(names) if args.trace else None
             try:
                 if args.command == "normalize" and isinstance(decl, P.NormalizeCmd):
-                    nf = normalize(checked.terms[0], rules, args.step_budget,
-                                   trace)
+                    nf = normalize(checked.terms[0], args.step_budget, trace)
                     print(fmt_term(nf, names))
                 elif args.command == "eq" and isinstance(decl, P.AssertEqCmd):
                     lhs, rhs = checked.terms
-                    ok = (normalize(lhs, rules, args.step_budget, trace)
-                          == normalize(rhs, rules, args.step_budget, trace))
+                    ok = (normalize(lhs, args.step_budget, trace)
+                          == normalize(rhs, args.step_budget, trace))
                     verdict = "ok" if ok else "FAIL"
                     print(f"{path}:{decl.line}: {verdict}")
                     if not ok:

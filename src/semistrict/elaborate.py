@@ -18,7 +18,7 @@ from .syntax import (
 )
 from .trees import tree_to_ctx
 from .insertion import locally_maximal_positions
-from .rewriting import RuleSet, SUA, def_eq
+from .rewriting import def_eq
 from .check import infer_term
 from . import parser as P
 
@@ -86,7 +86,7 @@ class Environment:
         return env
 
 
-def elaborate_ctx(cx, env: Environment, rules: RuleSet = SUA) -> Context:
+def elaborate_ctx(cx, env: Environment) -> Context:
     if isinstance(cx, P.PsCtx):
         base = tree_to_ctx(cx.tree)
         if len(cx.names) != len(base):
@@ -103,28 +103,26 @@ def elaborate_ctx(cx, env: Environment, rules: RuleSet = SUA) -> Context:
         if name in ctx.names:
             raise ElabError("DuplicateName",
                             f"context binds {name!r} twice", line, col)
-        ty = elaborate_type(tye, ctx, env, rules)
+        ty = elaborate_type(tye, ctx, env)
         ctx = ctx.extended(name, ty)
     return ctx
 
 
-def elaborate_type(tye, ctx: Context, env: Environment,
-                   rules: RuleSet = SUA) -> Type:
+def elaborate_type(tye, ctx: Context, env: Environment) -> Type:
     if isinstance(tye, P.StarE):
         return STAR
-    s = elaborate_term(tye.lhs, ctx, env, rules)
-    t = elaborate_term(tye.rhs, ctx, env, rules)
-    a = infer_term(ctx, s, rules)
-    b = infer_term(ctx, t, rules)
-    if a != b and not def_eq(a, b, rules):
+    s = elaborate_term(tye.lhs, ctx, env)
+    t = elaborate_term(tye.rhs, ctx, env)
+    a = infer_term(ctx, s)
+    b = infer_term(ctx, t)
+    if a != b and not def_eq(a, b):
         raise ElabError("TypeMismatch",
                         "arrow endpoints live at different types",
                         tye.line, tye.col)
     return Arrow(s, a, t)
 
 
-def elaborate_term(e, ctx: Context, env: Environment,
-                   rules: RuleSet = SUA) -> Term:
+def elaborate_term(e, ctx: Context, env: Environment) -> Term:
     if isinstance(e, P.NameE):
         if e.name in ctx.names:
             return Var(ctx.names.index(e.name))
@@ -132,10 +130,10 @@ def elaborate_term(e, ctx: Context, env: Environment,
         if val is None:
             raise ElabError("UnknownVariable", f"{e.name!r} is not in scope",
                             e.line, e.col)
-        return _apply_value(val, (), ctx, env, rules, e.line, e.col)
+        return _apply_value(val, (), ctx, env, e.line, e.col)
     if isinstance(e, P.AppE):
         if not e.args:
-            return elaborate_term(e.head, ctx, env, rules)
+            return elaborate_term(e.head, ctx, env)
         if isinstance(e.head, P.NameE):
             if e.head.name in ctx.names:
                 raise ElabError("NotApplicable",
@@ -147,46 +145,45 @@ def elaborate_term(e, ctx: Context, env: Environment,
                                 f"{e.head.name!r} is not in scope",
                                 e.line, e.col)
         elif isinstance(e.head, P.CohE):
-            val = _elaborate_coh_literal(e.head, env, rules)
+            val = _elaborate_coh_literal(e.head, env)
         else:
             raise ElabError("NotApplicable",
                             "only names and coh literals take arguments",
                             e.line, e.col)
-        args = tuple((elaborate_term(a, ctx, env, rules), braced)
+        args = tuple((elaborate_term(a, ctx, env), braced)
                      for a, braced in e.args)
-        return _apply_value(val, args, ctx, env, rules, e.line, e.col)
+        return _apply_value(val, args, ctx, env, e.line, e.col)
     if isinstance(e, P.CohE):
-        return _apply_value(_elaborate_coh_literal(e, env, rules), (), ctx,
-                            env, rules, e.line, e.col)
+        return _apply_value(_elaborate_coh_literal(e, env), (), ctx,
+                            env, e.line, e.col)
     raise ElabError("Internal", f"unexpected expression {e!r}")
 
 
-def _elaborate_coh_literal(e: P.CohE, env: Environment,
-                           rules: RuleSet) -> CohValue:
+def _elaborate_coh_literal(e: P.CohE, env: Environment) -> CohValue:
     head_ctx = Context(tuple(zip(e.names, tree_to_ctx(e.tree).types)))
     if len(e.names) != len(set(e.names)):
         raise ElabError("DuplicateName",
                         "pasting notation repeats a variable name",
                         e.line, e.col)
-    cell = elaborate_type(e.ty, head_ctx, env, rules)
+    cell = elaborate_type(e.ty, head_ctx, env)
     if not isinstance(cell, Arrow):
         raise ElabError("TypeMismatch", "a coherence needs an arrow type",
                         e.line, e.col)
     return CohValue(e.tree, cell)
 
 
-def _apply_value(val, args, ctx, env, rules, line, col) -> Term:
-    sub = _infer_sub(val.ctx, val.lm_positions, args, ctx, rules, line, col)
+def _apply_value(val, args, ctx, env, line, col) -> Term:
+    sub = _infer_sub(val.ctx, val.lm_positions, args, ctx, line, col)
     if isinstance(val, CohValue):
         term = Coh(val.tree, val.cell, sub)
     else:
         term = apply_sub_term(val.body, sub)
-    infer_term(ctx, term, rules)
+    infer_term(ctx, term)
     return term
 
 
 def _infer_sub(src_ctx: Context, lm: tuple, args, ctx: Context,
-               rules: RuleSet, line, col) -> Sub:
+               line, col) -> Sub:
     """Rebuild the full substitution from locally maximal arguments."""
     n = len(src_ctx)
     bound: List[Optional[Term]] = [None] * n
@@ -219,7 +216,7 @@ def _infer_sub(src_ctx: Context, lm: tuple, args, ctx: Context,
             return
         if old == term:
             return
-        if not def_eq(old, term, rules):
+        if not def_eq(old, term):
             raise ElabError(
                 "InferenceFailure",
                 f"boundary terms for {src_ctx.name_of(pos)!r} disagree after "
@@ -232,7 +229,7 @@ def _infer_sub(src_ctx: Context, lm: tuple, args, ctx: Context,
                             f"missing argument for {src_ctx.name_of(pos)!r}",
                             line, col)
         declared = src_ctx.type_of(pos)
-        got = infer_term(ctx, bound[pos], rules)
+        got = infer_term(ctx, bound[pos])
         if dim_type(got) != dim_type(declared):
             raise ElabError(
                 "TypeMismatch",
@@ -264,34 +261,33 @@ class CheckedDecl:
     terms: tuple = ()
 
 
-def process_decl(decl, env: Environment, rules: RuleSet = SUA) -> CheckedDecl:
+def process_decl(decl, env: Environment) -> CheckedDecl:
     if isinstance(decl, P.CohDecl):
-        ctx = elaborate_ctx(decl.ps, env, rules)
+        ctx = elaborate_ctx(decl.ps, env)
         val = _elaborate_coh_literal(
-            P.CohE(decl.ps.tree, ctx.names, decl.ty, decl.line, decl.col),
-            env, rules)
+            P.CohE(decl.ps.tree, ctx.names, decl.ty, decl.line, decl.col), env)
         # validate through the checker against the identity instantiation
         term = Coh(val.tree, val.cell, id_sub(len(ctx)))
-        infer_term(ctx, term, rules)
+        infer_term(ctx, term)
         env.add(decl.name, val, decl.line, decl.col)
         return CheckedDecl(decl, decl.name, ctx, (term,))
     if isinstance(decl, P.TermDef):
-        ctx = elaborate_ctx(decl.ctx, env, rules)
-        body = elaborate_term(decl.body, ctx, env, rules)
-        ty = infer_term(ctx, body, rules)
+        ctx = elaborate_ctx(decl.ctx, env)
+        body = elaborate_term(decl.body, ctx, env)
+        ty = infer_term(ctx, body)
         env.add(decl.name, DefValue(ctx, body, ty), decl.line, decl.col)
         return CheckedDecl(decl, decl.name, ctx, (body,))
     if isinstance(decl, P.NormalizeCmd):
-        ctx = elaborate_ctx(decl.ctx, env, rules)
-        body = elaborate_term(decl.body, ctx, env, rules)
-        infer_term(ctx, body, rules)
+        ctx = elaborate_ctx(decl.ctx, env)
+        body = elaborate_term(decl.body, ctx, env)
+        infer_term(ctx, body)
         return CheckedDecl(decl, None, ctx, (body,))
     if isinstance(decl, P.AssertEqCmd):
-        ctx = elaborate_ctx(decl.ctx, env, rules)
-        lhs = elaborate_term(decl.lhs, ctx, env, rules)
-        rhs = elaborate_term(decl.rhs, ctx, env, rules)
-        infer_term(ctx, lhs, rules)
-        infer_term(ctx, rhs, rules)
+        ctx = elaborate_ctx(decl.ctx, env)
+        lhs = elaborate_term(decl.lhs, ctx, env)
+        rhs = elaborate_term(decl.rhs, ctx, env)
+        infer_term(ctx, lhs)
+        infer_term(ctx, rhs)
         return CheckedDecl(decl, None, ctx, (lhs, rhs))
     raise ElabError("Internal", f"unknown declaration {decl!r}")
 

@@ -27,7 +27,7 @@ from .insertion import (
     interior_sub, inserted_tree, leaf_height, locally_maximal_positions,
 )
 from .unbiased import identity_term, unbiased_type
-from .rewriting import RuleSet, SUA, def_eq, normalize, one_step, sc, ord_lt
+from .rewriting import def_eq, normalize, one_step, sc, ord_lt
 from .check import infer_term
 
 
@@ -105,12 +105,10 @@ class TermGen:
     and rebracketing coherences between two bracketings of a chain.
     """
 
-    def __init__(self, ctx: Context, cfg: GenConfig, rng: random.Random,
-                 rules: RuleSet = SUA):
+    def __init__(self, ctx: Context, cfg: GenConfig, rng: random.Random):
         self.ctx = ctx
         self.cfg = cfg
         self.rng = rng
-        self.rules = rules
         self.pool: List[Tuple[Term, Type, int]] = []  # (term, type, nesting)
         self.by_key: Dict[tuple, List[int]] = {}
         self.objects: List[int] = []
@@ -118,7 +116,7 @@ class TermGen:
             self.add(Var(i), nesting=0)
 
     def add(self, t: Term, nesting: int) -> Optional[int]:
-        ty = infer_term(self.ctx, t, self.rules)
+        ty = infer_term(self.ctx, t)
         if dim_type(ty) > self.cfg.max_dim:
             return None
         idx = len(self.pool)
@@ -126,7 +124,7 @@ class TermGen:
         if isinstance(ty, Star):
             self.objects.append(idx)
         else:
-            key = (normalize(ty.base, self.rules), normalize(ty.src, self.rules))
+            key = (normalize(ty.base), normalize(ty.src))
             self.by_key.setdefault(key, []).append(idx)
         return idx
 
@@ -136,7 +134,7 @@ class TermGen:
     def pick_step(self, at: Term, base: Type) -> Tuple[Term, Term]:
         """A cell leaving `at` over `base`, with its target endpoint."""
         if dim_type(base) + 1 <= self.cfg.max_dim:
-            key = (normalize(base, self.rules), normalize(at, self.rules))
+            key = (normalize(base), normalize(at))
             cands = self.by_key.get(key, ())
             if cands and self.rng.random() < 0.8:
                 t, ty, _ = self.pool[self.rng.choice(cands)]
@@ -291,8 +289,8 @@ def eq_max_syntactic(sigma: Sub, tau: Sub, tree: tuple) -> bool:
     return all(sigma[i] == tau[i] for i in locally_maximal_positions(tree))
 
 
-def eq_max_def(sigma: Sub, tau: Sub, tree: tuple, rules: RuleSet = SUA) -> bool:
-    return all(def_eq(sigma[i], tau[i], rules)
+def eq_max_def(sigma: Sub, tau: Sub, tree: tuple) -> bool:
+    return all(def_eq(sigma[i], tau[i])
                for i in locally_maximal_positions(tree))
 
 
@@ -364,14 +362,14 @@ class ReductionGraph:
     sinks: set
 
 
-def reduction_graph(t, budget: int = 10_000, rules: RuleSet = SUA) -> ReductionGraph:
+def reduction_graph(t, budget: int = 10_000) -> ReductionGraph:
     nodes = {t}
     edges = []
     sinks = set()
     frontier = [t]
     while frontier:
         cur = frontier.pop()
-        steps = one_step(cur, rules)
+        steps = one_step(cur)
         if not steps:
             sinks.add(cur)
             continue
@@ -401,7 +399,7 @@ def report(seed: int = 0, count: int = 200) -> str:
     graph_sizes = []
     over_budget = 0
     for i, (ctx, t) in enumerate(population):
-        normalize(t, SUA, trace=tally)
+        normalize(t, trace=tally)
         if ord_lt(max_sc, sc(t)):
             max_sc = sc(t)
         if i < 25:

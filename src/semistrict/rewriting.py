@@ -2,8 +2,8 @@
 
 ``one_step`` enumerates the congruence-closed single-step reducts of a
 term, type or substitution.  ``normalize`` applies an innermost-first
-strategy with rule priority disc removal > endo-coherence removal >
-insertion; strong termination and confluence make the strategy choice
+strategy, taking at each head the first step ``head_steps`` gives;
+strong termination and confluence make the strategy choice
 unobservable in results.  Syntactic complexity, an ordinal below
 omega^omega, strictly decreases along every step that does not pass
 through a coherence's cell type.
@@ -12,7 +12,7 @@ through a coherence's cell type.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from .syntax import (
     Arrow, Coh, KernelError, Star, Sub, Term, Type, Var,
@@ -96,27 +96,7 @@ def syntactic_complexity(x) -> OrdinalPoly:
 sc = syntactic_complexity
 
 
-# --- rule set and steps ----------------------------------------------------
-
-@dataclass(frozen=True)
-class RuleSet:
-    disc_removal: bool = True
-    endo_coherence_removal: bool = True
-    insertion: bool = True
-
-    def disabled(self):
-        out = []
-        if not self.disc_removal:
-            out.append("dr")
-        if not self.endo_coherence_removal:
-            out.append("ecr")
-        if not self.insertion:
-            out.append("ins")
-        return out
-
-
-SUA = RuleSet()
-
+# --- steps -------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ReductionStep:
@@ -179,80 +159,79 @@ def apply_insertion(t: Coh, r: InsertionRedex) -> Term:
                inserted_sub(r.outer, r.P, r.inner, r.S, r.T))
 
 
-def insertion_step(t: Term) -> Optional[Term]:
-    if not isinstance(t, Coh):
-        return None
-    redexes = find_redexes(t)
-    if not redexes:
-        return None
-    return apply_insertion(t, redexes[0])
-
-
 def _insertion_detail(r: InsertionRedex) -> str:
     return (f"S={bracket(r.S)} P={list(r.P)} T={bracket(r.T)} "
             f"-> {bracket(inserted_tree(r.S, r.P, r.T))}")
 
 
+def head_steps(t: Term) -> Iterator[Tuple[str, Term, Optional[InsertionRedex]]]:
+    """(rule, reduct, insertion redex or None) for each head step of ``t``.
+
+    Lazily, in rule priority order: disc removal, endo-coherence
+    removal, then each insertion redex.  This is the one place that
+    states the priority.
+    """
+    if not isinstance(t, Coh):
+        return
+    r = disc_removal(t)
+    if r is not None:
+        yield "disc-removal", r, None
+    r = endo_coherence_removal(t)
+    if r is not None:
+        yield "endo-coherence-removal", r, None
+    for rdx in find_redexes(t):
+        yield "insertion", apply_insertion(t, rdx), rdx
+
+
 # --- one-step reduction ------------------------------------------------------
 
-def one_step(x, rules: RuleSet = SUA) -> List[ReductionStep]:
+def one_step(x) -> List[ReductionStep]:
     if isinstance(x, (Var, Coh)):
-        return one_step_term(x, rules)
+        return one_step_term(x)
     if isinstance(x, (Star, Arrow)):
-        return one_step_type(x, rules)
+        return one_step_type(x)
     if isinstance(x, tuple):
-        return one_step_sub(x, rules)
+        return one_step_sub(x)
     raise KernelError(f"not syntax: {x!r}")
 
 
-def one_step_term(t: Term, rules: RuleSet = SUA) -> List[ReductionStep]:
-    steps: List[ReductionStep] = []
+def one_step_term(t: Term) -> List[ReductionStep]:
     if not isinstance(t, Coh):
-        return steps
-    if rules.disc_removal:
-        r = disc_removal(t)
-        if r is not None:
-            steps.append(ReductionStep("disc-removal", (), t, r, r))
-    if rules.endo_coherence_removal:
-        r = endo_coherence_removal(t)
-        if r is not None:
-            steps.append(ReductionStep("endo-coherence-removal", (), t, r, r))
-    if rules.insertion:
-        for rdx in find_redexes(t):
-            out = apply_insertion(t, rdx)
-            steps.append(ReductionStep("insertion", (), t, out, out,
-                                       _insertion_detail(rdx)))
-    for st in one_step_type(t.cell, rules):
+        return []
+    steps = [ReductionStep(rule, (), t, r, r,
+                           "" if rdx is None else _insertion_detail(rdx))
+             for rule, r, rdx in head_steps(t)]
+    for st in one_step_type(t.cell):
         steps.append(replace(st, path=("cell",) + st.path,
                              result=Coh(t.head, st.result, t.args)))
     for i, a in enumerate(t.args):
-        for st in one_step_term(a, rules):
+        for st in one_step_term(a):
             new_args = t.args[:i] + (st.result,) + t.args[i + 1:]
             steps.append(replace(st, path=(("arg", i),) + st.path,
                                  result=Coh(t.head, t.cell, new_args)))
     return steps
 
 
-def one_step_type(a: Type, rules: RuleSet = SUA) -> List[ReductionStep]:
+def one_step_type(a: Type) -> List[ReductionStep]:
     steps: List[ReductionStep] = []
     if not isinstance(a, Arrow):
         return steps
-    for st in one_step_term(a.src, rules):
+    for st in one_step_term(a.src):
         steps.append(replace(st, path=("src",) + st.path,
                              result=Arrow(st.result, a.base, a.tgt)))
-    for st in one_step_type(a.base, rules):
+    for st in one_step_type(a.base):
         steps.append(replace(st, path=("base",) + st.path,
                              result=Arrow(a.src, st.result, a.tgt)))
-    for st in one_step_term(a.tgt, rules):
+    for st in one_step_term(a.tgt):
         steps.append(replace(st, path=("tgt",) + st.path,
                              result=Arrow(a.src, a.base, st.result)))
     return steps
 
 
-def one_step_sub(s: Sub, rules: RuleSet = SUA) -> List[ReductionStep]:
+def one_step_sub(s: Sub) -> List[ReductionStep]:
     steps: List[ReductionStep] = []
     for i, t in enumerate(s):
-        for st in one_step_term(t, rules):
+        for st in one_step_term(t):
             steps.append(replace(st, path=(("entry", i),) + st.path,
                                  result=s[:i] + (st.result,) + s[i + 1:]))
     return steps
@@ -275,25 +254,25 @@ class _Budget:
 
 TraceFn = Callable[[ReductionStep], None]
 
-# normal forms are context independent, so they cache globally per rule set
-_NF_TERMS: dict = {}
-_NF_TYPES: dict = {}
+# normal forms are context independent, so they cache globally: one memo
+# per table, held in a dict whose values bench/tracing.py sums over
+_NF_TERMS: dict = {"sua": {}}
+_NF_TYPES: dict = {"sua": {}}
 
 
 def clear_caches():
-    _NF_TERMS.clear()
-    _NF_TYPES.clear()
+    _NF_TERMS["sua"].clear()
+    _NF_TYPES["sua"].clear()
 
 
 class Normalizer:
-    def __init__(self, rules: RuleSet = SUA, budget: int = DEFAULT_BUDGET,
+    def __init__(self, budget: int = DEFAULT_BUDGET,
                  trace: Optional[TraceFn] = None):
-        self.rules = rules
         self.budget = _Budget(budget)
         self.trace = trace
         if trace is None:
-            self.term_memo = _NF_TERMS.setdefault(rules, {})
-            self.type_memo = _NF_TYPES.setdefault(rules, {})
+            self.term_memo = _NF_TERMS["sua"]
+            self.type_memo = _NF_TYPES["sua"]
         else:
             self.term_memo = {}
             self.type_memo = {}
@@ -309,35 +288,23 @@ class Normalizer:
         return out
 
     def _term(self, t: Coh, path: tuple) -> Term:
-        args = tuple(self.term(a, path + (("arg", i),))
-                     for i, a in enumerate(t.args))
+        # a loop, not a generator expression: two frames per nesting level
+        args = []
+        for i, a in enumerate(t.args):
+            args.append(self.term(a, path + (("arg", i),)))
         cell = self.type(t.cell, path + ("cell",))
-        cur = Coh(t.head, cell, args)
+        cur = Coh(t.head, cell, tuple(args))
         reducts = []  # insertion reducts met on the way, all sharing the result
         while True:
-            rules = self.rules
-            nxt = None
-            rule = ""
-            detail = ""
-            if rules.disc_removal:
-                nxt = disc_removal(cur)
-                rule = "disc-removal"
-            if nxt is None and rules.endo_coherence_removal:
-                nxt = endo_coherence_removal(cur)
-                rule = "endo-coherence-removal"
-            if nxt is None and rules.insertion:
-                redexes = find_redexes(cur)
-                if redexes:
-                    nxt = apply_insertion(cur, redexes[0])
-                    rule = "insertion"
-                    if self.trace is not None:
-                        detail = _insertion_detail(redexes[0])
-            if nxt is None:
+            step = next(head_steps(cur), None)
+            if step is None:
                 break
+            rule, nxt, rdx = step
             self.budget.spend()
             if self.trace is not None:
+                detail = "" if rdx is None else _insertion_detail(rdx)
                 self.trace(ReductionStep(rule, path, cur, nxt, nxt, detail))
-            if rule != "insertion":
+            if rdx is None:
                 # a removal can expose further redexes anywhere in the result
                 cur = self.term(nxt, path)
                 break
@@ -370,9 +337,9 @@ class Normalizer:
                      for i, t in enumerate(s))
 
 
-def normalize(x, rules: RuleSet = SUA, budget: int = DEFAULT_BUDGET,
+def normalize(x, budget: int = DEFAULT_BUDGET,
               trace: Optional[TraceFn] = None):
-    nz = Normalizer(rules, budget, trace)
+    nz = Normalizer(budget, trace)
     if isinstance(x, (Var, Coh)):
         return nz.term(x)
     if isinstance(x, (Star, Arrow)):
@@ -382,17 +349,17 @@ def normalize(x, rules: RuleSet = SUA, budget: int = DEFAULT_BUDGET,
     raise KernelError(f"not syntax: {x!r}")
 
 
-def normalize_first_step(x, rules: RuleSet = SUA, budget: int = DEFAULT_BUDGET):
+def normalize_first_step(x, budget: int = DEFAULT_BUDGET):
     """Outermost strategy: repeatedly take the first enumerated step."""
     b = _Budget(budget)
     while True:
-        steps = one_step(x, rules)
+        steps = one_step(x)
         if not steps:
             return x
         b.spend()
         x = steps[0].result
 
 
-def def_eq(a, b, rules: RuleSet = SUA, budget: int = DEFAULT_BUDGET) -> bool:
+def def_eq(a, b, budget: int = DEFAULT_BUDGET) -> bool:
     """Definitional equality: syntactic equality of normal forms."""
-    return normalize(a, rules, budget) == normalize(b, rules, budget)
+    return normalize(a, budget) == normalize(b, budget)

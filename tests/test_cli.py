@@ -53,3 +53,22 @@ def test_too_deep_to_normalize_is_located_at_its_declaration(capsys, tmp_path):
     assert code == 1
     assert err == f"{path}:2:1: ResourceLimit: term nests too deeply\n"
     assert out == "f\n"  # the next declaration still runs
+
+
+def test_a_450_deep_chain_normalizes(capsys, tmp_path):
+    # deep enough to overflow a normalizer that takes three frames per level
+    path = tmp_path / "deep.catt"
+    path.write_text(_left_nested_comp(450))
+    code, out, err = _run(capsys, "normalize", str(path))
+    assert (code, err) == (0, "")
+    # the unbiased composite, applied to the 450 arrows in order
+    assert out.startswith("coh ")
+    assert out.endswith(" " + " ".join(f"f{i}" for i in range(450)) + "\n")
+
+
+def test_a_disabled_rule_is_a_usage_error(capsys):
+    # the theory has exactly one rule set; --no-rule is not an option
+    code, out, err = _run(capsys, "eq", "--no-rule", "ins",
+                          str(DATA / "bad_parse.catt"))
+    assert code == 2
+    assert out == "" and "--no-rule" in err

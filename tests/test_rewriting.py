@@ -15,8 +15,8 @@ from semistrict.unbiased import (
 )
 from semistrict.insertion import exterior_sub
 from semistrict.rewriting import (
-    ORD_ZERO, OrdinalPoly, RuleSet, StepBudgetExceeded, clear_caches, def_eq, disc_removal,
-    endo_coherence_removal, insertion_step, natural_sum, normalize,
+    ORD_ZERO, OrdinalPoly, StepBudgetExceeded, clear_caches, def_eq, disc_removal,
+    endo_coherence_removal, head_steps, natural_sum, normalize,
     normalize_first_step, omega_pow, one_step, one_step_term, ord_lt, sc,
 )
 from semistrict.harness import (
@@ -108,13 +108,32 @@ def test_ecr_skips_identities():
     assert endo_coherence_removal(identity_term(STAR, Var(0))) is None
 
 
+def _first_insertion(t):
+    return next(r for rule, r, _ in head_steps(t) if rule == "insertion")
+
+
 def test_insertion_step_examples(f_then_gh, fg_then_h, f_then_idy):
     tern = unbiased_coh(1, CHAIN3)
-    assert insertion_step(f_then_gh) == tern
-    assert insertion_step(fg_then_h) == tern
-    out = insertion_step(f_then_idy)
+    assert _first_insertion(f_then_gh) == tern
+    assert _first_insertion(fg_then_h) == tern
+    out = _first_insertion(f_then_idy)
     assert out.head == ((),)  # unary composite of f
     assert normalize(f_then_idy) == Var(2)
+
+
+def test_head_steps_in_priority_order_and_lazily(comp_fg, monkeypatch):
+    # the unary composite of a binary composite: disc removal and insertion
+    t = Coh(disc(1), unbiased_type(1, disc(1)), (Var(0), Var(3), comp_fg))
+    infer_term(tree_to_ctx(CHAIN2), t)
+    assert [(rule, r) for rule, r, _ in head_steps(t)] == [
+        ("disc-removal", comp_fg), ("insertion", comp_fg)]
+    assert list(head_steps(Var(0))) == []
+
+    def fail(t):
+        raise AssertionError("redexes searched though a removal comes first")
+
+    monkeypatch.setattr(rewriting, "find_redexes", fail)
+    assert next(head_steps(t))[0] == "disc-removal"
 
 
 def test_one_step_variables_are_normal():
@@ -179,12 +198,6 @@ def test_strategy_independence():
     cfg = GenConfig(seed=20)
     for ctx, t in gen_population(cfg, 60):
         assert normalize(t) == normalize_first_step(t)
-
-
-def test_rule_set_configuration(f_then_gh):
-    no_ins = RuleSet(insertion=False)
-    assert normalize(f_then_gh, no_ins) == f_then_gh
-    assert no_ins.disabled() == ["ins"]
 
 
 def test_step_budget_trips():
