@@ -5,6 +5,14 @@ rule, where the source and target of the cell type are supported by the
 matching boundary of the head tree, and a full rule, where both sides
 are supported by the entire head context.  Type equality demanded by a
 rule is discharged by def_eq.
+
+Two premises of the coherence rule, that the cell type is well formed
+over the head's pasting context and that its support conditions hold,
+read only the head ``(tree, cell)`` and never the arguments.  So a head
+that has passed them once is remembered for the life of the process and
+later uses check only their arguments.  Only passes are remembered: a
+bad head is checked afresh, and raises the same error, on every use.
+Inferred types are memoized per (context, term).
 """
 
 from __future__ import annotations
@@ -33,6 +41,8 @@ class TypingError(Exception):
 
 
 _INFER_CACHE: dict = {}
+# (tree, cell) pairs whose cell type and support have been checked
+_GOOD_HEADS: set = set()
 
 
 def check_ctx(ctx: Context) -> None:
@@ -92,9 +102,15 @@ def _infer(ctx: Context, t: Term) -> Type:
         raise TypingError("TypeMismatch",
                           "a coherence cell must be an arrow type",
                           expected="arrow type", actual=cell)
-    check_type(head_ctx, cell)
+    head = (t.head, cell)
+    known = head in _GOOD_HEADS
+    # cell, arguments, support: the order a diagnostic reports them in
+    if not known:
+        check_type(head_ctx, cell)
     check_sub(ctx, t.args, head_ctx)
-    _check_support(t.head, head_ctx, cell)
+    if not known:
+        _check_support(t.head, head_ctx, cell)
+        _GOOD_HEADS.add(head)
     return apply_sub_type(cell, t.args)
 
 

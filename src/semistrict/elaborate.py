@@ -115,7 +115,7 @@ def elaborate_type(tye, ctx: Context, env: Environment) -> Type:
     t = elaborate_term(tye.rhs, ctx, env)
     a = infer_term(ctx, s)
     b = infer_term(ctx, t)
-    if a != b and not def_eq(a, b):
+    if not def_eq(a, b):
         raise ElabError("TypeMismatch",
                         "arrow endpoints live at different types",
                         tye.line, tye.col)
@@ -213,8 +213,6 @@ def _infer_sub(src_ctx: Context, lm: tuple, args, ctx: Context,
         old = bound[pos]
         if old is None:
             bound[pos] = term
-            return
-        if old == term:
             return
         if not def_eq(old, term):
             raise ElabError(

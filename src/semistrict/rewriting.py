@@ -361,5 +361,10 @@ def normalize_first_step(x, budget: int = DEFAULT_BUDGET):
 
 
 def def_eq(a, b, budget: int = DEFAULT_BUDGET) -> bool:
-    """Definitional equality: syntactic equality of normal forms."""
-    return normalize(a, budget) == normalize(b, budget)
+    """Definitional equality: syntactic equality of normal forms.
+
+    Equal syntax is convertible without normalizing either side, since
+    ``normalize`` is a function.  Normal forms themselves are remembered
+    for the life of the process (``_NF_TERMS``, ``_NF_TYPES``).
+    """
+    return a == b or normalize(a, budget) == normalize(b, budget)

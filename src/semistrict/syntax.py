@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import is_
 from typing import Union
 
 # A planar rooted tree is a tuple of planar rooted trees (trees.py).
@@ -101,8 +102,7 @@ class Coh(Term):
             return True
         if not isinstance(other, Coh):
             return NotImplemented
-        return (self._hash == other._hash and self.head == other.head
-                and self.cell == other.cell and self.args == other.args)
+        return _syntax_eq(self, other)
 
     def __hash__(self):
         return self._hash
@@ -135,14 +135,54 @@ class Arrow(Type):
             return True
         if not isinstance(other, Arrow):
             return NotImplemented
-        return (self._hash == other._hash and self.src == other.src
-                and self.base == other.base and self.tgt == other.tgt)
+        return _syntax_eq(self, other)
 
     def __hash__(self):
         return self._hash
 
     def __repr__(self):
         return f"Arrow({self.src!r}, {self.base!r}, {self.tgt!r})"
+
+
+def _syntax_eq(x, y) -> bool:
+    """Structural equality of two distinct terms or types.
+
+    One loop over pairs of subterms on an explicit stack, so that deep
+    terms compare without deep recursion.  Only pairs that are not the
+    same object are pushed, and most unequal pairs are told apart by
+    their cached hashes; variables are interned, so two distinct ones
+    are unequal.
+    """
+    todo = []
+    while True:
+        cls = type(x)
+        if cls is not type(y):
+            return False
+        if cls is Coh:
+            if x._hash != y._hash or x.head != y.head:
+                return False
+            if x.cell is not y.cell:
+                todo.append((x.cell, y.cell))
+            xs, ys = x.args, y.args
+            # most argument pairs share every entry: rule that out in C
+            if not all(map(is_, xs, ys)):
+                for p, q in zip(xs, ys):
+                    if p is not q:
+                        todo.append((p, q))
+        elif cls is Arrow:
+            if x._hash != y._hash:
+                return False
+            if x.src is not y.src:
+                todo.append((x.src, y.src))
+            if x.base is not y.base:
+                todo.append((x.base, y.base))
+            if x.tgt is not y.tgt:
+                todo.append((x.tgt, y.tgt))
+        elif cls is not Star:
+            return False
+        if not todo:
+            return True
+        x, y = todo.pop()
 
 
 # Substitutions are dense positional vectors: entry i is the image of

@@ -72,3 +72,14 @@ def test_a_disabled_rule_is_a_usage_error(capsys):
                           str(DATA / "bad_parse.catt"))
     assert code == 2
     assert out == "" and "--no-rule" in err
+
+
+def test_equal_deep_chains_in_one_run_normalize(capsys, tmp_path):
+    # the second chain's memo lookups meet the first chain's equal keys,
+    # which a recursive equality test compares too deeply
+    short, long = tmp_path / "c320.catt", tmp_path / "c340.catt"
+    short.write_text(_left_nested_comp(320))
+    long.write_text(_left_nested_comp(340))
+    code, out, err = _run(capsys, "normalize", str(short), str(long))
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 2

@@ -139,3 +139,21 @@ def test_var_is_interned():
         Var(-1)
     with pytest.raises(AttributeError):
         Var(0).idx = 1
+
+
+def _deep_chain(n: int):
+    # built by a loop: comp (comp (.. f ..) f) f, n coherences deep
+    u1 = unbiased_type(1, CHAIN2)
+    t = Var(2)
+    for _ in range(n):
+        t = Coh(CHAIN2, u1, (Var(0), Var(1), t, Var(1), Var(2)))
+    return t
+
+
+def test_deep_terms_compare_without_recursion():
+    a, b = _deep_chain(2000), _deep_chain(2000)
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert Arrow(a, STAR, b) == Arrow(b, STAR, a)
+    assert {a: 1}[b] == 1
+    assert a != _deep_chain(1999)
