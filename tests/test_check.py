@@ -21,8 +21,8 @@ def _error(ctx, t):
     return info.value.kind, info.value.detail
 
 
-# over (x(f)y): x -> x has the wrong target support, f -> f is not a 1-cell
-# over x and y
+# over (x(f)y): x -> x has the wrong target support, and f -> f over *
+# is ill formed because f is an arrow, not an object
 @pytest.mark.parametrize("cell, kind", [
     (Arrow(Var(0), STAR, Var(0)), "SupportMismatch"),
     (Arrow(Var(2), STAR, Var(2)), "TypeMismatch"),
