@@ -13,8 +13,7 @@ from .syntax import (
 from .trees import (
     NotPastingError, bracket, ctx_to_tree, disc, is_linear, parse_bracket,
     suspend_ctx, suspend_sub, suspend_term, suspend_tree, suspend_type,
-    tree_bd, tree_dim, tree_inc, tree_to_ctx, trunk_height, wedge_ctx,
-    wedge_sub,
+    tree_bd, tree_dim, tree_inc, tree_to_ctx, trunk_height,
 )
 from .unbiased import (
     disc_sub, identity_term, is_identity, is_unbiased_coh,
@@ -30,6 +29,6 @@ from .rewriting import (
     natural_sum, normalize, omega_pow, one_step, ord_lt, sc,
     syntactic_complexity,
 )
-from .check import TypingError, check_ctx, check_sub, check_type, decide_eq, infer_term
+from .check import TypingError, check_ctx, check_type, decide_eq, infer_term
 
 __version__ = "0.1.0"

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .syntax import (
-    Arrow, Coh, Context, KernelError, Star, Sub, Term, Type, Var,
+    Arrow, Coh, Context, KernelError, Star, Term, Type, Var,
     apply_sub_type, free_vars, support,
 )
 from .trees import tree_dim, tree_inc, tree_to_ctx
@@ -107,11 +107,25 @@ def _infer(ctx: Context, t: Term) -> Type:
     # cell, arguments, support: the order a diagnostic reports them in
     if not known:
         check_type(head_ctx, cell)
-    check_sub(ctx, t.args, head_ctx)
+    # the arguments in this loop, not a helper: two frames per nesting level
+    args = t.args
+    if len(args) != len(head_ctx):
+        raise TypingError("ArityMismatch",
+                          f"substitution has {len(args)} entries for a context "
+                          f"of length {len(head_ctx)}")
+    for i, a in enumerate(args):
+        want = apply_sub_type(head_ctx.type_of(i), args)
+        got = infer_term(ctx, a)
+        if not def_eq(got, want):
+            raise TypingError(
+                "TypeMismatch",
+                f"argument {i} ({head_ctx.name_of(i)}) has type {got!r}, "
+                f"expected {want!r}",
+                expected=want, actual=got, location=i)
     if not known:
         _check_support(t.head, head_ctx, cell)
         _GOOD_HEADS.add(head)
-    return apply_sub_type(cell, t.args)
+    return apply_sub_type(cell, args)
 
 
 def _check_support(tree, head_ctx: Context, cell: Arrow) -> None:
@@ -140,22 +154,6 @@ def _check_support(tree, head_ctx: Context, cell: Arrow) -> None:
         f"{side} support {fmt(got)} matches neither the {side} boundary "
         f"{fmt(want)} nor the full context",
         expected=want, actual=got)
-
-
-def check_sub(ctx: Context, sub: Sub, src_ctx: Context) -> None:
-    if len(sub) != len(src_ctx):
-        raise TypingError("ArityMismatch",
-                          f"substitution has {len(sub)} entries for a context "
-                          f"of length {len(src_ctx)}")
-    for i, t in enumerate(sub):
-        want = apply_sub_type(src_ctx.type_of(i), sub)
-        got = infer_term(ctx, t)
-        if not def_eq(got, want):
-            raise TypingError(
-                "TypeMismatch",
-                f"argument {i} ({src_ctx.name_of(i)}) has type {got!r}, "
-                f"expected {want!r}",
-                expected=want, actual=got, location=i)
 
 
 def decide_eq(ctx: Context, a: Term, b: Term) -> bool:

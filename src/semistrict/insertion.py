@@ -6,6 +6,16 @@ Each locally maximal variable has one canonical branch, the shortest
 path whose subtree is linear (equivalently, the path into the maximal
 linear suffix below the deepest branch point), which is the most
 permissive representative for the trunk-height side condition.
+
+Inserting T at branch P of S changes one block: the innermost block on
+P's path, a linear block with its target point, is replaced by a window
+onto T's innermost tree.  Every variable before that block keeps its
+position and every variable after it keeps its distance from the end.
+So the interior and exterior substitutions are flat splices of runs of
+variables around that block, at every branch height.  The paper defines
+both by induction on branch height through suspension; the splices
+agree with it because suspension commutes with unbiased types,
+``suspend_type(unbiased_type(n, t)) == unbiased_type(n + 1, (t,))``.
 """
 
 from __future__ import annotations
@@ -13,12 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .syntax import Coh, KernelError, Sub, Term, Tree, apply_sub_type, compose, id_sub
-from .trees import (
-    block_starts, child_incl, ctx_len, is_linear, point_positions, subtree,
-    suspend_sub, tree_dim, trunk_height, window_incl,
+from .syntax import (
+    Coh, KernelError, Sub, Term, Tree, Var, apply_sub_type, ctx_len, dim_type,
+    id_sub,
 )
-from .unbiased import disc_sub, is_identity, is_unbiased_coh, unbiased_type
+from .trees import (
+    block_starts, is_linear, point_positions, subtree, tree_dim, trunk_height,
+)
+from .unbiased import disc_sub, is_identity, unbiased_type
 
 
 class HeightMismatch(Exception):
@@ -139,36 +151,59 @@ def inserted_tree(s: Tree, p: Branch, t: Tree) -> Tree:
     return s[:k] + (inserted_tree(s[k], p[1:], t[0]),) + s[k + 1:]
 
 
+def _descend(s: Tree, p: Branch, t: Tree):
+    """One pass down P: the interior substitution, then for the exterior
+    one the position of the innermost block's target point, that block
+    and T's innermost tree."""
+    if branch_height(p) > trunk_height(t):
+        raise HeightMismatch(
+            f"cannot insert {t} at branch {p} of {s}: trunk too short")
+    poles, off = [], 0
+    for k in p[:-1]:
+        pts = point_positions(s)
+        poles += (Var(off + pts[k]), Var(off + pts[k + 1]))
+        off += block_starts(s)[k]
+        s, t = s[k], t[0]
+    k = p[-1]
+    pts = point_positions(s)
+    a = off + pts[k + 1]
+    iota = tuple(poles) + (Var(off + pts[k]),) + id_sub(a + ctx_len(t) - 1)[a:]
+    return iota, a, s[k], t
+
+
 def interior_sub(s: Tree, p: Branch, t: Tree) -> Sub:
-    r = inserted_tree(s, p, t)
-    k = p[0]
-    if len(p) == 1:
-        return window_incl(r, k, t)
-    rec = interior_sub(s[k], p[1:], t[0])
-    return compose(suspend_sub(rec), child_incl(r, k))
+    """T's context into the inserted tree's.
+
+    The poles of block p[i] at each level i above the innermost, then
+    T's innermost tree as a window: the innermost block's source point,
+    then a run from its target point.  This equals the paper's
+    induction on branch height, which suspends the interior
+    substitution one level down and includes it as child p[0].
+    """
+    return _descend(s, p, t)[0]
 
 
 def exterior_sub(s: Tree, p: Branch, t: Tree) -> Sub:
     """S's context into the inserted tree's, by splicing three runs.
 
-    Before block k every variable keeps its position and after it every
-    variable keeps its distance from the end; only block k moves.
+    Before the innermost block's target point every variable keeps its
+    position and after the block every variable keeps its distance from
+    the end; only the block and its target point move.  The block is
+    linear, a disc of 2d+1 variables, so with its target point it takes
+    the last 2d+2 entries of the disc substitution of the unbiased cell
+    ``Coh(T, U, iota)``, ``U = unbiased_type(leaf_height, T)``.
+
+    The paper defines this by induction on branch height through
+    suspension; the splice agrees at every height because suspension
+    commutes with unbiased types:
+    ``suspend_type(unbiased_type(n, t)) == unbiased_type(n + 1, (t,))``.
     """
-    r = inserted_tree(s, p, t)
-    k = p[0]
-    lo = block_starts(s)[k]
-    hi = lo + ctx_len(s[k])
-    nr = ctx_len(r)
-    tail = id_sub(nr)[nr - ctx_len(s) + hi:]
-    if len(p) == 1:
-        # the grafted child: S_k is linear, so its suspension is a disc
-        # mapping through the unbiased cell over t; the disc's target
-        # point (position lo - 1) goes to the window's last point
-        ty = unbiased_type(1 + tree_dim(s[k]), t)
-        w = window_incl(r, k, t)
-        return id_sub(lo - 1) + disc_sub(apply_sub_type(ty, w), Coh(t, ty, w))[1:] + tail
-    rec = compose(suspend_sub(exterior_sub(s[k], p[1:], t[0])), child_incl(r, k))
-    return id_sub(lo) + rec[2:] + tail
+    iota, a, block, inner = _descend(s, p, t)
+    m = ctx_len(block)
+    ty = unbiased_type(len(p) + (m - 1) // 2, t)
+    cell = disc_sub(apply_sub_type(ty, iota), Coh(t, ty, iota))
+    nr = ctx_len(s) + ctx_len(inner) - m - 2
+    return id_sub(a) + cell[-m - 1:] + id_sub(nr)[a + ctx_len(inner) - 1:]
 
 
 def inserted_sub(sigma: Sub, p: Branch, tau: Sub, s: Tree, t: Tree) -> Sub:
@@ -200,17 +235,17 @@ def find_redexes(term: Term):
     out = []
     for p, v, lh in branch_table(s):
         arg = args[v]
-        if not isinstance(arg, Coh):
+        # the cell's dimension first: matching the unbiased type hashes arg's tree
+        if not isinstance(arg, Coh) or dim_type(arg.cell) != lh:
             continue
-        m = is_unbiased_coh(arg)
-        if m is None:
+        t = arg.head
+        if arg.cell != unbiased_type(lh, t):
             continue
-        n, t, tau = m
-        if n != lh:
+        d = tree_dim(t)
+        # only unbiased composites and identities insert
+        if not (lh == d or (lh == d + 1 and is_linear(t))):
             continue
-        if not (n == tree_dim(t) or is_identity(arg)):
-            continue  # only unbiased composites and identities insert
         if branch_height(p) > trunk_height(t):
             continue
-        out.append(InsertionRedex(s, p, t, term.args, tau))
+        out.append(InsertionRedex(s, p, t, args, arg.args))
     return out

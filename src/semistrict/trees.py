@@ -33,10 +33,11 @@ class NotPastingError(Exception):
         super().__init__(f"not a pasting context (entry {position}): {reason}")
 
 
+@lru_cache(maxsize=None)
 def tree_dim(t: Tree) -> int:
     if not t:
         return 0
-    return 1 + max(tree_dim(c) for c in t)
+    return 1 + max(map(tree_dim, t))
 
 
 def trunk_height(t: Tree) -> int:
@@ -99,18 +100,6 @@ def child_incl(t: Tree, i: int) -> Sub:
     vec = [Var(pts[i]), Var(pts[i + 1])]
     vec.extend(Var(bs[i] + j) for j in range(ctx_len(t[i])))
     return tuple(vec)
-
-
-def window_incl(r: Tree, a: int, u: Tree) -> Sub:
-    """Inclusion of tree u into r, when r's children a..a+len(u) are u's."""
-    if r[a:a + len(u)] != u:
-        raise KernelError("window does not match the target tree")
-    rpts = point_positions(r)
-    if not u:
-        return (Var(rpts[a]),)
-    # after its first point, u's layout is a run of r's from point a+1
-    lo = rpts[a + 1]
-    return (Var(rpts[a]),) + id_sub(lo + ctx_len(u) - 1)[lo:]
 
 
 # --- suspension -----------------------------------------------------------
@@ -250,39 +239,6 @@ def _renumber_type(ty: Type, renum: dict, pos: int) -> Type:
                  Var(renum[ty.tgt.idx]))
 
 
-# --- wedge ----------------------------------------------------------------
-
-def last_star(ctx: Context) -> int:
-    for i in range(len(ctx) - 1, -1, -1):
-        if isinstance(ctx.type_of(i), Star):
-            return i
-    raise KernelError("context has no object variable")
-
-
-def wedge_ctx(gamma: Context, delta: Context) -> Context:
-    """Glue delta's initial object onto gamma's last object."""
-    if len(delta) == 0 or not isinstance(delta.type_of(0), Star):
-        raise KernelError("wedge operand must start with an object variable")
-    glue = last_star(gamma)
-    shift = (Var(glue),) + tuple(Var(len(gamma) + j - 1) for j in range(1, len(delta)))
-    entries = list(gamma.entries)
-    for j in range(1, len(delta)):
-        entries.append((delta.name_of(j), apply_sub_type(delta.type_of(j), shift)))
-    return Context(tuple(entries))
-
-
-def wedge_sub(sigma: Sub, tau: Sub, gamma_src: Context,
-              gamma_tgt: Context, delta_tgt: Context) -> Sub:
-    """Wedge of substitutions into the wedge of their targets."""
-    if not tau or tau[0] != Var(0):
-        raise KernelError("wedge_sub: right component must fix the initial object")
-    if sigma[last_star(gamma_src)] != Var(last_star(gamma_tgt)):
-        raise KernelError("wedge_sub: left component must preserve the gluing object")
-    glue = last_star(gamma_tgt)
-    shift = (Var(glue),) + tuple(Var(len(gamma_tgt) + j - 1) for j in range(1, len(delta_tgt)))
-    return sigma + tuple(apply_sub_term(t, shift) for t in tau[1:])
-
-
 # --- boundaries and inclusions --------------------------------------------
 
 def tree_bd(n: int, t: Tree) -> Tree:
@@ -390,22 +346,3 @@ def parse_bracket(s: str) -> Tree:
     if stack or cur is None:
         raise ValueError("unterminated tree literal")
     return cur
-
-
-def tree_dot(t: Tree) -> str:
-    """Render a tree as a DOT digraph for visual inspection."""
-    lines = ["digraph tree {", "  node [shape=point];"]
-    counter = [0]
-
-    def walk(node: Tree) -> int:
-        me = counter[0]
-        counter[0] += 1
-        lines.append(f"  n{me};")
-        for c in node:
-            child = walk(c)
-            lines.append(f"  n{me} -> n{child};")
-        return me
-
-    walk(t)
-    lines.append("}")
-    return "\n".join(lines)

@@ -1,12 +1,16 @@
+import sys
+
 import pytest
 
 from semistrict import check, rewriting
 from semistrict.check import TypingError, infer_term
 from semistrict.harness import GenConfig, gen_population
-from semistrict.rewriting import def_eq
+from semistrict.rewriting import def_eq, normalize
 from semistrict.syntax import STAR, Arrow, Coh, Var, id_sub
+from semistrict.trees import block_starts, point_positions, tree_to_ctx
+from semistrict.unbiased import unbiased_coh, unbiased_type
 
-from conftest import CHAIN1
+from conftest import CHAIN1, CHAIN2
 
 
 def _clear_memos():
@@ -83,3 +87,31 @@ def test_def_eq_of_equal_syntax_normalizes_nothing(monkeypatch, f_then_gh, fg_th
     # different syntax still goes through normal forms
     assert def_eq(f_then_gh, fg_then_h)
     assert calls == [f_then_gh, fg_then_h]
+
+
+def _deep_chain(n, shape):
+    """The left- or right-nested binary bracketing of n arrows, built in a loop."""
+    tree = ((),) * n
+    pts, arrows = point_positions(tree), block_starts(tree)
+    comp = unbiased_type(1, CHAIN2)
+    if shape == "left":
+        t = Var(arrows[0])
+        for i in range(1, n):
+            t = Coh(CHAIN2, comp, (Var(pts[0]), Var(pts[i]), t, Var(pts[i + 1]),
+                                   Var(arrows[i])))
+    else:
+        t = Var(arrows[n - 1])
+        for i in range(n - 2, -1, -1):
+            t = Coh(CHAIN2, comp, (Var(pts[i]), Var(pts[i + 1]), Var(arrows[i]),
+                                   Var(pts[n]), t))
+    return tree, t
+
+
+@pytest.mark.parametrize("shape", ["left", "right"])
+def test_400_deep_chains_decide_at_the_default_recursion_limit(shape):
+    # inference takes two frames per nesting level, as normalizing does
+    assert sys.getrecursionlimit() == 1000
+    tree, t = _deep_chain(400, shape)
+    _clear_memos()
+    assert infer_term(tree_to_ctx(tree), t) == unbiased_type(1, tree)
+    assert normalize(t) == unbiased_coh(1, tree)

@@ -7,8 +7,8 @@ from semistrict.syntax import (
 )
 from semistrict.trees import (
     Label, block_starts, child_incl, ctx_len, disc, is_linear, label_to_sub,
-    point_positions, sub_to_label, subtree, suspend_sub, tree_dim, tree_to_ctx,
-    trunk_height, window_incl,
+    point_positions, sub_to_label, subtree, suspend_sub, suspend_term,
+    suspend_type, tree_dim, tree_to_ctx, trunk_height,
 )
 from semistrict.insertion import (
     HeightMismatch, InsertionPoint, NotRedex, branch_height, branch_table,
@@ -200,6 +200,54 @@ def test_inserted_sub_matches_label_splice():
     assert cases == 7865
 
 
+def _window_incl_by_loop(r, a, u):
+    """Reference: u into r, when r's children a..a+len(u) are u's, one
+    variable at a time."""
+    assert r[a:a + len(u)] == u
+    out = [None] * ctx_len(u)
+    upts, ubs = point_positions(u), block_starts(u)
+    rpts, rbs = point_positions(r), block_starts(r)
+    for j in range(len(u) + 1):
+        out[upts[j]] = Var(rpts[a + j])
+    for i in range(len(u)):
+        for j in range(ctx_len(u[i])):
+            out[ubs[i] + j] = Var(rbs[a + i] + j)
+    return tuple(out)
+
+
+def _interior_sub_by_suspension(s, p, t):
+    """Reference: the paper's induction on branch height."""
+    r = inserted_tree(s, p, t)
+    k = p[0]
+    if len(p) == 1:
+        return _window_incl_by_loop(r, k, t)
+    rec = _interior_sub_by_suspension(s[k], p[1:], t[0])
+    return compose(suspend_sub(rec), child_incl(r, k))
+
+
+def test_interior_sub_matches_suspension_recursion():
+    cases = 0
+    for s, p, t in enumerate_insertion_points(6):  # trees of at most 5 edges
+        assert interior_sub(s, p, t) == _interior_sub_by_suspension(s, p, t), (s, p, t)
+        cases += 1
+    assert cases == 7865
+    for f in (interior_sub, exterior_sub):
+        with pytest.raises(HeightMismatch):
+            f(NESTED, (0, 0), ((), ()))
+
+
+def test_suspension_commutes_with_unbiased_cells():
+    # the lemma that makes one splice serve every branch height
+    cases = 0
+    for t in enumerate_trees(7):  # every tree of at most 6 edges
+        d = tree_dim(t)
+        for n in sorted({max(d, 1), d + 1}):
+            assert suspend_type(unbiased_type(n, t)) == unbiased_type(n + 1, (t,))
+            assert suspend_term(unbiased_coh(n, t)) == unbiased_coh(n + 1, (t,))
+            cases += 1
+    assert cases == 393
+
+
 def _exterior_sub_by_loop(s, p, t):
     """Reference: map S's points and blocks one variable at a time."""
     r = inserted_tree(s, p, t)
@@ -222,7 +270,7 @@ def _exterior_sub_by_loop(s, p, t):
     else:
         lh = 1 + tree_dim(s[k])
         rec = compose(disc_sub(unbiased_type(lh, t), unbiased_coh(lh, t)),
-                      window_incl(r, k, t))
+                      _window_incl_by_loop(r, k, t))
     for j in range(ctx_len(s[k])):
         out[sbs[k] + j] = rec[2 + j]
     return tuple(out)
@@ -319,3 +367,13 @@ def test_insertion_point_validation():
     with pytest.raises(HeightMismatch):
         InsertionPoint(NESTED, (0, 0), ((), ()))
     InsertionPoint(NESTED, (0, 0), ((),))
+
+
+def test_find_redexes_skips_a_full_coherence_one_dimension_up(comp_fg):
+    # comp f g => comp f g is unbiased one dimension above its tree, like
+    # an identity, but its tree is not linear, so it does not insert
+    endo = unbiased_coh(2, CHAIN2)
+    assert endo.cell == Arrow(comp_fg, Arrow(Var(0), STAR, Var(3)), comp_fg)
+    t = Coh(disc(2), unbiased_type(2, disc(2)), (Var(0), Var(3), comp_fg, comp_fg, endo))
+    assert leaf_height(disc(2), (0,)) == 2
+    assert find_redexes(t) == []

@@ -3,15 +3,14 @@ import random
 import pytest
 
 from semistrict.syntax import (
-    STAR, Arrow, Context, KernelError, Var, apply_sub_term, free_vars,
+    STAR, Arrow, Context, Var, apply_sub_term, free_vars,
     id_sub, support,
 )
 from semistrict.trees import (
-    Label, NotPastingError, block_starts, bracket, ctx_len, ctx_to_tree, disc,
-    identity_label, is_linear, label_to_sub, parse_bracket, point_positions,
+    Label, NotPastingError, bracket, ctx_len, ctx_to_tree, disc,
+    identity_label, is_linear, label_to_sub, parse_bracket,
     sub_to_label, suspend_ctx, suspend_sub, suspend_term, suspend_tree,
-    suspend_type, tree_bd, tree_dim, tree_dot, tree_inc, tree_to_ctx,
-    trunk_height, wedge_ctx, wedge_sub, window_incl,
+    suspend_type, tree_bd, tree_dim, tree_inc, tree_to_ctx, trunk_height,
 )
 from semistrict.harness import bd_support_oracle, enumerate_trees, pasting_oracle
 
@@ -67,31 +66,8 @@ def test_ctx_to_tree_rejects_misoriented():
         ctx_to_tree(backwards)
 
 
-def test_wedge_of_discs():
-    d2 = tree_to_ctx(disc(2))
-    assert ctx_to_tree(wedge_ctx(d2, d2)) == (((),), ((),))
-    d1 = tree_to_ctx(disc(1))
-    assert wedge_ctx(d1, d1) == TWO_ARROWS
-
-
 def test_tree_wedge_is_concatenation():
     assert CHAIN2 + ((),) == ((), (), ())
-
-
-def test_wedge_sub():
-    d1 = tree_to_ctx(disc(1))
-    two = TWO_ARROWS
-    # include D1 v D1 into the middle of a four-arrow chain
-    left = (Var(1), Var(3), Var(4))   # onto g, ending at the gluing object
-    right = (Var(0), Var(1), Var(2))  # onto the next arrow, from its start
-    glued = wedge_sub(left, right, d1, two, two)
-    assert glued == (Var(1), Var(3), Var(4), Var(5), Var(6))
-    # left component must land on the gluing object
-    with pytest.raises(KernelError):
-        wedge_sub((Var(0), Var(1), Var(2)), right, d1, two, two)
-    # right component must fix the initial object
-    with pytest.raises(KernelError):
-        wedge_sub(left, (Var(1), Var(3), Var(4)), d1, two, two)
 
 
 def test_suspension_on_discs():
@@ -210,32 +186,6 @@ def test_is_linear_is_trunk_height_equals_dimension():
         assert is_linear(t) == (trunk_height(t) == tree_dim(t))
 
 
-def _window_incl_by_loop(r, a, u):
-    """Reference: map u's points and blocks one variable at a time."""
-    out = [None] * ctx_len(u)
-    upts, ubs = point_positions(u), block_starts(u)
-    rpts, rbs = point_positions(r), block_starts(r)
-    for j in range(len(u) + 1):
-        out[upts[j]] = Var(rpts[a + j])
-    for i in range(len(u)):
-        for j in range(ctx_len(u[i])):
-            out[ubs[i] + j] = Var(rbs[a + i] + j)
-    return tuple(out)
-
-
-def test_window_incl_matches_loop():
-    cases = 0
-    for r in enumerate_trees(7):  # every tree of at most 6 edges
-        for a in range(len(r) + 1):
-            for m in range(len(r) - a + 1):
-                u = r[a:a + m]
-                assert window_incl(r, a, u) == _window_incl_by_loop(r, a, u)
-                cases += 1
-    assert cases > 1000
-    with pytest.raises(KernelError):
-        window_incl(CHAIN2, 0, ((((),),),))
-
-
 def test_pasting_oracle_agrees_on_trees():
     for t in enumerate_trees(7):
         assert pasting_oracle(tree_to_ctx(t))
@@ -246,9 +196,3 @@ def test_bracket_roundtrip():
         assert parse_bracket(bracket(t)) == t
     assert parse_bracket("[[ ] [ ]]") == CHAIN2
     assert parse_bracket("[[],[]]") == CHAIN2
-
-
-def test_dot_output():
-    dot = tree_dot(CHAIN2)
-    assert dot.startswith("digraph")
-    assert dot.count("->") == 2
