@@ -22,7 +22,7 @@ from typing import Optional
 
 from .syntax import (
     Arrow, Coh, Context, KernelError, Star, Term, Type, Var,
-    apply_sub_type, free_vars, support,
+    apply_sub_type, support,
 )
 from .trees import tree_dim, tree_inc, tree_to_ctx
 from .rewriting import def_eq
@@ -43,18 +43,6 @@ class TypingError(Exception):
 _INFER_CACHE: dict = {}
 # (tree, cell) pairs whose cell type and support have been checked
 _GOOD_HEADS: set = set()
-
-
-def check_ctx(ctx: Context) -> None:
-    for i in range(len(ctx)):
-        prefix = Context(ctx.entries[:i])
-        ty = ctx.type_of(i)
-        bad = [v for v in free_vars(ty) if not 0 <= v < i]
-        if bad:
-            raise TypingError("UnknownVariable",
-                              f"entry {ctx.name_of(i)} refers to variable {bad[0]} "
-                              f"outside the preceding telescope")
-        check_type(prefix, ty)
 
 
 def check_type(ctx: Context, a: Type) -> None:
@@ -154,9 +142,3 @@ def _check_support(tree, head_ctx: Context, cell: Arrow) -> None:
         f"{side} support {fmt(got)} matches neither the {side} boundary "
         f"{fmt(want)} nor the full context",
         expected=want, actual=got)
-
-
-def decide_eq(ctx: Context, a: Term, b: Term) -> bool:
-    infer_term(ctx, a)
-    infer_term(ctx, b)
-    return def_eq(a, b)

@@ -103,7 +103,7 @@ def run_files(args) -> int:
                       file=sys.stderr)
                 failures += 1
                 continue
-            names = checked.ctx.names if checked.ctx is not None else ()
+            names = checked.ctx.names
             trace = make_tracer(names) if args.trace else None
             try:
                 if args.command == "normalize" and isinstance(decl, P.NormalizeCmd):

@@ -63,18 +63,16 @@ class DefValue:
 
 
 class Environment:
-    """Named, type-checked declarations in insertion order; no shadowing."""
+    """Named, type-checked declarations; no shadowing."""
 
     def __init__(self):
         self.table: Dict[str, object] = {}
-        self.order: List[str] = []
 
     def add(self, name: str, value, line=0, col=0):
         if name in self.table:
             raise ElabError("DuplicateName", f"{name!r} is already defined",
                             line, col)
         self.table[name] = value
-        self.order.append(name)
 
     def get(self, name: str):
         return self.table.get(name)
@@ -82,7 +80,6 @@ class Environment:
     def copy(self) -> "Environment":
         env = Environment()
         env.table = dict(self.table)
-        env.order = list(self.order)
         return env
 
 
@@ -253,10 +250,8 @@ def _infer_sub(src_ctx: Context, lm: tuple, args, ctx: Context,
 
 @dataclass
 class CheckedDecl:
-    decl: object
-    name: Optional[str] = None
-    ctx: Optional[Context] = None
-    terms: tuple = ()
+    ctx: Context
+    terms: tuple
 
 
 def process_decl(decl, env: Environment) -> CheckedDecl:
@@ -268,25 +263,25 @@ def process_decl(decl, env: Environment) -> CheckedDecl:
         term = Coh(val.tree, val.cell, id_sub(len(ctx)))
         infer_term(ctx, term)
         env.add(decl.name, val, decl.line, decl.col)
-        return CheckedDecl(decl, decl.name, ctx, (term,))
+        return CheckedDecl(ctx, (term,))
     if isinstance(decl, P.TermDef):
         ctx = elaborate_ctx(decl.ctx, env)
         body = elaborate_term(decl.body, ctx, env)
         ty = infer_term(ctx, body)
         env.add(decl.name, DefValue(ctx, body, ty), decl.line, decl.col)
-        return CheckedDecl(decl, decl.name, ctx, (body,))
+        return CheckedDecl(ctx, (body,))
     if isinstance(decl, P.NormalizeCmd):
         ctx = elaborate_ctx(decl.ctx, env)
         body = elaborate_term(decl.body, ctx, env)
         infer_term(ctx, body)
-        return CheckedDecl(decl, None, ctx, (body,))
+        return CheckedDecl(ctx, (body,))
     if isinstance(decl, P.AssertEqCmd):
         ctx = elaborate_ctx(decl.ctx, env)
         lhs = elaborate_term(decl.lhs, ctx, env)
         rhs = elaborate_term(decl.rhs, ctx, env)
         infer_term(ctx, lhs)
         infer_term(ctx, rhs)
-        return CheckedDecl(decl, None, ctx, (lhs, rhs))
+        return CheckedDecl(ctx, (lhs, rhs))
     raise ElabError("Internal", f"unknown declaration {decl!r}")
 
 

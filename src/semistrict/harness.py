@@ -1,10 +1,15 @@
 """Random generators, independent oracles and metatheory helpers.
 
-The oracles here are deliberately separate code paths from the kernel:
-the pasting oracle replays the original derivation rules for pasting
-contexts on raw contexts, and the boundary support oracle reads
-boundary membership off variable occurrences instead of the tree
-inclusions.  Generators are seeded and deterministic.
+Nothing in the kernel imports this module: the CLI loads it only for
+``report``, and the tests for the rest.  The oracles here are
+deliberately separate code paths from the kernel: the pasting oracle
+replays the original derivation rules for pasting contexts on raw
+contexts, and the boundary support oracle reads boundary membership off
+variable occurrences instead of the tree inclusions.  The metatheory
+helpers are the ordinal measure behind termination (syntactic
+complexity), the inverse of ``tree_to_ctx``, recognizers for unbiased
+coherences and the branch bookkeeping of insertion points.  Generators
+are seeded and deterministic.
 """
 
 from __future__ import annotations
@@ -15,20 +20,90 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from .syntax import (
-    Arrow, Coh, Context, STAR, Star, Sub, Term, Type, Var,
+    Arrow, Coh, Context, KernelError, STAR, Star, Sub, Term, Tree, Type, Var,
     compose, dim_type, id_sub,
 )
 from .trees import (
-    Label, ctx_len, disc, label_to_sub, point_positions, tree_dim,
-    tree_to_ctx, trunk_height,
+    ctx_len, disc, is_linear, point_positions, tree_dim, tree_to_ctx,
+    trunk_height,
 )
 from .insertion import (
-    InsertionRedex, branch_height, canonical_branches, exterior_sub,
-    interior_sub, inserted_tree, leaf_height, locally_maximal_positions,
+    Branch, InsertionRedex, branch_height, branch_table, exterior_sub,
+    interior_sub, inserted_tree, locally_maximal_positions,
 )
-from .unbiased import identity_term, unbiased_type
-from .rewriting import def_eq, normalize, one_step, sc, ord_lt
+from .unbiased import identity_term, is_identity, unbiased_type
+from .rewriting import def_eq, normalize, one_step
 from .check import infer_term
+
+
+# --- ordinals below omega^omega ---------------------------------------------
+
+@dataclass(frozen=True, slots=True)
+class OrdinalPoly:
+    """Polynomial in omega: ((exponent, coefficient), ...) sorted descending."""
+
+    terms: tuple = ()
+
+    def __post_init__(self):
+        es = [e for e, _ in self.terms]
+        if es != sorted(es, reverse=True) or len(set(es)) != len(es):
+            raise KernelError("ordinal terms must be sorted by exponent")
+        if any(c <= 0 for _, c in self.terms):
+            raise KernelError("ordinal coefficients must be positive")
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        bits = []
+        for e, c in self.terms:
+            if e == 0:
+                bits.append(str(c))
+            elif e == 1:
+                bits.append("w" if c == 1 else f"{c}w")
+            else:
+                bits.append(f"w^{e}" if c == 1 else f"{c}w^{e}")
+        return " + ".join(bits)
+
+
+ORD_ZERO = OrdinalPoly()
+
+
+def omega_pow(e: int, c: int = 1) -> OrdinalPoly:
+    return OrdinalPoly(((e, c),)) if c else ORD_ZERO
+
+
+def natural_sum(a: OrdinalPoly, b: OrdinalPoly) -> OrdinalPoly:
+    coeffs = dict(a.terms)
+    for e, c in b.terms:
+        coeffs[e] = coeffs.get(e, 0) + c
+    return OrdinalPoly(tuple(sorted(coeffs.items(), reverse=True)))
+
+
+def ord_lt(a: OrdinalPoly, b: OrdinalPoly) -> bool:
+    """Lexicographic comparison from the highest exponent down."""
+    ca, cb = dict(a.terms), dict(b.terms)
+    for e in sorted(set(ca) | set(cb), reverse=True):
+        x, y = ca.get(e, 0), cb.get(e, 0)
+        if x != y:
+            return x < y
+    return False
+
+
+def syntactic_complexity(x) -> OrdinalPoly:
+    """The termination measure: it strictly decreases along every
+    reduction step that does not pass through a coherence's cell type."""
+    if isinstance(x, Var):
+        return ORD_ZERO
+    if isinstance(x, Coh):
+        d = dim_type(x.cell)
+        head = omega_pow(d, 1 if is_identity(x) else 2)
+        return natural_sum(head, syntactic_complexity(x.args))
+    if isinstance(x, tuple):
+        acc = ORD_ZERO
+        for t in x:
+            acc = natural_sum(acc, syntactic_complexity(t))
+        return acc
+    raise KernelError(f"syntactic complexity undefined for {x!r}")
 
 
 @dataclass(frozen=True)
@@ -95,6 +170,144 @@ def enumerate_trees(max_nodes: int):
         yield from trees_with_nodes(n)
 
 
+# --- context to tree ----------------------------------------------------------
+
+class NotPastingError(Exception):
+    """A context failed to parse as a pasting context."""
+
+    def __init__(self, position: int, reason: str):
+        self.position = position
+        self.reason = reason
+        super().__init__(f"not a pasting context (entry {position}): {reason}")
+
+
+def _strip_suspension(ty: Type, pos: int) -> Type:
+    """Invert suspend_type on a block entry already renumbered to poles 0,1."""
+    if isinstance(ty, Arrow) and isinstance(ty.base, Star):
+        if ty.src != Var(0) or ty.tgt != Var(1):
+            raise NotPastingError(pos, "cell does not join its gluing points")
+        return STAR
+    if isinstance(ty, Arrow):
+        return Arrow(_unsuspend_term(ty.src, pos), _strip_suspension(ty.base, pos),
+                     _unsuspend_term(ty.tgt, pos))
+    raise NotPastingError(pos, "object-typed variable inside a cell block")
+
+
+def _unsuspend_term(t: Term, pos: int):
+    if not isinstance(t, Var):
+        raise NotPastingError(pos, "cell boundary is not a variable")
+    if t.idx < 2:
+        raise NotPastingError(pos, "gluing point used above its dimension")
+    return Var(t.idx - 2)
+
+
+def ctx_to_tree(ctx: Context) -> Tree:
+    """Parse a context as a pasting tree; raises NotPastingError otherwise."""
+    n = len(ctx)
+    if n == 0:
+        raise NotPastingError(0, "empty context")
+    types = ctx.types
+    if not isinstance(types[0], Star):
+        raise NotPastingError(0, "first variable must be an object")
+    if n == 1:
+        return ()
+    if not isinstance(types[1], Star):
+        raise NotPastingError(1, "second variable of a composite context must be an object")
+    stars = [i for i, ty in enumerate(types) if isinstance(ty, Star)]
+    # expected layout: p0 p1 B0 p2 B1 ... pn Bn-1 with nonempty blocks
+    children = []
+    for k in range(1, len(stars)):
+        lo = stars[k]
+        hi = stars[k + 1] if k + 1 < len(stars) else n
+        block = range(lo + 1, hi)
+        if len(block) == 0:
+            raise NotPastingError(lo, "disconnected objects")
+        neg_pole, pos_pole = stars[k - 1], stars[k]
+        entries = []
+        for j, p in enumerate(block):
+            ty = types[p]
+            renum = {neg_pole: 0, pos_pole: 1}
+            renum.update({block[0] + jj: 2 + jj for jj in range(j)})
+            try:
+                ty = _renumber_type(ty, renum, p)
+            except KeyError:
+                raise NotPastingError(p, "cell crosses its gluing points") from None
+            entries.append((ctx.name_of(p), _strip_suspension(ty, p)))
+        children.append(ctx_to_tree(Context(tuple(entries))))
+    return tuple(children)
+
+
+def _renumber_type(ty: Type, renum: dict, pos: int) -> Type:
+    if isinstance(ty, Star):
+        return ty
+    if not isinstance(ty.src, Var) or not isinstance(ty.tgt, Var):
+        raise NotPastingError(pos, "cell boundary is not a variable")
+    return Arrow(Var(renum[ty.src.idx]), _renumber_type(ty.base, renum, pos),
+                 Var(renum[ty.tgt.idx]))
+
+
+# --- unbiased recognizers --------------------------------------------------------
+
+def match_disc_sub(sub: Sub) -> Tuple[Type, Term]:
+    """Inverse of disc_sub for substitutions out of a disc."""
+    if len(sub) % 2 == 0:
+        raise KernelError(f"disc substitution must have odd arity, got {len(sub)}")
+    a: Type = STAR
+    for i in range((len(sub) - 1) // 2):
+        a = Arrow(sub[2 * i], a, sub[2 * i + 1])
+    return a, sub[-1]
+
+
+def is_unbiased_coh(t: Term) -> Optional[Tuple[int, Tree, Sub]]:
+    """Match t against an unbiased coherence; returns (n, head, args)."""
+    if not isinstance(t, Coh):
+        return None
+    n = dim_type(t.cell)
+    if t.cell == unbiased_type(n, t.head):
+        return n, t.head, t.args
+    return None
+
+
+def is_unbiased_composite(t: Term) -> bool:
+    m = is_unbiased_coh(t)
+    return m is not None and m[0] == tree_dim(m[1])
+
+
+# --- branches ------------------------------------------------------------------
+
+def subtree(t: Tree, path) -> Tree:
+    for k in path:
+        t = t[k]
+    return t
+
+
+def is_branch(s: Tree, p: Branch) -> bool:
+    if not p:
+        return False
+    try:
+        return is_linear(subtree(s, p))
+    except IndexError:
+        return False
+
+
+def leaf_height(s: Tree, p: Branch) -> int:
+    return len(p) + tree_dim(subtree(s, p))
+
+
+def canonical_branches(t: Tree) -> tuple:
+    """One branch per locally maximal variable, in lexicographic order."""
+    return tuple(p for p, _, _ in branch_table(t))
+
+
+def branch_var(s: Tree, p: Branch) -> int:
+    """Context position of the locally maximal variable the branch names."""
+    # every branch extends exactly one canonical branch, naming its variable
+    for q, v, _ in branch_table(s):
+        if p[:len(q)] == q:
+            return v
+    raise KernelError(f"{p} is not a branch of {s}")
+
+
 # --- well-typed term generation ----------------------------------------------
 
 class TermGen:
@@ -141,19 +354,21 @@ class TermGen:
                 return t, ty.tgt
         return identity_term(base, at), at
 
-    def gen_label(self, tree: tuple, base: Type, start: Term) -> Label:
-        points = [start]
-        branches = []
+    def gen_args(self, tree: tuple, base: Type, start: Term) -> list:
+        """Arguments for a pasting tree whose first point is `start`, in
+        context layout order: each child's target point comes before its
+        block, which is also the order they are drawn in."""
+        out, point = [start], start
         for child in tree:
-            cell, nxt = self.pick_step(points[-1], base)
-            hom = Arrow(points[-1], base, nxt)
-            branches.append(self.gen_label(child, hom, cell))
-            points.append(nxt)
-        return Label(tuple(points), tuple(branches))
+            cell, nxt = self.pick_step(point, base)
+            out.append(nxt)
+            out += self.gen_args(child, Arrow(point, base, nxt), cell)
+            point = nxt
+        return out
 
     def gen_sub(self, tree: tuple) -> Sub:
         """A random well-typed substitution out of a pasting tree."""
-        return label_to_sub(self.gen_label(tree, STAR, self.pick_object()))
+        return tuple(self.gen_args(tree, STAR, self.pick_object()))
 
     def small_tree(self, max_dim: int) -> tuple:
         d = self.rng.randint(1, max_dim)
@@ -185,8 +400,7 @@ class TermGen:
             n = tree_dim(tree)
             if self.rng.random() < 0.35 and n + 1 <= self.cfg.max_dim:
                 n += 1  # unbiased coherence one level up: endo shaped
-            lab = self.gen_label(tree, STAR, self.pick_object())
-            sub = label_to_sub(lab)
+            sub = self.gen_sub(tree)
             out = Coh(tree, unbiased_type(n, tree), sub)
             nest = 1 + max((self._nesting(x) for x in sub), default=0)
             if nest > self.cfg.max_nesting:
@@ -395,13 +609,14 @@ def report(seed: int = 0, count: int = 200) -> str:
     def tally(step):
         rule_counts[step.rule] += 1
 
-    max_sc = sc(Var(0))
+    max_sc = ORD_ZERO
     graph_sizes = []
     over_budget = 0
     for i, (ctx, t) in enumerate(population):
         normalize(t, trace=tally)
-        if ord_lt(max_sc, sc(t)):
-            max_sc = sc(t)
+        c = syntactic_complexity(t)
+        if ord_lt(max_sc, c):
+            max_sc = c
         if i < 25:
             try:
                 graph_sizes.append(len(reduction_graph(t).nodes))

@@ -24,12 +24,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .syntax import (
-    Coh, KernelError, Sub, Term, Tree, Var, apply_sub_type, ctx_len, dim_type,
-    id_sub,
+    Coh, Sub, Term, Tree, Var, apply_sub_type, ctx_len, dim_type, id_sub,
 )
-from .trees import (
-    block_starts, is_linear, point_positions, subtree, tree_dim, trunk_height,
-)
+from .trees import block_starts, is_linear, point_positions, tree_dim, trunk_height
 from .unbiased import disc_sub, is_identity, unbiased_type
 
 
@@ -44,21 +41,8 @@ class NotRedex(Exception):
 Branch = tuple
 
 
-def is_branch(s: Tree, p: Branch) -> bool:
-    if not p:
-        return False
-    try:
-        return is_linear(subtree(s, p))
-    except IndexError:
-        return False
-
-
 def branch_height(p: Branch) -> int:
     return len(p) - 1
-
-
-def leaf_height(s: Tree, p: Branch) -> int:
-    return len(p) + tree_dim(subtree(s, p))
 
 
 @lru_cache(maxsize=None)
@@ -91,20 +75,6 @@ def branch_table(t: Tree) -> tuple:
     return tuple(out)
 
 
-def canonical_branches(t: Tree) -> tuple:
-    """One branch per locally maximal variable, in lexicographic order."""
-    return tuple(p for p, _, _ in branch_table(t))
-
-
-def branch_var(s: Tree, p: Branch) -> int:
-    """Context position of the locally maximal variable the branch names."""
-    # every branch extends exactly one canonical branch, naming its variable
-    for q, v, _ in branch_table(s):
-        if p[:len(q)] == q:
-            return v
-    raise KernelError(f"{p} is not a branch of {s}")
-
-
 def locally_maximal_positions(t: Tree) -> tuple:
     """Context positions of the locally maximal variables of a tree.
 
@@ -114,21 +84,6 @@ def locally_maximal_positions(t: Tree) -> tuple:
     if not t:
         return (0,)
     return tuple(v for _, v, _ in branch_table(t))
-
-
-@dataclass(frozen=True)
-class InsertionPoint:
-    S: Tree
-    P: Branch
-    T: Tree
-
-    def __post_init__(self):
-        if not is_branch(self.S, self.P):
-            raise KernelError(f"{self.P} is not a branch of {self.S}")
-        if branch_height(self.P) > trunk_height(self.T):
-            raise HeightMismatch(
-                f"branch height {branch_height(self.P)} exceeds trunk height "
-                f"{trunk_height(self.T)}")
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .trees import parse_bracket
+from .trees import parse_bracket, tree_to_ctx
 
 
 class ParseError(Exception):
@@ -287,7 +287,6 @@ class Parser:
             tree = parse_bracket("".join(text))
         except ValueError as e:
             raise ParseError(t.line, t.col, str(e)) from None
-        from .trees import tree_to_ctx
         return tree, tree_to_ctx(tree).names
 
     # -- contexts

@@ -9,7 +9,7 @@ to a definitionally equal term.
 from __future__ import annotations
 
 from .syntax import Arrow, Coh, KernelError, Star, Term, Type, Var
-from .trees import Tree, tree_to_ctx
+from .trees import Tree, block_starts, point_positions, tree_to_ctx
 from .insertion import locally_maximal_positions
 
 
@@ -17,7 +17,6 @@ def fmt_ps(tree: Tree, names=None) -> str:
     """Paren pasting notation, e.g. (x(f)y(g)z) for the two-arrow tree."""
     if names is None:
         names = tree_to_ctx(tree).names
-    from .trees import point_positions, block_starts
 
     def emit(t: Tree, offset: int) -> str:
         if not t:

@@ -4,9 +4,8 @@
 term, type or substitution.  ``normalize`` applies an innermost-first
 strategy, taking at each head the first step ``head_steps`` gives;
 strong termination and confluence make the strategy choice
-unobservable in results.  Syntactic complexity, an ordinal below
-omega^omega, strictly decreases along every step that does not pass
-through a coherence's cell type.
+unobservable in results.  The termination measure, syntactic
+complexity, is in ``harness``.
 """
 
 from __future__ import annotations
@@ -16,84 +15,13 @@ from typing import Callable, Iterator, List, Optional, Tuple
 
 from .syntax import (
     Arrow, Coh, KernelError, Star, Sub, Term, Type, Var,
-    apply_sub_term, apply_sub_type, dim_type,
+    apply_sub_term, apply_sub_type,
 )
 from .trees import bracket, is_linear, tree_dim
 from .unbiased import identity_term, is_identity, unbiased_type
 from .insertion import (
     InsertionRedex, exterior_sub, find_redexes, inserted_sub, inserted_tree,
 )
-
-
-# --- ordinals below omega^omega -------------------------------------------
-
-@dataclass(frozen=True, slots=True)
-class OrdinalPoly:
-    """Polynomial in omega: ((exponent, coefficient), ...) sorted descending."""
-
-    terms: tuple = ()
-
-    def __post_init__(self):
-        es = [e for e, _ in self.terms]
-        if es != sorted(es, reverse=True) or len(set(es)) != len(es):
-            raise KernelError("ordinal terms must be sorted by exponent")
-        if any(c <= 0 for _, c in self.terms):
-            raise KernelError("ordinal coefficients must be positive")
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for e, c in self.terms:
-            if e == 0:
-                bits.append(str(c))
-            elif e == 1:
-                bits.append("w" if c == 1 else f"{c}w")
-            else:
-                bits.append(f"w^{e}" if c == 1 else f"{c}w^{e}")
-        return " + ".join(bits)
-
-
-ORD_ZERO = OrdinalPoly()
-
-
-def omega_pow(e: int, c: int = 1) -> OrdinalPoly:
-    return OrdinalPoly(((e, c),)) if c else ORD_ZERO
-
-
-def natural_sum(a: OrdinalPoly, b: OrdinalPoly) -> OrdinalPoly:
-    coeffs = dict(a.terms)
-    for e, c in b.terms:
-        coeffs[e] = coeffs.get(e, 0) + c
-    return OrdinalPoly(tuple(sorted(coeffs.items(), reverse=True)))
-
-
-def ord_lt(a: OrdinalPoly, b: OrdinalPoly) -> bool:
-    """Lexicographic comparison from the highest exponent down."""
-    ca, cb = dict(a.terms), dict(b.terms)
-    for e in sorted(set(ca) | set(cb), reverse=True):
-        x, y = ca.get(e, 0), cb.get(e, 0)
-        if x != y:
-            return x < y
-    return False
-
-
-def syntactic_complexity(x) -> OrdinalPoly:
-    if isinstance(x, Var):
-        return ORD_ZERO
-    if isinstance(x, Coh):
-        d = dim_type(x.cell)
-        head = omega_pow(d, 1 if is_identity(x) else 2)
-        return natural_sum(head, syntactic_complexity(x.args))
-    if isinstance(x, tuple):
-        acc = ORD_ZERO
-        for t in x:
-            acc = natural_sum(acc, syntactic_complexity(t))
-        return acc
-    raise KernelError(f"syntactic complexity undefined for {x!r}")
-
-
-sc = syntactic_complexity
 
 
 # --- steps -------------------------------------------------------------------

@@ -242,11 +242,6 @@ class Context:
         return f"Context({self.entries!r})"
 
 
-def alpha_eq(a: Syntax, b: Syntax) -> bool:
-    """Syntactic equality up to renaming; plain == in this encoding."""
-    return a == b
-
-
 # --- substitution action -------------------------------------------------
 
 def apply_sub_term(t: Term, sub: Sub) -> Term:
@@ -322,14 +317,3 @@ def dim_type(a: Type) -> int:
         a = a.base
     return d
 
-
-def dim_term(ctx: Context, t: Term) -> int:
-    if isinstance(t, Var):
-        return dim_type(ctx.type_of(t.idx))
-    if isinstance(t, Coh):
-        return dim_type(t.cell)
-    raise KernelError(f"not a term: {t!r}")
-
-
-def dim_ctx(ctx: Context) -> int:
-    return max((dim_type(ty) for _, ty in ctx.entries), default=0)

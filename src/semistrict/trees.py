@@ -15,22 +15,12 @@ to that layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .syntax import (
     STAR, Arrow, Coh, Context, KernelError, Star, Sub, Term, Tree, Type, Var,
-    apply_sub_term, apply_sub_type, ctx_len, id_sub,
+    apply_sub_term, apply_sub_type, ctx_len, dim_type,
 )
-
-
-class NotPastingError(Exception):
-    """A context failed to parse as a pasting context."""
-
-    def __init__(self, position: int, reason: str):
-        self.position = position
-        self.reason = reason
-        super().__init__(f"not a pasting context (entry {position}): {reason}")
 
 
 @lru_cache(maxsize=None)
@@ -57,12 +47,6 @@ def disc(n: int) -> Tree:
     t: Tree = ()
     for _ in range(n):
         t = (t,)
-    return t
-
-
-def subtree(t: Tree, path) -> Tree:
-    for k in path:
-        t = t[k]
     return t
 
 
@@ -139,7 +123,6 @@ _DIM_LETTERS = {0: ("x", "y", "z", "w", "v", "u"),
 
 
 def _auto_names(types) -> tuple:
-    from .syntax import dim_type
     counters = {}
     names = []
     for ty in types:
@@ -170,73 +153,6 @@ def tree_to_ctx(t: Tree) -> Context:
         for j in range(len(sub_ctx)):
             types[bs[i] + j] = apply_sub_type(suspend_type(sub_ctx.type_of(j)), inc)
     return Context(tuple(zip(_auto_names(types), types)))
-
-
-# --- context to tree ------------------------------------------------------
-
-def _strip_suspension(ty: Type, pos: int) -> Type:
-    """Invert suspend_type on a block entry already renumbered to poles 0,1."""
-    if isinstance(ty, Arrow) and isinstance(ty.base, Star):
-        if ty.src != Var(0) or ty.tgt != Var(1):
-            raise NotPastingError(pos, "cell does not join its gluing points")
-        return STAR
-    if isinstance(ty, Arrow):
-        return Arrow(_unsuspend_term(ty.src, pos), _strip_suspension(ty.base, pos),
-                     _unsuspend_term(ty.tgt, pos))
-    raise NotPastingError(pos, "object-typed variable inside a cell block")
-
-
-def _unsuspend_term(t: Term, pos: int):
-    if not isinstance(t, Var):
-        raise NotPastingError(pos, "cell boundary is not a variable")
-    if t.idx < 2:
-        raise NotPastingError(pos, "gluing point used above its dimension")
-    return Var(t.idx - 2)
-
-
-def ctx_to_tree(ctx: Context) -> Tree:
-    """Parse a context as a pasting tree; raises NotPastingError otherwise."""
-    n = len(ctx)
-    if n == 0:
-        raise NotPastingError(0, "empty context")
-    types = ctx.types
-    if not isinstance(types[0], Star):
-        raise NotPastingError(0, "first variable must be an object")
-    if n == 1:
-        return ()
-    if not isinstance(types[1], Star):
-        raise NotPastingError(1, "second variable of a composite context must be an object")
-    stars = [i for i, ty in enumerate(types) if isinstance(ty, Star)]
-    # expected layout: p0 p1 B0 p2 B1 ... pn Bn-1 with nonempty blocks
-    children = []
-    for k in range(1, len(stars)):
-        lo = stars[k]
-        hi = stars[k + 1] if k + 1 < len(stars) else n
-        block = range(lo + 1, hi)
-        if len(block) == 0:
-            raise NotPastingError(lo, "disconnected objects")
-        neg_pole, pos_pole = stars[k - 1], stars[k]
-        entries = []
-        for j, p in enumerate(block):
-            ty = types[p]
-            renum = {neg_pole: 0, pos_pole: 1}
-            renum.update({block[0] + jj: 2 + jj for jj in range(j)})
-            try:
-                ty = _renumber_type(ty, renum, p)
-            except KeyError as e:
-                raise NotPastingError(p, "cell crosses its gluing points") from None
-            entries.append((ctx.name_of(p), _strip_suspension(ty, p)))
-        children.append(ctx_to_tree(Context(tuple(entries))))
-    return tuple(children)
-
-
-def _renumber_type(ty: Type, renum: dict, pos: int) -> Type:
-    if isinstance(ty, Star):
-        return ty
-    if not isinstance(ty.src, Var) or not isinstance(ty.tgt, Var):
-        raise NotPastingError(pos, "cell boundary is not a variable")
-    return Arrow(Var(renum[ty.src.idx]), _renumber_type(ty.base, renum, pos),
-                 Var(renum[ty.tgt.idx]))
 
 
 # --- boundaries and inclusions --------------------------------------------
@@ -275,45 +191,6 @@ def tree_inc(eps: str, n: int, t: Tree) -> Sub:
         for j, term in enumerate(rec):
             out[bbs[i] + j] = apply_sub_term(suspend_term(term), inc)
     return tuple(out)
-
-
-# --- labellings -----------------------------------------------------------
-
-@dataclass(frozen=True)
-class Label:
-    """Tree-shaped substitution: n+1 point labels around n sub-labellings."""
-
-    points: tuple
-    branches: tuple
-
-    def __post_init__(self):
-        if len(self.points) != len(self.branches) + 1:
-            raise KernelError("labelling shape mismatch")
-
-
-def label_to_sub(lab: Label) -> Sub:
-    if not lab.branches:
-        return (lab.points[0],)
-    out = [lab.points[0], lab.points[1]]
-    for i, br in enumerate(lab.branches):
-        out.extend(label_to_sub(br))
-        if i + 1 < len(lab.branches):
-            out.append(lab.points[i + 2])
-    return tuple(out)
-
-
-def sub_to_label(t: Tree, sub: Sub) -> Label:
-    if len(sub) != ctx_len(t):
-        raise KernelError(f"substitution arity {len(sub)} does not fit tree {t}")
-    points = tuple(sub[p] for p in point_positions(t))
-    bs = block_starts(t)
-    branches = tuple(sub_to_label(c, tuple(sub[bs[i]:bs[i] + ctx_len(c)]))
-                     for i, c in enumerate(t))
-    return Label(points, branches)
-
-
-def identity_label(t: Tree) -> Label:
-    return sub_to_label(t, id_sub(ctx_len(t)))
 
 
 # --- rendering ------------------------------------------------------------

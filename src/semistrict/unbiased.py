@@ -9,11 +9,10 @@ with no provenance flags.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional, Tuple
 
 from .syntax import (
-    Arrow, Coh, KernelError, STAR, Sub, Term, Tree, Type, Var,
-    apply_sub_term, dim_type, id_sub,
+    Arrow, Coh, STAR, Sub, Term, Tree, Type, Var, apply_sub_term, dim_type,
+    id_sub,
 )
 from .trees import ctx_len, disc, is_linear, tree_bd, tree_dim, tree_inc
 
@@ -54,16 +53,6 @@ def disc_sub(a: Type, t: Term) -> Sub:
     return tuple(vec)
 
 
-def match_disc_sub(sub: Sub) -> Tuple[Type, Term]:
-    """Inverse of disc_sub for substitutions out of a disc."""
-    if len(sub) % 2 == 0:
-        raise KernelError(f"disc substitution must have odd arity, got {len(sub)}")
-    a: Type = STAR
-    for i in range((len(sub) - 1) // 2):
-        a = Arrow(sub[2 * i], a, sub[2 * i + 1])
-    return a, sub[-1]
-
-
 def identity_term(a: Type, s: Term) -> Term:
     """The canonical identity cell on s at type a."""
     n = dim_type(a)
@@ -76,18 +65,3 @@ def is_identity(t: Term) -> bool:
     if not is_linear(t.head):
         return False
     return t.cell == unbiased_type(tree_dim(t.head) + 1, t.head)
-
-
-def is_unbiased_coh(t: Term) -> Optional[Tuple[int, Tree, Sub]]:
-    """Match t against an unbiased coherence; returns (n, head, args)."""
-    if not isinstance(t, Coh):
-        return None
-    n = dim_type(t.cell)
-    if t.cell == unbiased_type(n, t.head):
-        return n, t.head, t.args
-    return None
-
-
-def is_unbiased_composite(t: Term) -> bool:
-    m = is_unbiased_coh(t)
-    return m is not None and m[0] == tree_dim(m[1])

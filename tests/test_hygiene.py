@@ -1,12 +1,31 @@
-"""Every import in a kernel module is used (``__init__`` re-exports)."""
+"""Static hygiene of the package.
+
+Every import is used, ``harness`` (generators, oracles and metatheory
+helpers) stays out of the kernel, and every top-level name in a kernel
+module has a use outside its own definition.
+"""
 
 import ast
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "semistrict"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "semistrict"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+KERNEL = [p for p in MODULES if p.name != "harness.py"]
+BENCH = sorted((ROOT / "bench").glob("*.py"))
+
+# names a kernel module keeps without a use yet, each with its reason
+UNUSED_ALLOWED = {
+    # rewriting.clear_caches: empties the process-wide normal-form memos;
+    # its caller comes when the CLI scopes the caches to one run
+    "clear_caches",
+}
 
 
 def _imported(tree):
@@ -23,14 +42,125 @@ def _used(tree):
     return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
+def _parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _local_imports(path):
+    """(function, imported module) for each import inside a function."""
+    out = []
+    for fn in ast.walk(_parse(path)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.ImportFrom):
+                    out.append((fn.name, node.module or ""))
+                elif isinstance(node, ast.Import):
+                    out.extend((fn.name, a.name) for a in node.names)
+    return out
+
+
+def _imports_harness(path):
+    """Line of every import of the harness module, at any depth."""
+    lines = []
+    for node in ast.walk(_parse(path)):
+        if isinstance(node, ast.ImportFrom):
+            mods = [node.module or ""] + [f"{node.module or ''}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Import):
+            mods = [a.name for a in node.names]
+        else:
+            continue
+        if any(m.split(".")[-1] == "harness" for m in mods):
+            lines.append(node.lineno)
+    return lines
+
+
+def _code_names(path):
+    """(name, line) of every name, attribute and imported name in the code,
+    leaving out strings and comments."""
+    out = []
+    for node in ast.walk(_parse(path)):
+        if isinstance(node, ast.Name):
+            out.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            out.append((node.attr, node.lineno))
+        elif isinstance(node, ast.ImportFrom):
+            out.extend((a.name, node.lineno) for a in node.names)
+    return out
+
+
+def _top_level_defs(path):
+    """(name, first line, last line) of each top-level definition."""
+    for node in _parse(path).body:
+        first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", ())])
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if not (name.startswith("__") and name.endswith("__")):
+                yield name, first, node.end_lineno
+
+
 def test_modules_found():
     assert len(MODULES) >= 10
+    assert len(KERNEL) == len(MODULES) - 1
+    assert BENCH
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"))
+    tree = _parse(path)
     used = _used(tree)
     unused = [f"{name} (line {line})" for name, line in _imported(tree)
               if name not in used]
     assert not unused, f"{path.name} imports but never uses: {', '.join(unused)}"
+
+
+def test_the_only_import_inside_a_function_is_reports_harness():
+    local = [(p.name, fn, mod) for p in sorted(SRC.glob("*.py"))
+             for fn, mod in _local_imports(p)]
+    assert local == [("cli.py", "run_report", "harness")]
+
+
+def test_only_the_report_command_imports_harness():
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "cli.py":
+            assert not _imports_harness(path), path.name
+    report_imports = [node.lineno
+                      for fn in ast.walk(_parse(SRC / "cli.py"))
+                      if isinstance(fn, ast.FunctionDef) and fn.name == "run_report"
+                      for node in ast.walk(fn)
+                      if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert _imports_harness(SRC / "cli.py") == report_imports != []
+
+
+def test_loading_the_cli_leaves_harness_unloaded():
+    probe = "import sys, semistrict.cli; print('semistrict.harness' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert out.stdout.strip() == "False"
+
+
+def test_every_kernel_name_is_used_outside_its_definition():
+    # a use is a name in the code of another module (not __init__, which
+    # re-exports nothing) or of its own module outside its own definition,
+    # so a recursive call does not count; bench/ looks some names up by
+    # string, so there any word-bounded occurrence counts
+    tokens = {p: _code_names(p) for p in MODULES}
+    bench_text = "\n".join(p.read_text(encoding="utf-8") for p in BENCH)
+    unused = []
+    for path in KERNEL:
+        elsewhere = {n for p, toks in tokens.items() if p != path for n, _ in toks}
+        for name, first, last in _top_level_defs(path):
+            if name in UNUSED_ALLOWED or name in elsewhere:
+                continue
+            if any(n == name and not first <= line <= last for n, line in tokens[path]):
+                continue
+            if re.search(rf"\b{re.escape(name)}\b", bench_text):
+                continue
+            unused.append(f"{path.stem}.{name}")
+    assert not unused, f"defined but used only by tests or not at all: {', '.join(unused)}"

@@ -1,4 +1,5 @@
 import random
+from typing import NamedTuple
 
 import pytest
 
@@ -6,21 +7,21 @@ from semistrict.syntax import (
     STAR, Arrow, Coh, Var, apply_sub_term, compose, id_sub,
 )
 from semistrict.trees import (
-    Label, block_starts, child_incl, ctx_len, disc, is_linear, label_to_sub,
-    point_positions, sub_to_label, subtree, suspend_sub, suspend_term,
-    suspend_type, tree_dim, tree_to_ctx, trunk_height,
+    block_starts, child_incl, ctx_len, disc, is_linear, point_positions,
+    suspend_sub, suspend_term, suspend_type, tree_dim, tree_to_ctx,
+    trunk_height,
 )
 from semistrict.insertion import (
-    HeightMismatch, InsertionPoint, NotRedex, branch_height, branch_table,
-    branch_var, canonical_branches, exterior_sub, find_redexes, inserted_sub,
-    inserted_tree, interior_sub, is_branch, leaf_height,
+    HeightMismatch, NotRedex, branch_height, branch_table, exterior_sub,
+    find_redexes, inserted_sub, inserted_tree, interior_sub,
     locally_maximal_positions,
 )
 from semistrict.unbiased import disc_sub, identity_term, unbiased_coh, unbiased_type
 from semistrict.rewriting import def_eq
 from semistrict.harness import (
-    GenConfig, enumerate_insertion_points, enumerate_trees, eq_max_def,
-    eq_max_syntactic, gen_redex,
+    GenConfig, branch_var, canonical_branches, enumerate_insertion_points,
+    enumerate_trees, eq_max_def, eq_max_syntactic, gen_redex, is_branch,
+    leaf_height, subtree,
 )
 
 from conftest import CHAIN2, CHAIN3
@@ -46,7 +47,6 @@ def test_inserted_tree_flat():
 
 
 def test_branch_bookkeeping():
-    from semistrict.trees import subtree
     assert branch_height((0, 0)) == 1
     assert leaf_height(NESTED, (0, 0)) == 2
     for s, p, t in list(enumerate_insertion_points(4))[:300]:
@@ -175,6 +175,34 @@ def test_inserted_sub_rejects_bad_height():
         inserted_sub(id_sub(ctx_len(NESTED)), (0, 0), id_sub(5), NESTED, ((), ()))
 
 
+class Label(NamedTuple):
+    """Reference tree-shaped substitution: n+1 point labels around n
+    sub-labellings, one per child."""
+
+    points: tuple
+    branches: tuple
+
+
+def _label_to_sub(lab):
+    if not lab.branches:
+        return (lab.points[0],)
+    out = [lab.points[0], lab.points[1]]
+    for i, br in enumerate(lab.branches):
+        out.extend(_label_to_sub(br))
+        if i + 1 < len(lab.branches):
+            out.append(lab.points[i + 2])
+    return tuple(out)
+
+
+def _sub_to_label(t, sub):
+    assert len(sub) == ctx_len(t)
+    points = tuple(sub[p] for p in point_positions(t))
+    bs = block_starts(t)
+    branches = tuple(_sub_to_label(c, sub[bs[i]:bs[i] + ctx_len(c)])
+                     for i, c in enumerate(t))
+    return Label(points, branches)
+
+
 def _label_insert(lab, p, arg):
     """Reference splice on labellings: arg's points and branches replace
     points k, k+1 and branch k of lab, recursing at branch height >= 1."""
@@ -194,8 +222,8 @@ def test_inserted_sub_matches_label_splice():
     for s, p, t in enumerate_insertion_points(6):  # trees of at most 5 edges
         sigma = tuple(Var(i) for i in range(ctx_len(s)))
         tau = tuple(Var(1000 + i) for i in range(ctx_len(t)))
-        ref = _label_insert(sub_to_label(s, sigma), p, sub_to_label(t, tau))
-        assert inserted_sub(sigma, p, tau, s, t) == label_to_sub(ref), (s, p, t)
+        ref = _label_insert(_sub_to_label(s, sigma), p, _sub_to_label(t, tau))
+        assert inserted_sub(sigma, p, tau, s, t) == _label_to_sub(ref), (s, p, t)
         cases += 1
     assert cases == 7865
 
@@ -361,12 +389,6 @@ def test_find_redexes_variables_only(comp_fg):
 def test_find_redexes_skips_identities():
     one = identity_term(STAR, Var(0))
     assert find_redexes(one) == []
-
-
-def test_insertion_point_validation():
-    with pytest.raises(HeightMismatch):
-        InsertionPoint(NESTED, (0, 0), ((), ()))
-    InsertionPoint(NESTED, (0, 0), ((),))
 
 
 def test_find_redexes_skips_a_full_coherence_one_dimension_up(comp_fg):

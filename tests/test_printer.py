@@ -1,11 +1,10 @@
 import pytest
 
 from semistrict.elaborate import new_env, process_decl
-from semistrict.harness import GenConfig, gen_population
+from semistrict.harness import GenConfig, ctx_to_tree, gen_population
 from semistrict.parser import parse
 from semistrict.printer import fmt_ps, fmt_term
 from semistrict.rewriting import def_eq, normalize
-from semistrict.trees import ctx_to_tree
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -15,12 +15,13 @@ from semistrict.unbiased import (
 )
 from semistrict.insertion import exterior_sub
 from semistrict.rewriting import (
-    ORD_ZERO, OrdinalPoly, StepBudgetExceeded, clear_caches, def_eq, disc_removal,
-    endo_coherence_removal, head_steps, natural_sum, normalize,
-    normalize_first_step, omega_pow, one_step, one_step_term, ord_lt, sc,
+    StepBudgetExceeded, clear_caches, def_eq, disc_removal,
+    endo_coherence_removal, head_steps, normalize, normalize_first_step,
+    one_step, one_step_term,
 )
 from semistrict.harness import (
-    GenConfig, gen_population, reduction_graph,
+    ORD_ZERO, GenConfig, OrdinalPoly, gen_population, natural_sum, omega_pow,
+    ord_lt, reduction_graph, syntactic_complexity,
 )
 
 from conftest import CHAIN1, CHAIN2, CHAIN3
@@ -64,9 +65,9 @@ def test_ordinal_printing():
 # --- syntactic complexity -------------------------------------------------------
 
 def test_sc_examples(comp_fg):
-    assert sc(Var(0)) == ORD_ZERO
-    assert sc(identity_term(STAR, Var(0))) == omega_pow(1)
-    assert sc(comp_fg) == omega_pow(1, 2)
+    assert syntactic_complexity(Var(0)) == ORD_ZERO
+    assert syntactic_complexity(identity_term(STAR, Var(0))) == omega_pow(1)
+    assert syntactic_complexity(comp_fg) == omega_pow(1, 2)
 
 
 # --- head rules -------------------------------------------------------------------
@@ -214,12 +215,12 @@ def test_cell_steps_preserve_sc_non_cell_steps_decrease(f_then_gh):
     a = Arrow(Var(0), STAR, Var(5))
     endo = Coh(CHAIN3, Arrow(f_then_gh, a, f_then_gh), id_sub(7))
     for t in (f_then_gh, endo):
-        base = sc(t)
+        base = syntactic_complexity(t)
         for step in one_step_term(t):
             if "cell" in step.path:
-                assert sc(step.result) == base
+                assert syntactic_complexity(step.result) == base
             else:
-                assert ord_lt(sc(step.result), base)
+                assert ord_lt(syntactic_complexity(step.result), base)
 
 
 def test_trace_stream_is_deterministic(f_then_gh):

@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from semistrict.syntax import (
-    STAR, Arrow, Coh, Context, KernelError, Var, alpha_eq, apply_sub_term,
-    apply_sub_type, compose, dim_ctx, dim_term, dim_type, free_vars, id_sub,
-    support,
+    STAR, Arrow, Coh, Context, KernelError, Var, apply_sub_term, compose,
+    dim_type, free_vars, id_sub, support,
 )
 from semistrict.trees import disc, tree_to_ctx
 from semistrict.unbiased import identity_term, unbiased_coh, unbiased_type
@@ -53,32 +52,24 @@ def test_support_idempotent_and_downward_closed(ctx2, f_then_gh, ctx3):
 def test_dimensions():
     assert dim_type(STAR) == 0
     assert dim_type(Arrow(Var(0), STAR, Var(1))) == 1
-    assert dim_ctx(tree_to_ctx(disc(3))) == 3
-
-
-def test_dim_preserved_by_substitution(ctx2, ctx3, f_then_gh):
-    # push the binary composite along an inclusion-like substitution
-    sub = (Var(0), Var(1), Var(2), Var(5), f_then_gh)
-    t = unbiased_coh(1, CHAIN2)
-    assert dim_term(ctx3, apply_sub_term(t, sub)) == dim_term(ctx2, t)
 
 
 def test_alpha_ignores_names():
     a = Context((("x", STAR),))
     b = Context((("y", STAR),))
     assert a == b
-    assert alpha_eq(Var(0), Var(0))
+    assert Var(0) == Var(0)
 
 
 def test_alpha_distinguishes_args(comp_fg):
     flipped = Coh(CHAIN2, comp_fg.cell, (Var(0), Var(1), Var(4), Var(3), Var(2)))
-    assert not alpha_eq(comp_fg, flipped)
+    assert comp_fg != flipped
 
 
 def test_identity_built_twice_is_alpha_equal():
     assert identity_term(STAR, Var(0)) == identity_term(STAR, Var(0))
     a = Arrow(Var(0), STAR, Var(1))
-    assert alpha_eq(identity_term(a, Var(2)), identity_term(a, Var(2)))
+    assert identity_term(a, Var(2)) == identity_term(a, Var(2))
 
 
 def test_compose_associative_and_unital(f_then_gh):
@@ -98,7 +89,7 @@ def test_arity_mismatch_is_structural_error():
 def test_alpha_congruence(comp_fg):
     # equal components build equal composites
     again = Coh(comp_fg.head, Arrow(Var(0), STAR, Var(3)), id_sub(5))
-    assert alpha_eq(comp_fg, again)
+    assert comp_fg == again
     assert hash(comp_fg) == hash(again)
 
 

@@ -1,18 +1,18 @@
-import random
-
 import pytest
 
 from semistrict.syntax import (
-    STAR, Arrow, Context, Var, apply_sub_term, free_vars,
-    id_sub, support,
+    STAR, Arrow, Context, Var, apply_sub_term, dim_type, free_vars, id_sub,
+    support,
 )
 from semistrict.trees import (
-    Label, NotPastingError, bracket, ctx_len, ctx_to_tree, disc,
-    identity_label, is_linear, label_to_sub, parse_bracket,
-    sub_to_label, suspend_ctx, suspend_sub, suspend_term, suspend_tree,
+    block_starts, bracket, ctx_len, disc, is_linear, parse_bracket,
+    point_positions, suspend_ctx, suspend_sub, suspend_term, suspend_tree,
     suspend_type, tree_bd, tree_dim, tree_inc, tree_to_ctx, trunk_height,
 )
-from semistrict.harness import bd_support_oracle, enumerate_trees, pasting_oracle
+from semistrict.harness import (
+    NotPastingError, bd_support_oracle, ctx_to_tree, enumerate_trees,
+    pasting_oracle,
+)
 
 from conftest import CHAIN2
 
@@ -39,7 +39,6 @@ def test_disc_shapes():
     assert disc(1) == ((),)
     assert tree_to_ctx(disc(0)) == Context((("x", STAR),))
     d3 = tree_to_ctx(disc(3))
-    from semistrict.syntax import dim_type
     assert [dim_type(t) for t in d3.types] == [0, 0, 1, 1, 2, 2, 3]
 
 
@@ -119,7 +118,6 @@ def test_boundary_supports_cover_and_close():
     # each inclusion contains every variable strictly below the boundary
     # dimension (interior n-cells belong to neither side), and supports are
     # downward closed
-    from semistrict.syntax import dim_type
     for t in enumerate_trees(6):
         ctx = tree_to_ctx(t)
         for n in range(tree_dim(t) + 1):
@@ -146,27 +144,14 @@ def test_boundary_support_matches_occurrence_oracle():
                     bd_support_oracle(ctx, n, eps), (t, n, eps)
 
 
-def test_identity_labelling_fig5():
-    lab = identity_label(FIG5)
-    assert lab.points == (Var(0), Var(1))
-    inner = lab.branches[0]
-    assert inner.points == (Var(2), Var(3), Var(5))
-    assert [b.points for b in inner.branches] == [(Var(4),), (Var(6),)]
-    assert label_to_sub(lab) == id_sub(7)
-
-
-def test_constant_labelling():
-    lab = Label((Var(0),), ())
-    assert label_to_sub(lab) == (Var(0),)
-
-
-def test_label_roundtrip_random():
-    rng = random.Random(0)
-    trees = list(enumerate_trees(6))
-    for _ in range(200):
-        t = rng.choice(trees)
-        sub = tuple(Var(rng.randrange(9)) for _ in range(ctx_len(t)))
-        assert label_to_sub(sub_to_label(t, sub)) == sub
+def test_fig5_point_and_block_positions():
+    # x y are FIG5's points and its one block starts at f; inside that
+    # block f g h are the points and a, b start the two inner blocks
+    assert point_positions(FIG5) == (0, 1)
+    assert block_starts(FIG5) == (2,)
+    assert tuple(2 + p for p in point_positions(FIG5[0])) == (2, 3, 5)
+    assert tuple(2 + b for b in block_starts(FIG5[0])) == (4, 6)
+    assert [FIG5_CTX.name_of(i) for i in (0, 1, 2, 3, 5, 4, 6)] == list("xyfghab")
 
 
 def test_tree_statistics():

@@ -5,12 +5,13 @@ from semistrict.syntax import (
 )
 from semistrict.trees import ctx_len, disc, suspend_term, suspend_tree, suspend_type, tree_dim
 from semistrict.unbiased import (
-    disc_sub, identity_term, is_identity, is_unbiased_coh,
-    is_unbiased_composite, match_disc_sub, unbiased_coh, unbiased_term,
+    disc_sub, identity_term, is_identity, unbiased_coh, unbiased_term,
     unbiased_type,
 )
 from semistrict.rewriting import normalize
-from semistrict.harness import enumerate_trees
+from semistrict.harness import (
+    enumerate_trees, is_unbiased_coh, is_unbiased_composite, match_disc_sub,
+)
 
 from conftest import CHAIN2, CHAIN3
 
