@@ -147,9 +147,11 @@ def elaborate_term(e, ctx: Context, env: Environment) -> Term:
             raise ElabError("NotApplicable",
                             "only names and coh literals take arguments",
                             e.line, e.col)
-        args = tuple((elaborate_term(a, ctx, env), braced)
-                     for a, braced in e.args)
-        return _apply_value(val, args, ctx, env, e.line, e.col)
+        # a loop, not a generator expression: one frame per nesting level
+        args = []
+        for a, braced in e.args:
+            args.append((elaborate_term(a, ctx, env), braced))
+        return _apply_value(val, tuple(args), ctx, env, e.line, e.col)
     if isinstance(e, P.CohE):
         return _apply_value(_elaborate_coh_literal(e, env), (), ctx,
                             env, e.line, e.col)

@@ -291,8 +291,10 @@ def normalize_first_step(x, budget: int = DEFAULT_BUDGET):
 def def_eq(a, b, budget: int = DEFAULT_BUDGET) -> bool:
     """Definitional equality: syntactic equality of normal forms.
 
-    Equal syntax is convertible without normalizing either side, since
-    ``normalize`` is a function.  Normal forms themselves are remembered
-    for the life of the process (``_NF_TERMS``, ``_NF_TYPES``).
+    Terms and types are interned (syntax.py), so for them each ``==``
+    here is one identity test.  Equal syntax is convertible without
+    normalizing either side, since ``normalize`` is a function.  Normal
+    forms themselves are remembered for the life of the process
+    (``_NF_TERMS``, ``_NF_TYPES``), keyed by identity.
     """
     return a == b or normalize(a, budget) == normalize(b, budget)

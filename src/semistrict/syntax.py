@@ -2,8 +2,16 @@
 
 Variables are positional references (de Bruijn style indices) into an
 ordered context; display names live on the context and are ignored by
-equality, so syntactic equality up to renaming is plain ``==``.  All
-values are immutable and hashable, and every operation here is pure.
+equality.  All values are immutable and hashable, and every operation
+here is pure.
+
+Variables, coherences and arrows are hash-consed: each constructor
+returns the one live object with the given components, so syntactic
+equality up to renaming is identity, and ``==`` and ``hash`` are those
+of ``object``.  The intern tables hold their terms weakly, so they grow
+only with the live terms.  Building a term hashes and compares its
+components, which are themselves interned, by identity; only the head
+tree is a plain tuple that is hashed and compared by value.
 
 Terms are either variables or coherences ``Coh(head, cell, args)``
 where ``head`` is a pasting tree (see trees.py), ``cell`` is a type
@@ -15,8 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import is_
 from typing import Union
+from weakref import WeakValueDictionary
 
 # A planar rooted tree is a tuple of planar rooted trees (trees.py).
 Tree = tuple
@@ -40,33 +48,40 @@ class Type:
     __slots__ = ()
 
 
-class Var(Term):
-    """Variable at a context position.
+class _Interned:
+    """Immutable syntax whose constructor returns the interned object.
 
-    ``Var(i)`` returns the same object for every call with the same
-    ``i``, so equality and hashing are the identity-based ones of
-    ``object``.
+    ``_fields`` names the components; pickling rebuilds through the
+    constructor, so it yields the live object again.
     """
 
-    __slots__ = ("idx",)
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+    def __repr__(self):
+        args = ", ".join(repr(getattr(self, f)) for f in self._fields)
+        return f"{type(self).__name__}({args})"
+
+
+class Var(Term, _Interned):
+    """Variable at a context position; ``Var(i)`` is one object per ``i``."""
+
+    _fields = ("idx",)
+    __slots__ = _fields
 
     def __new__(cls, idx: int):
         if idx < 0:
             raise KernelError(f"variable position {idx} is negative")
         pool = _VARS if idx < len(_VARS) else _grow_vars(idx + 1)
         return pool[idx]
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Var is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Var is immutable")
-
-    def __reduce__(self):
-        return Var, (self.idx,)
-
-    def __repr__(self):
-        return f"Var({self.idx})"
 
 
 # the interned variables, Var(i) at index i
@@ -84,31 +99,29 @@ def _grow_vars(n: int) -> tuple:
     return _VARS
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
-class Coh(Term):
-    head: Tree
-    cell: Type
-    args: "Sub"
-    _hash: int = field(init=False, repr=False, default=0)
+class Coh(Term, _Interned):
+    """Coherence ``head`` with cell type ``cell``, applied to ``args``.
 
-    def __post_init__(self):
-        if len(self.args) != ctx_len(self.head):
-            raise KernelError(f"coherence over {self.head} needs {ctx_len(self.head)} "
-                              f"arguments, got {len(self.args)}")
-        object.__setattr__(self, "_hash", hash((Coh, self.head, self.cell, self.args)))
+    The arity check runs only when a new object is made: a live one has
+    passed it.
+    """
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Coh):
-            return NotImplemented
-        return _syntax_eq(self, other)
+    _fields = ("head", "cell", "args")
+    __slots__ = _fields + ("__weakref__",)
 
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"Coh({self.head!r}, {self.cell!r}, {self.args!r})"
+    def __new__(cls, head: Tree, cell: "Type", args: "Sub"):
+        key = (head, cell, args)
+        t = _COHS.get(key)
+        if t is None:
+            if len(args) != ctx_len(head):
+                raise KernelError(f"coherence over {head} needs {ctx_len(head)} "
+                                  f"arguments, got {len(args)}")
+            t = object.__new__(Coh)
+            object.__setattr__(t, "head", head)
+            object.__setattr__(t, "cell", cell)
+            object.__setattr__(t, "args", args)
+            _COHS[key] = t
+        return t
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,69 +133,28 @@ class Star(Type):
 STAR = Star()
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
-class Arrow(Type):
-    src: Term
-    base: Type
-    tgt: Term
-    _hash: int = field(init=False, repr=False, default=0)
+class Arrow(Type, _Interned):
+    """Arrow type ``src -> tgt`` over ``base``."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((Arrow, self.src, self.base, self.tgt)))
+    _fields = ("src", "base", "tgt")
+    __slots__ = _fields + ("__weakref__",)
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Arrow):
-            return NotImplemented
-        return _syntax_eq(self, other)
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"Arrow({self.src!r}, {self.base!r}, {self.tgt!r})"
+    def __new__(cls, src: Term, base: Type, tgt: Term):
+        key = (src, base, tgt)
+        a = _ARROWS.get(key)
+        if a is None:
+            a = object.__new__(Arrow)
+            object.__setattr__(a, "src", src)
+            object.__setattr__(a, "base", base)
+            object.__setattr__(a, "tgt", tgt)
+            _ARROWS[key] = a
+        return a
 
 
-def _syntax_eq(x, y) -> bool:
-    """Structural equality of two distinct terms or types.
-
-    One loop over pairs of subterms on an explicit stack, so that deep
-    terms compare without deep recursion.  Only pairs that are not the
-    same object are pushed, and most unequal pairs are told apart by
-    their cached hashes; variables are interned, so two distinct ones
-    are unequal.
-    """
-    todo = []
-    while True:
-        cls = type(x)
-        if cls is not type(y):
-            return False
-        if cls is Coh:
-            if x._hash != y._hash or x.head != y.head:
-                return False
-            if x.cell is not y.cell:
-                todo.append((x.cell, y.cell))
-            xs, ys = x.args, y.args
-            # most argument pairs share every entry: rule that out in C
-            if not all(map(is_, xs, ys)):
-                for p, q in zip(xs, ys):
-                    if p is not q:
-                        todo.append((p, q))
-        elif cls is Arrow:
-            if x._hash != y._hash:
-                return False
-            if x.src is not y.src:
-                todo.append((x.src, y.src))
-            if x.base is not y.base:
-                todo.append((x.base, y.base))
-            if x.tgt is not y.tgt:
-                todo.append((x.tgt, y.tgt))
-        elif cls is not Star:
-            return False
-        if not todo:
-            return True
-        x, y = todo.pop()
+# the live coherences and arrows, keyed by their components; an entry
+# goes when its term does
+_COHS = WeakValueDictionary()
+_ARROWS = WeakValueDictionary()
 
 
 # Substitutions are dense positional vectors: entry i is the image of

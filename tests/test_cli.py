@@ -45,7 +45,7 @@ def test_too_deep_to_parse_is_a_resource_limit(capsys, tmp_path):
 
 
 def test_too_deep_to_normalize_is_located_at_its_declaration(capsys, tmp_path):
-    # parses, but elaborating it runs out of stack
+    # parses and elaborates, but normalizing it runs out of stack
     path = tmp_path / "deep.catt"
     path.write_text("# a 600-arrow chain\n" + _left_nested_comp(600)
                     + "normalize (x(f)y) | comp f (id y)\n")
@@ -53,6 +53,14 @@ def test_too_deep_to_normalize_is_located_at_its_declaration(capsys, tmp_path):
     assert code == 1
     assert err == f"{path}:2:1: ResourceLimit: term nests too deeply\n"
     assert out == "f\n"  # the next declaration still runs
+
+
+def test_an_800_deep_chain_checks(capsys, tmp_path):
+    # deep enough to overflow an elaborator that takes two frames per level
+    path = tmp_path / "deep.catt"
+    path.write_text(_left_nested_comp(800))
+    code, out, err = _run(capsys, "check", str(path))
+    assert (code, err) == (0, "")
 
 
 def test_a_450_deep_chain_normalizes(capsys, tmp_path):

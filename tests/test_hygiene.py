@@ -14,6 +14,8 @@ from pathlib import Path
 
 import pytest
 
+from semistrict.syntax import Arrow, Coh
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "semistrict"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -164,3 +166,35 @@ def test_every_kernel_name_is_used_outside_its_definition():
                 continue
             unused.append(f"{path.stem}.{name}")
     assert not unused, f"defined but used only by tests or not at all: {', '.join(unused)}"
+
+
+def _object_new_calls(path):
+    """(class name, enclosing function) of each ``object.__new__(X)`` call."""
+    out = []
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else fn
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "__new__"
+                    and isinstance(child.func.value, ast.Name) and child.func.value.id == "object"
+                    and child.args):
+                arg = child.args[0]
+                out.append((arg.attr if isinstance(arg, ast.Attribute) else getattr(arg, "id", None),
+                            fn))
+            visit(child, inner)
+
+    visit(_parse(path), None)
+    return out
+
+
+def test_interned_terms_are_made_only_by_their_constructors():
+    # a Coh or Arrow made any other way would bypass the intern table,
+    # and identity would no longer be syntactic equality
+    files = MODULES + BENCH + sorted((ROOT / "tests").glob("*.py"))
+    made = [(p.name, cls, fn) for p in files for cls, fn in _object_new_calls(p)
+            if cls in ("Coh", "Arrow")]
+    assert sorted(made) == [("syntax.py", "Arrow", "__new__"), ("syntax.py", "Coh", "__new__")]
+    # neither class, nor a base, defines __eq__ or __hash__
+    for cls in (Coh, Arrow):
+        assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__

@@ -1,11 +1,13 @@
+import copy
+import gc
 import pickle
 
 import pytest
 from hypothesis import given, strategies as st
 
 from semistrict.syntax import (
-    STAR, Arrow, Coh, Context, KernelError, Var, apply_sub_term, compose,
-    dim_type, free_vars, id_sub, support,
+    _ARROWS, _COHS, STAR, Arrow, Coh, Context, KernelError, Var,
+    apply_sub_term, compose, dim_type, free_vars, id_sub, support,
 )
 from semistrict.trees import disc, tree_to_ctx
 from semistrict.unbiased import identity_term, unbiased_coh, unbiased_type
@@ -111,9 +113,15 @@ def test_context_equality_ignores_names():
 
 
 def test_coh_rejects_wrong_arity():
-    with pytest.raises(KernelError):
-        Coh(((), ()), unbiased_type(1, CHAIN1), id_sub(3))
-    Coh(CHAIN1, unbiased_type(1, CHAIN1), id_sub(3))
+    cell = unbiased_type(1, CHAIN1)
+    before = len(_COHS)
+    # on every attempt, since a rejected term is never interned
+    for _ in range(3):
+        with pytest.raises(KernelError):
+            Coh(((), ()), cell, id_sub(3))
+    assert (((), ()), cell, id_sub(3)) not in _COHS
+    assert len(_COHS) == before
+    Coh(CHAIN1, cell, id_sub(3))
 
 
 def test_var_is_interned():
@@ -141,10 +149,38 @@ def _deep_chain(n: int):
     return t
 
 
-def test_deep_terms_compare_without_recursion():
+def test_deep_terms_built_twice_are_one_object():
     a, b = _deep_chain(2000), _deep_chain(2000)
-    assert a is not b
-    assert a == b and hash(a) == hash(b)
-    assert Arrow(a, STAR, b) == Arrow(b, STAR, a)
+    assert a is b
+    assert Arrow(a, STAR, b) is Arrow(b, STAR, a)
     assert {a: 1}[b] == 1
-    assert a != _deep_chain(1999)
+    assert _deep_chain(1999) is not a
+    assert a.args[2] is _deep_chain(1999)
+
+
+def test_pickled_terms_unpickle_to_the_live_object(comp_fg):
+    arrow = Arrow(comp_fg, Arrow(Var(0), STAR, Var(3)), comp_fg)
+    for x in (comp_fg, arrow, _deep_chain(50)):
+        assert pickle.loads(pickle.dumps(x)) is x
+    assert copy.deepcopy(arrow) is arrow
+
+
+def test_terms_are_immutable(comp_fg):
+    arrow = comp_fg.cell
+    for x, name in ((comp_fg, "args"), (comp_fg, "head"), (arrow, "src"), (arrow, "base")):
+        with pytest.raises(AttributeError):
+            setattr(x, name, Var(0))
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+
+
+def test_unreferenced_terms_leave_the_intern_tables():
+    gc.collect()
+    cohs, arrows = len(_COHS), len(_ARROWS)
+    # fresh: these arguments and arrows occur nowhere else
+    fresh = [Coh(CHAIN1, Arrow(Var(i), STAR, Var(i + 1)), (Var(i), Var(i + 1), Var(i + 2)))
+             for i in range(5000, 6000)]
+    assert len(_COHS) == cohs + 1000 and len(_ARROWS) == arrows + 1000
+    del fresh
+    gc.collect()
+    assert (len(_COHS), len(_ARROWS)) == (cohs, arrows)
