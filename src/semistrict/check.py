@@ -18,7 +18,6 @@ Inferred types are memoized per (context, term).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .syntax import (
     Arrow, Coh, Context, KernelError, Star, Term, Type, Var,
@@ -32,9 +31,6 @@ from .rewriting import def_eq
 class TypingError(Exception):
     kind: str
     detail: str
-    location: Optional[object] = None
-    expected: object = None
-    actual: object = None
 
     def __str__(self):
         return f"{self.kind}: {self.detail}"
@@ -55,8 +51,7 @@ def check_type(ctx: Context, a: Type) -> None:
         got = infer_term(ctx, t)
         if not def_eq(got, a.base):
             raise TypingError("TypeMismatch",
-                              f"{side} of arrow has type {got!r}, expected {a.base!r}",
-                              expected=a.base, actual=got)
+                              f"{side} of arrow has type {got!r}, expected {a.base!r}")
 
 
 def boundary_support(tree, eps: str, n: int) -> frozenset:
@@ -88,8 +83,7 @@ def _infer(ctx: Context, t: Term) -> Type:
     cell = t.cell
     if not isinstance(cell, Arrow):
         raise TypingError("TypeMismatch",
-                          "a coherence cell must be an arrow type",
-                          expected="arrow type", actual=cell)
+                          "a coherence cell must be an arrow type")
     head = (t.head, cell)
     known = head in _GOOD_HEADS
     # cell, arguments, support: the order a diagnostic reports them in
@@ -108,8 +102,7 @@ def _infer(ctx: Context, t: Term) -> Type:
             raise TypingError(
                 "TypeMismatch",
                 f"argument {i} ({head_ctx.name_of(i)}) has type {got!r}, "
-                f"expected {want!r}",
-                expected=want, actual=got, location=i)
+                f"expected {want!r}")
     if not known:
         _check_support(t.head, head_ctx, cell)
         _GOOD_HEADS.add(head)
@@ -140,5 +133,4 @@ def _check_support(tree, head_ctx: Context, cell: Arrow) -> None:
     raise TypingError(
         "SupportMismatch",
         f"{side} support {fmt(got)} matches neither the {side} boundary "
-        f"{fmt(want)} nor the full context",
-        expected=want, actual=got)
+        f"{fmt(want)} nor the full context")

@@ -35,6 +35,13 @@ def resource_limit(e: Exception) -> str:
     return f"StepBudgetExceeded: {e}"
 
 
+def step_budget(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {n}")
+    return n
+
+
 def build_argparser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="semistrict",
@@ -46,9 +53,13 @@ def build_argparser() -> argparse.ArgumentParser:
                         ("eq", "run all asserteq commands")):
         p = sub.add_parser(name, help=help_)
         p.add_argument("files", nargs="+", metavar="FILE")
+        if name == "check":
+            continue
+        # only the normalizations this command prints or decides trace and
+        # count steps; the conversions run while checking do neither
         p.add_argument("--trace", action="store_true",
                        help="log one-step reductions to stderr")
-        p.add_argument("--step-budget", type=int, default=DEFAULT_BUDGET,
+        p.add_argument("--step-budget", type=step_budget, default=DEFAULT_BUDGET,
                        metavar="N", help="normalizer step budget")
     rep = sub.add_parser("report", help="harness summary statistics as TSV")
     rep.add_argument("--seed", type=int, default=0)
@@ -102,6 +113,8 @@ def run_files(args) -> int:
                 print(f"{path}:{decl.line}:{decl.col}: {resource_limit(e)}",
                       file=sys.stderr)
                 failures += 1
+                continue
+            if args.command == "check":
                 continue
             names = checked.ctx.names
             trace = make_tracer(names) if args.trace else None

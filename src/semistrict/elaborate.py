@@ -83,18 +83,33 @@ class Environment:
         return env
 
 
+def _head_ctx(tree: tuple, names: tuple, line: int, col: int) -> Context:
+    """The context of a pasting tree, under the names its notation gives."""
+    types = tree_to_ctx(tree).types
+    if len(names) != len(types):
+        raise ElabError("ArityMismatch",
+                        f"pasting notation names {len(names)} variables, "
+                        f"context has {len(types)}", line, col)
+    if len(set(names)) != len(names):
+        raise ElabError("DuplicateName",
+                        "pasting notation repeats a variable name", line, col)
+    return Context(tuple(zip(names, types)))
+
+
+def _coh_value(tree: tuple, ctx: Context, tye, env: Environment,
+              line: int, col: int) -> CohValue:
+    """A coherence over ``ctx``, the context of ``tree``: its cell type
+    is elaborated there and must be an arrow."""
+    cell = elaborate_type(tye, ctx, env)
+    if not isinstance(cell, Arrow):
+        raise ElabError("TypeMismatch", "a coherence needs an arrow type",
+                        line, col)
+    return CohValue(tree, cell)
+
+
 def elaborate_ctx(cx, env: Environment) -> Context:
     if isinstance(cx, P.PsCtx):
-        base = tree_to_ctx(cx.tree)
-        if len(cx.names) != len(base):
-            raise ElabError("ArityMismatch",
-                            f"pasting notation names {len(cx.names)} variables, "
-                            f"context has {len(base)}", cx.line, cx.col)
-        if len(set(cx.names)) != len(cx.names):
-            raise ElabError("DuplicateName",
-                            "pasting notation repeats a variable name",
-                            cx.line, cx.col)
-        return Context(tuple(zip(cx.names, base.types)))
+        return _head_ctx(cx.tree, cx.names, cx.line, cx.col)
     ctx = Context(())
     for name, tye, line, col in cx.bindings:
         if name in ctx.names:
@@ -159,16 +174,8 @@ def elaborate_term(e, ctx: Context, env: Environment) -> Term:
 
 
 def _elaborate_coh_literal(e: P.CohE, env: Environment) -> CohValue:
-    head_ctx = Context(tuple(zip(e.names, tree_to_ctx(e.tree).types)))
-    if len(e.names) != len(set(e.names)):
-        raise ElabError("DuplicateName",
-                        "pasting notation repeats a variable name",
-                        e.line, e.col)
-    cell = elaborate_type(e.ty, head_ctx, env)
-    if not isinstance(cell, Arrow):
-        raise ElabError("TypeMismatch", "a coherence needs an arrow type",
-                        e.line, e.col)
-    return CohValue(e.tree, cell)
+    ctx = _head_ctx(e.tree, e.names, e.line, e.col)
+    return _coh_value(e.tree, ctx, e.ty, env, e.line, e.col)
 
 
 def _apply_value(val, args, ctx, env, line, col) -> Term:
@@ -186,7 +193,6 @@ def _infer_sub(src_ctx: Context, lm: tuple, args, ctx: Context,
     """Rebuild the full substitution from locally maximal arguments."""
     n = len(src_ctx)
     bound: List[Optional[Term]] = [None] * n
-    explicit = [False] * n
 
     # distribute the written arguments over the positions
     cursor = 0
@@ -194,13 +200,8 @@ def _infer_sub(src_ctx: Context, lm: tuple, args, ctx: Context,
         if cursor >= len(args):
             break
         term, braced = args[cursor]
-        if pos in lm:
+        if pos in lm or braced:
             bound[pos] = term
-            explicit[pos] = True
-            cursor += 1
-        elif braced:
-            bound[pos] = term
-            explicit[pos] = True
             cursor += 1
     if cursor != len(args):
         supplied = len([1 for _, b in args if not b])
@@ -259,8 +260,7 @@ class CheckedDecl:
 def process_decl(decl, env: Environment) -> CheckedDecl:
     if isinstance(decl, P.CohDecl):
         ctx = elaborate_ctx(decl.ps, env)
-        val = _elaborate_coh_literal(
-            P.CohE(decl.ps.tree, ctx.names, decl.ty, decl.line, decl.col), env)
+        val = _coh_value(decl.ps.tree, ctx, decl.ty, env, decl.line, decl.col)
         # validate through the checker against the identity instantiation
         term = Coh(val.tree, val.cell, id_sub(len(ctx)))
         infer_term(ctx, term)

@@ -34,15 +34,17 @@ class HeightMismatch(Exception):
     """Trunk height of the argument tree is below the branch height."""
 
 
-class NotRedex(Exception):
-    """Substitution splice attempted outside an insertion point."""
-
-
 Branch = tuple
 
 
 def branch_height(p: Branch) -> int:
     return len(p) - 1
+
+
+def _require_trunk(s: Tree, p: Branch, t: Tree):
+    if branch_height(p) > trunk_height(t):
+        raise HeightMismatch(
+            f"cannot insert {t} at branch {p} of {s}: trunk too short")
 
 
 @lru_cache(maxsize=None)
@@ -96,9 +98,7 @@ class InsertionRedex:
 
 
 def inserted_tree(s: Tree, p: Branch, t: Tree) -> Tree:
-    if branch_height(p) > trunk_height(t):
-        raise HeightMismatch(
-            f"cannot insert {t} at branch {p} of {s}: trunk too short")
+    _require_trunk(s, p, t)
     k = p[0]
     if len(p) == 1:
         return s[:k] + t + s[k + 1:]
@@ -110,9 +110,7 @@ def _descend(s: Tree, p: Branch, t: Tree):
     """One pass down P: the interior substitution, then for the exterior
     one the position of the innermost block's target point, that block
     and T's innermost tree."""
-    if branch_height(p) > trunk_height(t):
-        raise HeightMismatch(
-            f"cannot insert {t} at branch {p} of {s}: trunk too short")
+    _require_trunk(s, p, t)
     poles, off = [], 0
     for k in p[:-1]:
         pts = point_positions(s)
@@ -168,9 +166,7 @@ def inserted_sub(sigma: Sub, p: Branch, tau: Sub, s: Tree, t: Tree) -> Sub:
     its blocks replace block k, above that its one block is spliced
     into block k.
     """
-    if branch_height(p) > trunk_height(t):
-        raise NotRedex(
-            f"branch height {branch_height(p)} exceeds trunk height {trunk_height(t)}")
+    _require_trunk(s, p, t)
     k = p[0]
     pts = point_positions(s)
     lo = block_starts(s)[k]

@@ -7,7 +7,8 @@ Grammar (see README for the full sketch):
            | "def" NAME ctx ":=" tm
            | "normalize" ctx "|" tm
            | "asserteq" ctx "|" tm "=" tm
-    ps    := "(" NAME (("(" entry ")") NAME)* ")" | bracket tree
+    ps    := "(" NAME (("(" entry ")") NAME)* ")" | tree
+    tree  := "[" (tree | ",")* "]"
     ctx   := ps | binding+        binding := "(" NAME ":" ty ")" | "{...}"
     ty    := "*" | tm ("->" | "=>") tm
     tm    := NAME atom* | "coh" "(" ps ":" ty ")" atom*
@@ -22,7 +23,7 @@ import re
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .trees import parse_bracket, tree_to_ctx
+from .trees import tree_to_ctx
 
 
 class ParseError(Exception):
@@ -236,8 +237,8 @@ class Parser:
     def parse_ps(self) -> PsCtx:
         t = self.peek()
         if t.text == "[":
-            tree, names = self.parse_tree_literal()
-            return PsCtx(tree, names, t.line, t.col)
+            tree = self.parse_tree()
+            return PsCtx(tree, tree_to_ctx(tree).names, t.line, t.col)
         self.expect("(")
         tree, names = self.parse_ps_level()
         self.expect(")")
@@ -265,29 +266,22 @@ class Parser:
                 names.append(points[i + 2])
         return tree, tuple(names)
 
-    def parse_tree_literal(self) -> Tuple[tuple, tuple]:
-        t = self.peek()
-        depth = 0
-        text = []
+    def parse_tree(self) -> tuple:
+        """tree := "[" (tree | ",")* "]"; the commas are optional."""
+        self.expect("[")
+        children = []
         while True:
-            tok = self.peek()
-            if tok.text == "[":
-                depth += 1
-            elif tok.text == "]":
-                depth -= 1
-            elif tok.text == ",":
-                pass
+            t = self.peek()
+            if t.text == "]":
+                self.next()
+                return tuple(children)
+            if t.text == "[":
+                children.append(self.parse_tree())
+            elif t.text == ",":
+                self.next()
             else:
-                raise ParseError(tok.line, tok.col,
-                                 f"found {tok.text!r} inside a tree literal")
-            text.append(self.next().text)
-            if depth == 0:
-                break
-        try:
-            tree = parse_bracket("".join(text))
-        except ValueError as e:
-            raise ParseError(t.line, t.col, str(e)) from None
-        return tree, tree_to_ctx(tree).names
+                raise ParseError(t.line, t.col, f"found {t.text or 'end of file'!r} "
+                                 "inside a tree literal")
 
     # -- contexts
 

@@ -260,10 +260,6 @@ class Normalizer:
         self.type_memo[a] = out
         return out
 
-    def sub(self, s: Sub, path: tuple = ()) -> Sub:
-        return tuple(self.term(t, path + (("entry", i),))
-                     for i, t in enumerate(s))
-
 
 def normalize(x, budget: int = DEFAULT_BUDGET,
               trace: Optional[TraceFn] = None):
@@ -272,8 +268,6 @@ def normalize(x, budget: int = DEFAULT_BUDGET,
         return nz.term(x)
     if isinstance(x, (Star, Arrow)):
         return nz.type(x)
-    if isinstance(x, tuple):
-        return nz.sub(x)
     raise KernelError(f"not syntax: {x!r}")
 
 
@@ -288,7 +282,7 @@ def normalize_first_step(x, budget: int = DEFAULT_BUDGET):
         x = steps[0].result
 
 
-def def_eq(a, b, budget: int = DEFAULT_BUDGET) -> bool:
+def def_eq(a, b) -> bool:
     """Definitional equality: syntactic equality of normal forms.
 
     Terms and types are interned (syntax.py), so for them each ``==``
@@ -297,4 +291,4 @@ def def_eq(a, b, budget: int = DEFAULT_BUDGET) -> bool:
     forms themselves are remembered for the life of the process
     (``_NF_TERMS``, ``_NF_TYPES``), keyed by identity.
     """
-    return a == b or normalize(a, budget) == normalize(b, budget)
+    return a == b or normalize(a) == normalize(b)

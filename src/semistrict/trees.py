@@ -1,16 +1,23 @@
 """Planar rooted trees as pasting contexts.
 
 A tree is a plain tuple of subtrees; ``()`` generates the singleton
-context.  ``tree_to_ctx`` realises a tree as a context by suspending
-each child and gluing the results at their poles, so the variable
-layout of ``tree_to_ctx(T)`` for ``T = (T0, .., Tn-1)`` is
+context.  The context of ``T = (T0, .., Tn-1)`` has the layout
 
     p0  p1  B0  p2  B1  ...  pn  Bn-1
 
 where the ``p``s are the 0-dimensional gluing points and ``Bi`` is the
-suspended block of child ``i``.  All positional bookkeeping in this
-module (point positions, block starts, inclusion substitutions) refers
-to that layout.
+layout of child ``i``, one dimension up: its points have type
+``p_i -> p_i+1``.  All positional bookkeeping in this module and in
+``insertion`` (point positions, block starts, inclusion substitutions)
+refers to that layout, and ``tree_to_ctx`` and ``tree_inc`` build
+contexts and boundary inclusions by one walk over it.
+
+``Bi`` is also child ``i``'s own context, suspended and glued in at
+its poles, which is how the paper defines it.  No construction here
+suspends, but the suspension functions stay: they lift a whole term,
+context or substitution one dimension up, as the benchmark's
+dimension-2 chains need (and suspension at application will), and
+the tests check the walks against the definitions by suspension.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from functools import lru_cache
 
 from .syntax import (
     STAR, Arrow, Coh, Context, KernelError, Star, Sub, Term, Tree, Type, Var,
-    apply_sub_term, apply_sub_type, ctx_len, dim_type,
+    ctx_len, dim_type,
 )
 
 
@@ -76,16 +83,6 @@ def block_starts(t: Tree) -> tuple:
     return tuple(bs)
 
 
-@lru_cache(maxsize=None)
-def child_incl(t: Tree, i: int) -> Sub:
-    """Inclusion of the suspension of child i into tree_to_ctx(t)."""
-    pts = point_positions(t)
-    bs = block_starts(t)
-    vec = [Var(pts[i]), Var(pts[i + 1])]
-    vec.extend(Var(bs[i] + j) for j in range(ctx_len(t[i])))
-    return tuple(vec)
-
-
 # --- suspension -----------------------------------------------------------
 
 def suspend_tree(t: Tree) -> Tree:
@@ -108,8 +105,8 @@ def suspend_sub(s: Sub) -> Sub:
     return (Var(0), Var(1)) + tuple(suspend_term(t) for t in s)
 
 
-def suspend_ctx(ctx: Context, poles=("N", "S")) -> Context:
-    entries = [(poles[0], STAR), (poles[1], STAR)]
+def suspend_ctx(ctx: Context) -> Context:
+    entries = [("N", STAR), ("S", STAR)]
     entries.extend((n, suspend_type(ty)) for n, ty in ctx.entries)
     return Context(tuple(entries))
 
@@ -141,17 +138,18 @@ def _auto_names(types) -> tuple:
 
 @lru_cache(maxsize=None)
 def tree_to_ctx(t: Tree) -> Context:
-    if not t:
-        return Context((("x", STAR),))
-    types = [None] * ctx_len(t)
-    for p in point_positions(t):
-        types[p] = STAR
-    bs = block_starts(t)
-    for i, c in enumerate(t):
-        inc = child_incl(t, i)
-        sub_ctx = tree_to_ctx(c)
-        for j in range(len(sub_ctx)):
-            types[bs[i] + j] = apply_sub_type(suspend_type(sub_ctx.type_of(j)), inc)
+    types = []
+
+    def walk(node: Tree, base: Type):
+        src = len(types)
+        types.append(base)
+        for c in node:
+            tgt = len(types)
+            types.append(base)
+            walk(c, Arrow(Var(src), base, Var(tgt)))
+            src = tgt
+
+    walk(t, STAR)
     return Context(tuple(zip(_auto_names(types), types)))
 
 
@@ -169,27 +167,26 @@ def tree_inc(eps: str, n: int, t: Tree) -> Sub:
     """Inclusion of the n-boundary of t into tree_to_ctx(t).
 
     Every surviving position maps to its counterpart; a leaf created by
-    the truncation maps to the eps-most n-dimensional boundary variable
-    of the subtree it replaced.
+    the truncation maps to the eps-most point of the subtree it replaced,
+    its first (-) or last (+) n-dimensional variable.
     """
     if eps not in ("-", "+"):
         raise KernelError(f"bad direction {eps!r}")
-    if n <= 0:
-        pos = 0 if eps == "-" else point_positions(t)[-1]
-        return (Var(pos),)
-    if not t:
-        return (Var(0),)
-    b = tree_bd(n, t)
-    out = [None] * ctx_len(b)
-    bpts, bbs = point_positions(b), block_starts(b)
-    tpts = point_positions(t)
-    for j in range(len(t) + 1):
-        out[bpts[j]] = Var(tpts[j])
-    for i, c in enumerate(t):
-        inc = child_incl(t, i)
-        rec = tree_inc(eps, n - 1, c)
-        for j, term in enumerate(rec):
-            out[bbs[i] + j] = apply_sub_term(suspend_term(term), inc)
+    out = []
+
+    def walk(node: Tree, m: int, pos: int):
+        # pos is the position of node's first point in t's layout
+        if m <= 0 or not node:
+            out.append(Var(pos if eps == "-" else pos + point_positions(node)[-1]))
+            return
+        out.append(Var(pos))
+        for c in node:
+            pos += 1
+            out.append(Var(pos))
+            walk(c, m - 1, pos + 1)
+            pos += ctx_len(c)
+
+    walk(t, n, 0)
     return tuple(out)
 
 
@@ -197,29 +194,3 @@ def tree_inc(eps: str, n: int, t: Tree) -> Sub:
 
 def bracket(t: Tree) -> str:
     return "[" + ",".join(bracket(c) for c in t) + "]"
-
-
-def parse_bracket(s: str) -> Tree:
-    """Parse bracket notation; commas optional, whitespace ignored."""
-    stack = []
-    cur = None
-    for ch in s:
-        if ch.isspace() or ch == ",":
-            continue
-        if ch == "[":
-            stack.append([])
-        elif ch == "]":
-            if not stack:
-                raise ValueError("unbalanced ']' in tree literal")
-            done = tuple(stack.pop())
-            if stack:
-                stack[-1].append(done)
-            else:
-                if cur is not None:
-                    raise ValueError("trailing content after tree literal")
-                cur = done
-        else:
-            raise ValueError(f"unexpected {ch!r} in tree literal")
-    if stack or cur is None:
-        raise ValueError("unterminated tree literal")
-    return cur

@@ -4,8 +4,10 @@ from pathlib import Path
 import pytest
 
 from semistrict.cli import main
+from semistrict.rewriting import clear_caches
 
 DATA = Path(__file__).parent / "data"
+CORPUS = Path(__file__).parent.parent / "corpus"
 
 
 def _run(capsys, *argv):
@@ -80,6 +82,30 @@ def test_a_disabled_rule_is_a_usage_error(capsys):
                           str(DATA / "bad_parse.catt"))
     assert code == 2
     assert out == "" and "--no-rule" in err
+
+
+@pytest.mark.parametrize("argv", [
+    # check normalizes nothing it prints or decides: nothing to trace or bound
+    ["check", "--trace"],
+    ["check", "--step-budget", "5"],
+    ["normalize", "--step-budget", "-3"],
+    ["eq", "--step-budget", "-3"],
+])
+def test_misused_normalizer_options_are_usage_errors(capsys, argv):
+    code, out, err = _run(capsys, *argv, str(CORPUS / "basics.catt"))
+    assert code == 2
+    assert out == "" and argv[1] in err
+
+
+def test_a_step_budget_counts_every_step(capsys, tmp_path):
+    clear_caches()  # a remembered normal form takes no steps
+    path = tmp_path / "unit.catt"
+    path.write_text("normalize (x(f)y) | comp f (id y)\n")
+    code, out, err = _run(capsys, "normalize", "--step-budget", "0", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith(f"{path}:1:1: StepBudgetExceeded: ")
+    # an insertion, then a disc removal
+    assert _run(capsys, "normalize", "--step-budget", "2", str(path)) == (0, "f\n", "")
 
 
 def test_equal_deep_chains_in_one_run_normalize(capsys, tmp_path):

@@ -105,6 +105,16 @@ def test_inference_failure(env, src, where):
     assert _error(env, src) == ("InferenceFailure", *where)
 
 
+@pytest.mark.parametrize("src, where", [
+    # a declared coherence of type *, at the declaration
+    ("coh c (x) : *", (1, 1)),
+    # a coh literal of type *, at the literal
+    ("normalize (x) | coh (a : *) x", (1, 17)),
+])
+def test_a_coherence_needs_an_arrow_type(env, src, where):
+    assert _error(env, src) == ("TypeMismatch", *where)
+
+
 def test_an_error_leaves_the_environment_unchanged(env):
     with pytest.raises(ElabError):
         _elaborate(env, "def d (x(f)y) := comp f f")

@@ -1,11 +1,14 @@
 """Static hygiene of the package.
 
 Every import is used, ``harness`` (generators, oracles and metatheory
-helpers) stays out of the kernel, and every top-level name in a kernel
-module has a use outside its own definition.
+helpers) stays out of the kernel, every top-level name in a kernel
+module has a use outside its own definition, and every kernel name the
+traced benchmark patches by string exists.
 """
 
 import ast
+import importlib
+import importlib.util
 import os
 import re
 import subprocess
@@ -198,3 +201,22 @@ def test_interned_terms_are_made_only_by_their_constructors():
     # neither class, nor a base, defines __eq__ or __hash__
     for cls in (Coh, Arrow):
         assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
+
+
+def test_every_name_the_traced_benchmark_patches_resolves(monkeypatch):
+    # bench/tracing.py names the functions it wraps by string, so a kernel
+    # refactor that drops one breaks only a --trace 1 run; catch it here
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for mod, attr, cls, _ in tracing.WRAPS:
+        owner = importlib.import_module(mod)
+        if cls:
+            owner = getattr(owner, cls, None)
+        if not callable(getattr(owner, attr, None)):
+            missing.append(f"{mod}.{cls}.{attr}" if cls else f"{mod}.{attr}")
+    assert not missing, f"bench/tracing.py wraps names that are gone: {', '.join(missing)}"
+    state = tracing.kernel_state()
+    assert {"nf_entries", "infer_entries", "trees", "unbiased"} <= set(state)

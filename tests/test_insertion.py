@@ -7,12 +7,12 @@ from semistrict.syntax import (
     STAR, Arrow, Coh, Var, apply_sub_term, compose, id_sub,
 )
 from semistrict.trees import (
-    block_starts, child_incl, ctx_len, disc, is_linear, point_positions,
+    block_starts, ctx_len, disc, is_linear, point_positions,
     suspend_sub, suspend_term, suspend_type, tree_dim, tree_to_ctx,
     trunk_height,
 )
 from semistrict.insertion import (
-    HeightMismatch, NotRedex, branch_height, branch_table, exterior_sub,
+    HeightMismatch, branch_height, branch_table, exterior_sub,
     find_redexes, inserted_sub, inserted_tree, interior_sub,
     locally_maximal_positions,
 )
@@ -25,6 +25,7 @@ from semistrict.harness import (
 )
 
 from conftest import CHAIN2, CHAIN3
+from test_trees import child_incl
 
 NESTED = (((), ()), ())  # [[[],[]],[]]
 
@@ -171,7 +172,7 @@ def test_inserted_sub_flat_splice(f_then_gh):
 
 
 def test_inserted_sub_rejects_bad_height():
-    with pytest.raises(NotRedex):
+    with pytest.raises(HeightMismatch):
         inserted_sub(id_sub(ctx_len(NESTED)), (0, 0), id_sub(5), NESTED, ((), ()))
 
 

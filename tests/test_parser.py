@@ -83,6 +83,7 @@ def test_several_declarations_keep_their_own_positions():
     ("normalize (x) | x ->", 1, 19, "found '->'", ("coh", "def", "normalize", "asserteq")),
     ("def coh (x) := x", 1, 5, "found 'coh'", ("a name",)),
     ("asserteq | x = x", 1, 10, "found '|'", ("a context",)),
+    ("normalize [[]", 1, 14, "found 'end of file' inside a tree literal", ()),
 ])
 def test_parse_errors_are_located(src, line, col, msg, expected):
     with pytest.raises(ParseError) as info:

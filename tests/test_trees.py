@@ -1,14 +1,15 @@
 import pytest
 
 from semistrict.syntax import (
-    STAR, Arrow, Context, Var, apply_sub_term, dim_type, free_vars, id_sub,
-    support,
+    STAR, Arrow, Context, Var, apply_sub_term, apply_sub_type, dim_type,
+    free_vars, id_sub, support,
 )
 from semistrict.trees import (
-    block_starts, bracket, ctx_len, disc, is_linear, parse_bracket,
+    _auto_names, block_starts, bracket, ctx_len, disc, is_linear,
     point_positions, suspend_ctx, suspend_sub, suspend_term, suspend_tree,
     suspend_type, tree_bd, tree_dim, tree_inc, tree_to_ctx, trunk_height,
 )
+from semistrict.parser import parse
 from semistrict.harness import (
     NotPastingError, bd_support_oracle, ctx_to_tree, enumerate_trees,
     pasting_oracle,
@@ -178,6 +179,71 @@ def test_pasting_oracle_agrees_on_trees():
 
 def test_bracket_roundtrip():
     for t in enumerate_trees(6):
-        assert parse_bracket(bracket(t)) == t
-    assert parse_bracket("[[ ] [ ]]") == CHAIN2
-    assert parse_bracket("[[],[]]") == CHAIN2
+        [d] = parse(f"normalize {bracket(t)} | x")
+        assert (d.ctx.tree, d.ctx.names) == (t, tree_to_ctx(t).names)
+    for src in ("[[ ] [ ]]", "[[],[]]", "[,[],,[],]"):
+        [d] = parse(f"normalize {src} | x")
+        assert d.ctx.tree == CHAIN2
+
+
+# --- the definitions by suspension, as references for the layout walks ------
+
+def child_incl(t, i):
+    """Inclusion of the suspension of child i into tree_to_ctx(t)."""
+    pts = point_positions(t)
+    bs = block_starts(t)
+    vec = [Var(pts[i]), Var(pts[i + 1])]
+    vec.extend(Var(bs[i] + j) for j in range(ctx_len(t[i])))
+    return tuple(vec)
+
+
+def tree_to_ctx_by_suspension(t):
+    """Each child's block is its own context, suspended and included."""
+    if not t:
+        return Context((("x", STAR),))
+    types = [None] * ctx_len(t)
+    for p in point_positions(t):
+        types[p] = STAR
+    bs = block_starts(t)
+    for i, c in enumerate(t):
+        inc = child_incl(t, i)
+        sub_ctx = tree_to_ctx_by_suspension(c)
+        for j in range(len(sub_ctx)):
+            types[bs[i] + j] = apply_sub_type(suspend_type(sub_ctx.type_of(j)), inc)
+    return Context(tuple(zip(_auto_names(types), types)))
+
+
+def tree_inc_by_suspension(eps, n, t):
+    """Each child's inclusion one level down, suspended and included."""
+    if n <= 0:
+        pos = 0 if eps == "-" else point_positions(t)[-1]
+        return (Var(pos),)
+    if not t:
+        return (Var(0),)
+    b = tree_bd(n, t)
+    out = [None] * ctx_len(b)
+    bpts, bbs = point_positions(b), block_starts(b)
+    tpts = point_positions(t)
+    for j in range(len(t) + 1):
+        out[bpts[j]] = Var(tpts[j])
+    for i, c in enumerate(t):
+        inc = child_incl(t, i)
+        rec = tree_inc_by_suspension(eps, n - 1, c)
+        for j, term in enumerate(rec):
+            out[bbs[i] + j] = apply_sub_term(suspend_term(term), inc)
+    return tuple(out)
+
+
+def test_layout_walks_match_the_definitions_by_suspension():
+    trees = list(enumerate_trees(8))  # every tree of at most 7 edges
+    assert len(trees) == 626
+    inclusions = 0
+    for t in trees:
+        ctx = tree_to_ctx(t)
+        ref = tree_to_ctx_by_suspension(t)
+        assert (ctx.types, ctx.names) == (ref.types, ref.names), t
+        for n in range(tree_dim(t) + 2):
+            for eps in "-+":
+                assert tree_inc(eps, n, t) == tree_inc_by_suspension(eps, n, t), (t, n, eps)
+                inclusions += 1
+    assert inclusions == 6660
