@@ -12,22 +12,40 @@ P's path, a linear block with its target point, is replaced by a window
 onto T's innermost tree.  Every variable before that block keeps its
 position and every variable after it keeps its distance from the end.
 So the interior and exterior substitutions are flat splices of runs of
-variables around that block, at every branch height.  The paper defines
-both by induction on branch height through suspension; the splices
-agree with it because suspension commutes with unbiased types,
+variables around that block, at every branch height, and all three
+splices need only P's positions in S's context (``branch_at``): the
+poles of P's blocks, the innermost block's target point and the branch
+variable.  The paper defines the substitutions by induction on branch
+height through suspension; the splices agree with it because
+suspension commutes with unbiased types,
 ``suspend_type(unbiased_type(n, t)) == unbiased_type(n + 1, (t,))``.
+
+A head's redexes are found by one scan (``find_redexes``) and then
+carried from each head to the next (``carry_redexes``).  Outside the
+spliced block every branch keeps its argument, its branch height and
+its leaf height, so each later redex only moves: its positions after
+the block by the change in arity, its child index at the block's level
+by the block's change in width.  The block itself adds no redex when
+the inserted argument is a non-identity composite: that argument is
+normal, so none of its own branches is a redex, and each of them keeps
+its argument and heights in the new head.  An identity is the
+exception.  Inserting it lowers its block's dimension by one, so the
+one branch it leaves behind has a new argument (the cell the identity
+is on) or, when the block goes altogether and its parent keeps a single
+linear child, a shorter canonical branch; that one branch is examined
+again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple, Optional
 
 from .syntax import (
-    Coh, Sub, Term, Tree, Var, apply_sub_type, ctx_len, dim_type, id_sub,
+    Coh, Sub, Term, Tree, apply_sub_term, ctx_len, dim_type, id_sub,
 )
-from .trees import block_starts, is_linear, point_positions, tree_dim, trunk_height
-from .unbiased import disc_sub, is_identity, unbiased_type
+from .trees import is_linear, point_positions, tree_dim, trunk_height
+from .unbiased import is_identity, unbiased_type
 
 
 class HeightMismatch(Exception):
@@ -88,40 +106,75 @@ def locally_maximal_positions(t: Tree) -> tuple:
     return tuple(v for _, v, _ in branch_table(t))
 
 
-@dataclass(frozen=True)
-class InsertionRedex:
+class InsertionRedex(NamedTuple):
+    """Branch P of the head tree S, whose argument inserts the tree T.
+
+    ``outer`` are the head's arguments and ``inner`` the inserted
+    argument's.  ``at`` are P's positions in S's context as
+    ``branch_at`` gives them, or None for each splice to find them.
+    """
+
     S: Tree
     P: Branch
     T: Tree
-    outer: Sub  # from S's context into the ambient context
-    inner: Sub  # from T's context into the ambient context
+    outer: Sub
+    inner: Sub
+    at: Optional[tuple] = None
 
 
-def inserted_tree(s: Tree, p: Branch, t: Tree) -> Tree:
-    _require_trunk(s, p, t)
+def _graft(s: Tree, p: Branch, t: Tree) -> Tree:
     k = p[0]
     if len(p) == 1:
         return s[:k] + t + s[k + 1:]
     # bh >= 1 forces t = (t0,)
-    return s[:k] + (inserted_tree(s[k], p[1:], t[0]),) + s[k + 1:]
+    return s[:k] + (_graft(s[k], p[1:], t[0]),) + s[k + 1:]
 
 
-def _descend(s: Tree, p: Branch, t: Tree):
-    """One pass down P: the interior substitution, then for the exterior
-    one the position of the innermost block's target point, that block
-    and T's innermost tree."""
+def inserted_tree(s: Tree, p: Branch, t: Tree) -> Tree:
     _require_trunk(s, p, t)
-    poles, off = [], 0
-    for k in p[:-1]:
+    return _graft(s, p, t)
+
+
+@lru_cache(maxsize=None)
+def branch_at(s: Tree, p: Branch) -> tuple:
+    """P's positions in S's context: the source and target points of
+    block p[i] at each level i, then the branch variable.
+
+    The innermost block is linear, a disc of 2d+1 variables between its
+    target point and the branch variable.  Cached: scans meet the same
+    few head trees again and again.
+    """
+    out, off = [], 0
+    for k in p:
         pts = point_positions(s)
-        poles += (Var(off + pts[k]), Var(off + pts[k + 1]))
-        off += block_starts(s)[k]
-        s, t = s[k], t[0]
-    k = p[-1]
-    pts = point_positions(s)
-    a = off + pts[k + 1]
-    iota = tuple(poles) + (Var(off + pts[k]),) + id_sub(a + ctx_len(t) - 1)[a:]
-    return iota, a, s[k], t
+        out += (off + pts[k], off + pts[k + 1])
+        off += pts[k + 1] + 1  # a block starts just after its target point
+        s = s[k]
+    out.append(off + ctx_len(s) - 1)
+    return tuple(out)
+
+
+def _checked_at(s: Tree, p: Branch, t: Tree, at: Optional[tuple]) -> tuple:
+    """``at`` if given (a redex's positions, whose trunk was checked
+    when it was found), else P's positions after the trunk check."""
+    if at is not None:
+        return at
+    _require_trunk(s, p, t)
+    return branch_at(s, p)
+
+
+def _innermost(p: Branch, t: Tree) -> Tree:
+    """T's tree at P's innermost level: T has a trunk that tall."""
+    for _ in p[1:]:
+        t = t[0]
+    return t
+
+
+def _window(at: tuple, inner: Tree) -> Sub:
+    # the poles, then a run from the innermost block's target point
+    a = at[-2]
+    vs = id_sub(a + ctx_len(inner) - 1)
+    return tuple([vs[x] for x in at[:-2]]) + vs[a:]
 
 
 def interior_sub(s: Tree, p: Branch, t: Tree) -> Sub:
@@ -133,10 +186,11 @@ def interior_sub(s: Tree, p: Branch, t: Tree) -> Sub:
     induction on branch height, which suspends the interior
     substitution one level down and includes it as child p[0].
     """
-    return _descend(s, p, t)[0]
+    return _window(_checked_at(s, p, t, None), _innermost(p, t))
 
 
-def exterior_sub(s: Tree, p: Branch, t: Tree) -> Sub:
+def exterior_sub(s: Tree, p: Branch, t: Tree, at: Optional[tuple] = None,
+                 dim: Optional[int] = None) -> Sub:
     """S's context into the inserted tree's, by splicing three runs.
 
     Before the innermost block's target point every variable keeps its
@@ -146,36 +200,67 @@ def exterior_sub(s: Tree, p: Branch, t: Tree) -> Sub:
     the last 2d+2 entries of the disc substitution of the unbiased cell
     ``Coh(T, U, iota)``, ``U = unbiased_type(leaf_height, T)``.
 
+    Only those entries are built: the block's boundary in T, pushed
+    along iota, then the cell itself.  ``dim``, when given, is the
+    dimension of the type the result will act on.  A type mentions only
+    variables of lower dimension, so when ``dim`` is at most the leaf
+    height the branch variable's image, that cell, is not built and
+    None stands in its place.
+
     The paper defines this by induction on branch height through
     suspension; the splice agrees at every height because suspension
     commutes with unbiased types:
     ``suspend_type(unbiased_type(n, t)) == unbiased_type(n + 1, (t,))``.
     """
-    iota, a, block, inner = _descend(s, p, t)
-    m = ctx_len(block)
-    ty = unbiased_type(len(p) + (m - 1) // 2, t)
-    cell = disc_sub(apply_sub_type(ty, iota), Coh(t, ty, iota))
-    nr = ctx_len(s) + ctx_len(inner) - m - 2
-    return id_sub(a) + cell[-m - 1:] + id_sub(nr)[a + ctx_len(inner) - 1:]
+    at = _checked_at(s, p, t, at)
+    inner = _innermost(p, t)
+    iota = _window(at, inner)
+    a, v = at[-2], at[-1]
+    m = v - a  # the block's 2d+1 variables
+    lh = len(p) + (m - 1) // 2
+    ty = unbiased_type(lh, t)
+    # U's iterated boundary from the top down to P's innermost level
+    pieces, level = [], ty
+    for _ in range(m // 2):
+        pieces += (level.tgt, level.src)
+        level = level.base
+    pieces.append(level.tgt)
+    block = [apply_sub_term(x, iota) for x in reversed(pieces)]
+    block.append(Coh(t, ty, iota) if dim is None or dim > lh else None)
+    b = a + ctx_len(inner) - 1  # the first position after the window
+    return id_sub(a) + tuple(block) + id_sub(b + ctx_len(s) - v - 1)[b:]
 
 
-def inserted_sub(sigma: Sub, p: Branch, tau: Sub, s: Tree, t: Tree) -> Sub:
+def inserted_sub(sigma: Sub, p: Branch, tau: Sub, s: Tree, t: Tree,
+                 at: Optional[tuple] = None) -> Sub:
     """Splice tau's entries over sigma's at branch p.
 
-    tau's points replace sigma's points k and k+1; at branch height 0
-    its blocks replace block k, above that its one block is spliced
-    into block k.
+    tau's poles replace sigma's at each level and the rest of tau
+    replaces the innermost block with its target point: at branch
+    height 0 tau's blocks replace block k, above that its one block is
+    spliced into block k.
     """
-    _require_trunk(s, p, t)
-    k = p[0]
-    pts = point_positions(s)
-    lo = block_starts(s)[k]
-    hi = lo + ctx_len(s[k])
-    if len(p) == 1:
-        mid = tau[1:]
-    else:
-        mid = (tau[1],) + inserted_sub(sigma[lo:hi], p[1:], tau[2:], s[k], t[0])
-    return sigma[:pts[k]] + (tau[0],) + sigma[pts[k] + 1:pts[k + 1]] + mid + sigma[hi:]
+    at = _checked_at(s, p, t, at)
+    out = list(sigma[:at[-2]])
+    for i, x in enumerate(at[:-2]):
+        out[x] = tau[i]
+    return tuple(out) + tau[len(at) - 2:] + sigma[at[-1] + 1:]
+
+
+def _inserts(arg: Coh, p: Branch, lh: int) -> bool:
+    """Whether the coherence at branch p, of leaf height lh, makes an
+    insertion redex there."""
+    # the cell's dimension first: matching the unbiased type hashes arg's tree
+    if dim_type(arg.cell) != lh:
+        return False
+    t = arg.head
+    if arg.cell != unbiased_type(lh, t):
+        return False
+    d = tree_dim(t)
+    # only unbiased composites and identities insert
+    if not (lh == d or (lh == d + 1 and is_linear(t))):
+        return False
+    return len(p) - 1 <= trunk_height(t)
 
 
 def find_redexes(term: Term):
@@ -186,17 +271,67 @@ def find_redexes(term: Term):
     out = []
     for p, v, lh in branch_table(s):
         arg = args[v]
-        # the cell's dimension first: matching the unbiased type hashes arg's tree
-        if not isinstance(arg, Coh) or dim_type(arg.cell) != lh:
-            continue
-        t = arg.head
-        if arg.cell != unbiased_type(lh, t):
-            continue
-        d = tree_dim(t)
-        # only unbiased composites and identities insert
-        if not (lh == d or (lh == d + 1 and is_linear(t))):
-            continue
-        if branch_height(p) > trunk_height(t):
-            continue
-        out.append(InsertionRedex(s, p, t, args, arg.args))
+        if isinstance(arg, Coh) and _inserts(arg, p, lh):
+            out.append(InsertionRedex(s, p, arg.head, args, arg.args, branch_at(s, p)))
+    return out
+
+
+def _left_behind(s: Tree, p: Branch, at: tuple, inner: Tree, delta: int):
+    """(branch, positions) of the branch an identity inserted at p
+    leaves behind in the new tree s, or None.
+
+    A nonempty window is a disc one dimension down, at p itself.  An
+    empty one removes the block, and if that leaves its parent with a
+    single linear child, that child's canonical branch shortens to the
+    first prefix of p whose subtree is now linear.
+    """
+    if inner:
+        return p, at[:-1] + (at[-1] + delta,)
+    node = s
+    for i, k in enumerate(p[:-1]):
+        node = node[k]
+        if is_linear(node):
+            # the same block p[i], now linear, ends in the sibling's variable
+            return p[:i + 1], at[:2 * i + 2] + (at[2 * i + 1] + ctx_len(node),)
+    return None
+
+
+def carry_redexes(redexes: list, term: Coh) -> list:
+    """The insertion redexes of ``term``, the result of applying
+    ``redexes[0]`` to the head whose redexes those are, without a scan.
+
+    Equal to ``find_redexes(term)`` (so an identity has none) when the
+    inserted argument is normal, as every argument is where the
+    normalizer inserts; see the module docstring.
+    """
+    r = redexes[0]
+    p, at, t = r.P, r.at, r.T
+    a, v = at[-2], at[-1]
+    # an identity: a linear tree one dimension below the leaf height
+    identity = is_linear(t) and len(p) + (v - a - 1) // 2 == trunk_height(t) + 1
+    rest = redexes[1:]
+    if not (identity or rest) or is_identity(term):
+        return []
+    s, args = term.head, term.args
+    h = len(p) - 1
+    inner = _innermost(p, t)
+    delta = len(args) - len(r.outer)
+    out = []
+    if rest:
+        # where the block's target point, the next block's source, lands
+        moved = a - 1 + point_positions(inner)[-1] if inner else at[-3]
+        for q in rest:
+            qp = q.P
+            if qp[:h] == p[:h]:  # the next block at p's level: shift past the window
+                qp = qp[:h] + (qp[h] + len(inner) - 1,) + qp[h + 1:]
+            qat = tuple(x if x < a else x + delta if x > a else moved for x in q.at)
+            out.append(InsertionRedex(s, qp, q.T, args, q.inner, qat))
+    if identity:
+        left = _left_behind(s, p, at, inner, delta)
+        if left is not None:
+            lp, lat = left
+            out = [q for q in out if q.P[:len(lp)] != lp]
+            arg = args[lat[-1]]
+            if isinstance(arg, Coh) and _inserts(arg, lp, len(lp) + (lat[-1] - lat[-2] - 1) // 2):
+                out.insert(0, InsertionRedex(s, lp, arg.head, args, arg.args, lat))
     return out

@@ -15,12 +15,13 @@ from typing import Callable, Iterator, List, Optional, Tuple
 
 from .syntax import (
     Arrow, Coh, KernelError, Star, Sub, Term, Type, Var,
-    apply_sub_term, apply_sub_type,
+    apply_sub_term, apply_sub_type, dim_type,
 )
 from .trees import bracket, is_linear, tree_dim
 from .unbiased import identity_term, is_identity, unbiased_type
 from .insertion import (
-    InsertionRedex, exterior_sub, find_redexes, inserted_sub, inserted_tree,
+    InsertionRedex, carry_redexes, exterior_sub, find_redexes, inserted_sub,
+    inserted_tree,
 )
 
 
@@ -82,9 +83,11 @@ def endo_coherence_removal(t: Term) -> Optional[Term]:
 
 
 def apply_insertion(t: Coh, r: InsertionRedex) -> Term:
-    kappa = exterior_sub(r.S, r.P, r.T)
+    # with a found redex's positions the splices skip the trunk check,
+    # so it runs once, in inserted_tree
+    kappa = exterior_sub(r.S, r.P, r.T, r.at, dim_type(t.cell))
     return Coh(inserted_tree(r.S, r.P, r.T), apply_sub_type(t.cell, kappa),
-               inserted_sub(r.outer, r.P, r.inner, r.S, r.T))
+               inserted_sub(r.outer, r.P, r.inner, r.S, r.T, r.at))
 
 
 def _insertion_detail(r: InsertionRedex) -> str:
@@ -92,12 +95,17 @@ def _insertion_detail(r: InsertionRedex) -> str:
             f"-> {bracket(inserted_tree(r.S, r.P, r.T))}")
 
 
-def head_steps(t: Term) -> Iterator[Tuple[str, Term, Optional[InsertionRedex]]]:
-    """(rule, reduct, insertion redex or None) for each head step of ``t``.
+def head_steps(t: Term, redexes: Optional[list] = None
+               ) -> Iterator[Tuple[str, Term, Optional[list]]]:
+    """(rule, reduct, redexes) for each head step of ``t``.
 
     Lazily, in rule priority order: disc removal, endo-coherence
     removal, then each insertion redex.  This is the one place that
-    states the priority.
+    states the priority.  For an insertion, ``redexes`` are its redex
+    and the ones after it in branch order, from which the reduct's are
+    carried; for a removal, None.  Given ``redexes``, ``t``'s insertion
+    redexes are those instead of a scan's, which runs only when no
+    removal applies.
     """
     if not isinstance(t, Coh):
         return
@@ -107,8 +115,10 @@ def head_steps(t: Term) -> Iterator[Tuple[str, Term, Optional[InsertionRedex]]]:
     r = endo_coherence_removal(t)
     if r is not None:
         yield "endo-coherence-removal", r, None
-    for rdx in find_redexes(t):
-        yield "insertion", apply_insertion(t, rdx), rdx
+    if redexes is None:
+        redexes = find_redexes(t)
+    for i, rdx in enumerate(redexes):
+        yield "insertion", apply_insertion(t, rdx), redexes[i:]
 
 
 # --- one-step reduction ------------------------------------------------------
@@ -127,8 +137,8 @@ def one_step_term(t: Term) -> List[ReductionStep]:
     if not isinstance(t, Coh):
         return []
     steps = [ReductionStep(rule, (), t, r, r,
-                           "" if rdx is None else _insertion_detail(rdx))
-             for rule, r, rdx in head_steps(t)]
+                           "" if rdxs is None else _insertion_detail(rdxs[0]))
+             for rule, r, rdxs in head_steps(t)]
     for st in one_step_type(t.cell):
         steps.append(replace(st, path=("cell",) + st.path,
                              result=Coh(t.head, st.result, t.args)))
@@ -173,8 +183,8 @@ class _Budget:
     def __init__(self, n: int):
         self.left = n
 
-    def spend(self):
-        self.left -= 1
+    def spend(self, n: int = 1):
+        self.left -= n
         if self.left < 0:
             raise StepBudgetExceeded(
                 "step budget exhausted; reduction should always terminate")
@@ -183,7 +193,10 @@ class _Budget:
 TraceFn = Callable[[ReductionStep], None]
 
 # normal forms are context independent, so they cache globally: one memo
-# per table, held in a dict whose values bench/tracing.py sums over
+# per table, held in a dict whose values bench/tracing.py sums over.  A
+# memo maps a term or type to its normal form and the steps it took,
+# which every hit spends again, so a normalization spends the same
+# steps whatever the memo holds
 _NF_TERMS: dict = {"sua": {}}
 _NF_TYPES: dict = {"sua": {}}
 
@@ -210,29 +223,37 @@ class Normalizer:
             return t
         hit = self.term_memo.get(t)
         if hit is not None:
-            return hit
+            nf, cost = hit
+            if cost:
+                self.budget.spend(cost)
+            return nf
+        left = self.budget.left
         out = self._term(t, path)
-        self.term_memo[t] = out
+        self.term_memo[t] = (out, left - self.budget.left)
         return out
 
     def _term(self, t: Coh, path: tuple) -> Term:
-        # a loop, not a generator expression: two frames per nesting level
+        # a loop, not a generator expression: two frames per nesting level;
+        # variables are normal, so only coherences need a call and a path
         args = []
         for i, a in enumerate(t.args):
-            args.append(self.term(a, path + (("arg", i),)))
+            args.append(a if isinstance(a, Var) else self.term(a, path + (("arg", i),)))
         cell = self.type(t.cell, path + ("cell",))
         cur = Coh(t.head, cell, tuple(args))
-        reducts = []  # insertion reducts met on the way, all sharing the result
+        # cur's insertion redexes: the first head is scanned, each later
+        # one's are carried over from the head before
+        redexes = None
+        reducts = []  # (insertion reduct, steps left before its cell), all sharing the result
         while True:
-            step = next(head_steps(cur), None)
+            step = next(head_steps(cur, redexes), None)
             if step is None:
                 break
-            rule, nxt, rdx = step
+            rule, nxt, redexes = step
             self.budget.spend()
             if self.trace is not None:
-                detail = "" if rdx is None else _insertion_detail(rdx)
+                detail = "" if redexes is None else _insertion_detail(redexes[0])
                 self.trace(ReductionStep(rule, path, cur, nxt, nxt, detail))
-            if rdx is None:
+            if redexes is None:
                 # a removal can expose further redexes anywhere in the result
                 cur = self.term(nxt, path)
                 break
@@ -240,12 +261,16 @@ class Normalizer:
             # substitutions, so only its cell can be unnormalized
             hit = self.term_memo.get(nxt)
             if hit is not None:
-                cur = hit
+                cur, cost = hit
+                if cost:
+                    self.budget.spend(cost)
                 break
-            reducts.append(nxt)
-            cur = Coh(nxt.head, self.type(nxt.cell, path + ("cell",)), nxt.args)
-        for r in reducts:
-            self.term_memo[r] = cur
+            reducts.append((nxt, self.budget.left))
+            cell = self.type(nxt.cell, path + ("cell",))
+            cur = nxt if cell is nxt.cell else Coh(nxt.head, cell, nxt.args)
+            redexes = carry_redexes(redexes, cur)
+        for r, left in reducts:
+            self.term_memo[r] = (cur, left - self.budget.left)
         return cur
 
     def type(self, a: Type, path: tuple = ()) -> Type:
@@ -253,11 +278,15 @@ class Normalizer:
             return a
         hit = self.type_memo.get(a)
         if hit is not None:
-            return hit
+            nf, cost = hit
+            if cost:
+                self.budget.spend(cost)
+            return nf
+        left = self.budget.left
         out = Arrow(self.term(a.src, path + ("src",)),
                     self.type(a.base, path + ("base",)),
                     self.term(a.tgt, path + ("tgt",)))
-        self.type_memo[a] = out
+        self.type_memo[a] = (out, left - self.budget.left)
         return out
 
 

@@ -4,7 +4,6 @@ from pathlib import Path
 import pytest
 
 from semistrict.cli import main
-from semistrict.rewriting import clear_caches
 
 DATA = Path(__file__).parent / "data"
 CORPUS = Path(__file__).parent.parent / "corpus"
@@ -98,7 +97,6 @@ def test_misused_normalizer_options_are_usage_errors(capsys, argv):
 
 
 def test_a_step_budget_counts_every_step(capsys, tmp_path):
-    clear_caches()  # a remembered normal form takes no steps
     path = tmp_path / "unit.catt"
     path.write_text("normalize (x(f)y) | comp f (id y)\n")
     code, out, err = _run(capsys, "normalize", "--step-budget", "0", str(path))
@@ -106,6 +104,31 @@ def test_a_step_budget_counts_every_step(capsys, tmp_path):
     assert err.startswith(f"{path}:1:1: StepBudgetExceeded: ")
     # an insertion, then a disc removal
     assert _run(capsys, "normalize", "--step-budget", "2", str(path)) == (0, "f\n", "")
+
+
+# whose elaboration normalizes comp f (id y) to bind vert's middle arrow
+_VERT = "normalize (x : *) (y : *) (f : x -> y) (a : f -> f) (b : comp f (id y) -> f) | vert a b\n"
+_UNIT = "normalize (x(f)y) | comp f (id y)\n"
+
+
+@pytest.mark.parametrize("budget", ["0", "1", "2"])
+def test_a_step_budget_verdict_does_not_depend_on_earlier_declarations(capsys, tmp_path, budget):
+    # a remembered normal form spends the steps it took, so each
+    # declaration's verdict is the same in either order
+    verdicts = []
+    for name, decls in (("vu.catt", [_VERT, _UNIT]), ("uv.catt", [_UNIT, _VERT])):
+        path = tmp_path / name
+        path.write_text("".join(decls))
+        _, out, err = _run(capsys, "normalize", "--step-budget", budget, str(path))
+        lines = iter(out.splitlines())
+        got = {}
+        for line, decl in enumerate(decls, 1):
+            failed = f"{path}:{line}:1: StepBudgetExceeded: " in err
+            got[decl] = "exceeded" if failed else next(lines)
+        verdicts.append(got)
+    assert verdicts[0] == verdicts[1]
+    unit = verdicts[0][_UNIT]
+    assert unit == ("exceeded" if budget in ("0", "1") else "f")
 
 
 def test_equal_deep_chains_in_one_run_normalize(capsys, tmp_path):
