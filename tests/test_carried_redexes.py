@@ -60,7 +60,7 @@ def _inserts_at(s, p, t):
     return (tree_dim(t) == lh or t == disc(lh - 1)) and trunk_height(t) >= len(p) - 1
 
 
-def test_found_redexes_carry_their_positions():
+def test_branch_positions_end_in_the_branch_variable():
     for s, p, _ in enumerate_insertion_points(5):
         v = [v for q, v, _ in branch_table(s) if q == p][0]
         at = branch_at(s, p)
