@@ -296,13 +296,13 @@ def leaf_height(s: Tree, p: Branch) -> int:
 
 def canonical_branches(t: Tree) -> tuple:
     """One branch per locally maximal variable, in lexicographic order."""
-    return tuple(p for p, _, _ in branch_table(t))
+    return tuple(row[0] for row in branch_table(t))
 
 
 def branch_var(s: Tree, p: Branch) -> int:
     """Context position of the locally maximal variable the branch names."""
     # every branch extends exactly one canonical branch, naming its variable
-    for q, v, _ in branch_table(s):
+    for q, v, _, _ in branch_table(s):
         if p[:len(q)] == q:
             return v
     raise KernelError(f"{p} is not a branch of {s}")

@@ -13,9 +13,9 @@ onto T's innermost tree.  Every variable before that block keeps its
 position and every variable after it keeps its distance from the end.
 So the interior and exterior substitutions are flat splices of runs of
 variables around that block, at every branch height, and all three
-splices need only P's positions in S's context (``branch_at``): the
-poles of P's blocks, the innermost block's target point and the branch
-variable.  The paper defines the substitutions by induction on branch
+splices need only P's positions in S's context (``branch_at``, or a
+``branch_table`` row for a canonical branch): the poles of P's blocks,
+the innermost block's target point and the branch variable.  The paper defines the substitutions by induction on branch
 height through suspension; the splices agree with it because
 suspension commutes with unbiased types,
 ``suspend_type(unbiased_type(n, t)) == unbiased_type(n + 1, (t,))``.
@@ -42,7 +42,8 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .syntax import (
-    Coh, Sub, Term, Tree, apply_sub_term, ctx_len, dim_type, id_sub,
+    Coh, Sub, Term, Tree, Type, apply_sub_term, apply_sub_type, ctx_len,
+    dim_type, id_sub,
 )
 from .trees import is_linear, point_positions, tree_dim, trunk_height
 from .unbiased import is_identity, unbiased_type
@@ -67,7 +68,8 @@ def _require_trunk(s: Tree, p: Branch, t: Tree):
 
 @lru_cache(maxsize=None)
 def branch_table(t: Tree) -> tuple:
-    """(branch, variable position, leaf height) per canonical branch.
+    """(branch, variable position, leaf height, positions) per canonical
+    branch, the positions as ``branch_at`` gives them.
 
     One walk in branch (lexicographic) order: a child whose subtree is
     linear ends a canonical branch at the top variable of its block,
@@ -75,23 +77,25 @@ def branch_table(t: Tree) -> tuple:
     """
     out = []
 
-    def walk(node: Tree, path: Branch, pos: int) -> int:
-        # pos is the position of node's first point; returns the one after its context
-        pos += 1
+    def walk(node: Tree, path: Branch, src: int, poles: tuple) -> int:
+        # src is the position of node's first point; returns the one after its context
+        tgt = src + 1
         for k, c in enumerate(node):
-            pos += 1  # the point before block k
-            p = path + (k,)
+            # block k lies between the points at src and tgt, its variables after tgt
+            p, at = path + (k,), poles + (src, tgt)
             d, leaf = 0, c
             while len(leaf) == 1:
                 leaf, d = leaf[0], d + 1
             if leaf:
-                pos = walk(c, p, pos)
+                end = walk(c, p, tgt + 1, at)
             else:  # a linear block: a disc of 2d+1 variables
-                out.append((p, pos + 2 * d, len(p) + d))
-                pos += 2 * d + 1
-        return pos
+                v = tgt + 1 + 2 * d
+                out.append((p, v, len(p) + d, at + (v,)))
+                end = v + 1
+            src, tgt = tgt, end
+        return tgt
 
-    walk(t, (), 0)
+    walk(t, (), 0, ())
     return tuple(out)
 
 
@@ -103,7 +107,7 @@ def locally_maximal_positions(t: Tree) -> tuple:
     """
     if not t:
         return (0,)
-    return tuple(v for _, v, _ in branch_table(t))
+    return tuple(row[1] for row in branch_table(t))
 
 
 class InsertionRedex(NamedTuple):
@@ -135,14 +139,14 @@ def inserted_tree(s: Tree, p: Branch, t: Tree) -> Tree:
     return _graft(s, p, t)
 
 
-@lru_cache(maxsize=None)
 def branch_at(s: Tree, p: Branch) -> tuple:
     """P's positions in S's context: the source and target points of
     block p[i] at each level i, then the branch variable.
 
     The innermost block is linear, a disc of 2d+1 variables between its
-    target point and the branch variable.  Cached: scans meet the same
-    few head trees again and again.
+    target point and the branch variable.  A redex has its canonical
+    branch's positions from its head's ``branch_table`` row; this walk
+    serves any branch, for the splices called without them.
     """
     out, off = [], 0
     for k in p:
@@ -190,7 +194,7 @@ def interior_sub(s: Tree, p: Branch, t: Tree) -> Sub:
 
 
 def exterior_sub(s: Tree, p: Branch, t: Tree, at: Optional[tuple] = None,
-                 dim: Optional[int] = None) -> Sub:
+                 cell: Optional[Type] = None):
     """S's context into the inserted tree's, by splicing three runs.
 
     Before the innermost block's target point every variable keeps its
@@ -201,11 +205,11 @@ def exterior_sub(s: Tree, p: Branch, t: Tree, at: Optional[tuple] = None,
     ``Coh(T, U, iota)``, ``U = unbiased_type(leaf_height, T)``.
 
     Only those entries are built: the block's boundary in T, pushed
-    along iota, then the cell itself.  ``dim``, when given, is the
-    dimension of the type the result will act on.  A type mentions only
-    variables of lower dimension, so when ``dim`` is at most the leaf
-    height the branch variable's image, that cell, is not built and
-    None stands in its place.
+    along iota, then the cell itself.  Given ``cell``, a type over S,
+    the result is instead ``cell`` pushed along the substitution.  A
+    type mentions only variables below its dimension, so when that is
+    at most the leaf height the branch variable's image, the unbiased
+    cell, is not built.
 
     The paper defines this by induction on branch height through
     suspension; the splice agrees at every height because suspension
@@ -226,9 +230,11 @@ def exterior_sub(s: Tree, p: Branch, t: Tree, at: Optional[tuple] = None,
         level = level.base
     pieces.append(level.tgt)
     block = [apply_sub_term(x, iota) for x in reversed(pieces)]
-    block.append(Coh(t, ty, iota) if dim is None or dim > lh else None)
+    # cell never reads the branch variable's entry when it is left as None
+    block.append(Coh(t, ty, iota) if cell is None or dim_type(cell) > lh else None)
     b = a + ctx_len(inner) - 1  # the first position after the window
-    return id_sub(a) + tuple(block) + id_sub(b + ctx_len(s) - v - 1)[b:]
+    kappa = id_sub(a) + tuple(block) + id_sub(b + ctx_len(s) - v - 1)[b:]
+    return kappa if cell is None else apply_sub_type(cell, kappa)
 
 
 def inserted_sub(sigma: Sub, p: Branch, tau: Sub, s: Tree, t: Tree,
@@ -269,10 +275,10 @@ def find_redexes(term: Term):
         return []
     s, args = term.head, term.args
     out = []
-    for p, v, lh in branch_table(s):
+    for p, v, lh, at in branch_table(s):
         arg = args[v]
         if isinstance(arg, Coh) and _inserts(arg, p, lh):
-            out.append(InsertionRedex(s, p, arg.head, args, arg.args, branch_at(s, p)))
+            out.append(InsertionRedex(s, p, arg.head, args, arg.args, at))
     return out
 
 

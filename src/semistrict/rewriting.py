@@ -15,7 +15,7 @@ from typing import Callable, Iterator, List, Optional, Tuple
 
 from .syntax import (
     Arrow, Coh, KernelError, Star, Sub, Term, Type, Var,
-    apply_sub_term, apply_sub_type, dim_type,
+    apply_sub_term, apply_sub_type,
 )
 from .trees import bracket, is_linear, tree_dim
 from .unbiased import identity_term, is_identity, unbiased_type
@@ -85,8 +85,7 @@ def endo_coherence_removal(t: Term) -> Optional[Term]:
 def apply_insertion(t: Coh, r: InsertionRedex) -> Term:
     # with a found redex's positions the splices skip the trunk check,
     # so it runs once, in inserted_tree
-    kappa = exterior_sub(r.S, r.P, r.T, r.at, dim_type(t.cell))
-    return Coh(inserted_tree(r.S, r.P, r.T), apply_sub_type(t.cell, kappa),
+    return Coh(inserted_tree(r.S, r.P, r.T), exterior_sub(r.S, r.P, r.T, r.at, t.cell),
                inserted_sub(r.outer, r.P, r.inner, r.S, r.T, r.at))
 
 
@@ -193,20 +192,31 @@ class _Budget:
 TraceFn = Callable[[ReductionStep], None]
 
 # normal forms are context independent, so they cache globally: one memo
-# per table, held in a dict whose values bench/tracing.py sums over.  A
-# memo maps a term or type to its normal form and the steps it took,
-# which every hit spends again, so a normalization spends the same
-# steps whatever the memo holds
+# per table, held in a dict whose values bench/tracing.py sums over.
+# _NF_NEXT maps each remembered term whose normalization took a head step
+# to that step's reduct, the next term it normalized
 _NF_TERMS: dict = {"sua": {}}
 _NF_TYPES: dict = {"sua": {}}
+_NF_NEXT: dict = {}
 
 
 def clear_caches():
     _NF_TERMS["sua"].clear()
     _NF_TYPES["sua"].clear()
+    _NF_NEXT.clear()
 
 
 class Normalizer:
+    """One normalization, spending the steps a cold run would take.
+
+    A cold run takes each head step once, at the first term or type
+    whose normalization needs it; a later meeting with that term or
+    type is a memo hit.  So a remembered normal form that this run has
+    not yet met spends the steps of its own remembered normalization
+    (``_spend_remembered``) except those this run has already spent,
+    and the steps spent depend only on what is normalized.
+    """
+
     def __init__(self, budget: int = DEFAULT_BUDGET,
                  trace: Optional[TraceFn] = None):
         self.budget = _Budget(budget)
@@ -214,22 +224,47 @@ class Normalizer:
         if trace is None:
             self.term_memo = _NF_TERMS["sua"]
             self.type_memo = _NF_TYPES["sua"]
+            self.next_memo = _NF_NEXT
         else:
             self.term_memo = {}
             self.type_memo = {}
+            self.next_memo = {}
+        self.met = set()  # unnormal terms and types normalized or spent for here
+
+    def _spend_remembered(self, x):
+        # a cold run would normalize x's unnormal arguments and cell (or
+        # its arrow's parts), then each term its head steps lead to
+        met, todo = self.met, [x]
+        while todo:
+            x = todo.pop()
+            if isinstance(x, Coh):
+                nf, parts = self.term_memo.get(x), x.args + (x.cell,)
+            elif isinstance(x, Arrow):
+                nf, parts = self.type_memo.get(x), (x.src, x.base, x.tgt)
+            else:
+                continue
+            # not remembered: an argument of an insertion reduct, normal
+            if nf is None or nf is x or x in met:
+                continue
+            met.add(x)
+            nxt = self.next_memo.get(x)
+            if nxt is not None:
+                self.budget.spend()
+                todo.append(nxt)
+            todo.extend(parts)
 
     def term(self, t: Term, path: tuple = ()) -> Term:
         if isinstance(t, Var):
             return t
-        hit = self.term_memo.get(t)
-        if hit is not None:
-            nf, cost = hit
-            if cost:
-                self.budget.spend(cost)
+        nf = self.term_memo.get(t)
+        if nf is not None:
+            if nf is not t and t not in self.met:
+                self._spend_remembered(t)
             return nf
-        left = self.budget.left
         out = self._term(t, path)
-        self.term_memo[t] = (out, left - self.budget.left)
+        self.term_memo[t] = out
+        if out is not t:
+            self.met.add(t)
         return out
 
     def _term(self, t: Coh, path: tuple) -> Term:
@@ -243,13 +278,15 @@ class Normalizer:
         # cur's insertion redexes: the first head is scanned, each later
         # one's are carried over from the head before
         redexes = None
-        reducts = []  # (insertion reduct, steps left before its cell), all sharing the result
+        key = t  # the term whose normalization takes cur's head step
+        reducts = []  # insertion reducts met on the way, all sharing the result
         while True:
             step = next(head_steps(cur, redexes), None)
             if step is None:
                 break
             rule, nxt, redexes = step
             self.budget.spend()
+            self.next_memo[key] = nxt
             if self.trace is not None:
                 detail = "" if redexes is None else _insertion_detail(redexes[0])
                 self.trace(ReductionStep(rule, path, cur, nxt, nxt, detail))
@@ -261,32 +298,35 @@ class Normalizer:
             # substitutions, so only its cell can be unnormalized
             hit = self.term_memo.get(nxt)
             if hit is not None:
-                cur, cost = hit
-                if cost:
-                    self.budget.spend(cost)
+                if hit is not nxt and nxt not in self.met:
+                    self._spend_remembered(nxt)
+                cur = hit
                 break
-            reducts.append((nxt, self.budget.left))
+            reducts.append(nxt)
+            key = nxt
             cell = self.type(nxt.cell, path + ("cell",))
             cur = nxt if cell is nxt.cell else Coh(nxt.head, cell, nxt.args)
             redexes = carry_redexes(redexes, cur)
-        for r, left in reducts:
-            self.term_memo[r] = (cur, left - self.budget.left)
+        for r in reducts:
+            self.term_memo[r] = cur
+            if cur is not r:
+                self.met.add(r)
         return cur
 
     def type(self, a: Type, path: tuple = ()) -> Type:
         if not isinstance(a, Arrow):
             return a
-        hit = self.type_memo.get(a)
-        if hit is not None:
-            nf, cost = hit
-            if cost:
-                self.budget.spend(cost)
+        nf = self.type_memo.get(a)
+        if nf is not None:
+            if nf is not a and a not in self.met:
+                self._spend_remembered(a)
             return nf
-        left = self.budget.left
         out = Arrow(self.term(a.src, path + ("src",)),
                     self.type(a.base, path + ("base",)),
                     self.term(a.tgt, path + ("tgt",)))
-        self.type_memo[a] = (out, left - self.budget.left)
+        self.type_memo[a] = out
+        if out is not a:
+            self.met.add(a)
         return out
 
 

@@ -62,8 +62,8 @@ def _inserts_at(s, p, t):
 
 def test_branch_positions_end_in_the_branch_variable():
     for s, p, _ in enumerate_insertion_points(5):
-        v = [v for q, v, _ in branch_table(s) if q == p][0]
-        at = branch_at(s, p)
+        v, at = [(v, at) for q, v, _, at in branch_table(s) if q == p][0]
+        assert at == branch_at(s, p)
         assert at[-1] == v and len(at) == 2 * len(p) + 1
 
 

@@ -131,6 +131,39 @@ def test_a_step_budget_verdict_does_not_depend_on_earlier_declarations(capsys, t
     assert unit == ("exceeded" if budget in ("0", "1") else "f")
 
 
+_F = "normalize (x : *) (f : x -> x) | "
+_DOUBLING = (["def d0 (x : *) := id x\n"]
+             + [f"def d{n} (x : *) := comp (d{n - 1} x) (d{n - 1} x)\n" for n in range(1, 11)]
+             + ["normalize (x : *) | d10 x\n"])
+
+
+@pytest.mark.parametrize("decls, steps", [
+    # the last term holds the first one twice
+    ([_F + "comp f (id x)\n", _F + "comp (comp f (id x)) (comp f (id x))\n"], 2),
+    # the first two terms' normalizations share comp f (id x)'s steps
+    ([_F + "comp (comp f (id x)) f\n", _F + "comp f (comp f (id x))\n",
+      _F + "comp (comp (comp f (id x)) f) (comp f (comp f (id x)))\n"], 4),
+    # d10 x holds d9 x twice, which holds d8 x twice, and so on
+    (_DOUBLING, 11),
+], ids=["repeated", "overlapping", "doubling"])
+def test_a_step_budget_spends_the_steps_of_a_cold_normalization(capsys, tmp_path, decls, steps):
+    # --trace normalizes with a memo of its own, so its steps are a cold
+    # run's; without it, the last declaration meets normal forms the
+    # earlier ones remembered, and fits a budget just when a cold run does
+    path, before = tmp_path / "all.catt", tmp_path / "before.catt"
+    path.write_text("".join(decls))
+    before.write_text("".join(decls[:-1]))
+    traced = (len(_run(capsys, "normalize", "--trace", str(path))[2].splitlines())
+              - len(_run(capsys, "normalize", "--trace", str(before))[2].splitlines()))
+    assert traced == steps
+    nf = _run(capsys, "normalize", str(path))[1].splitlines()[-1]
+    last = f"{path}:{len(decls)}:1: StepBudgetExceeded: "
+    _, out, err = _run(capsys, "normalize", "--step-budget", str(steps - 1), str(path))
+    assert last in err
+    _, out, err = _run(capsys, "normalize", "--step-budget", str(steps), str(path))
+    assert last not in err and out.splitlines()[-1] == nf
+
+
 def test_equal_deep_chains_in_one_run_normalize(capsys, tmp_path):
     # the second chain's memo lookups meet the first chain's equal keys,
     # which a recursive equality test compares too deeply

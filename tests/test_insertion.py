@@ -4,7 +4,7 @@ from typing import NamedTuple
 import pytest
 
 from semistrict.syntax import (
-    STAR, Arrow, Coh, Var, apply_sub_term, compose, id_sub,
+    STAR, Arrow, Coh, Var, apply_sub_term, apply_sub_type, compose, id_sub,
 )
 from semistrict.trees import (
     block_starts, ctx_len, disc, is_linear, point_positions,
@@ -12,7 +12,7 @@ from semistrict.trees import (
     trunk_height,
 )
 from semistrict.insertion import (
-    HeightMismatch, branch_height, branch_table, exterior_sub,
+    HeightMismatch, branch_at, branch_height, branch_table, exterior_sub,
     find_redexes, inserted_sub, inserted_tree, interior_sub,
     locally_maximal_positions,
 )
@@ -104,7 +104,8 @@ def test_branch_table_matches_leaf_path_walk():
     assert len(trees) == 2056
     for t in trees:
         want = _branch_table_by_leaf_paths(t)
-        assert branch_table(t) == want
+        assert tuple(row[:3] for row in branch_table(t)) == want
+        assert all(at == branch_at(t, p) for p, _, _, at in branch_table(t))
         assert canonical_branches(t) == tuple(p for p, _, _ in want)
         if t:
             assert locally_maximal_positions(t) == tuple(v for _, v, _ in want)
@@ -311,6 +312,18 @@ def test_exterior_sub_matches_loop():
         assert exterior_sub(s, p, t) == _exterior_sub_by_loop(s, p, t), (s, p, t)
         cases += 1
     assert cases == 7865
+
+
+def test_exterior_sub_pushes_a_cell_of_any_dimension():
+    # given a type, exterior_sub leaves out the unbiased cell when the
+    # type's dimension is at most the leaf height; the result is the same
+    for s, p, t in enumerate_insertion_points(5):
+        kappa = exterior_sub(s, p, t)
+        top = unbiased_coh(tree_dim(s), s)
+        cell = Arrow(top, unbiased_type(tree_dim(s), s), top)
+        while isinstance(cell, Arrow):
+            assert exterior_sub(s, p, t, branch_at(s, p), cell) == apply_sub_type(cell, kappa)
+            cell = cell.base
 
 
 def test_pushout_equations_random():
