@@ -194,7 +194,8 @@ TraceFn = Callable[[ReductionStep], None]
 # normal forms are context independent, so they cache globally: one memo
 # per table, held in a dict whose values bench/tracing.py sums over.
 # _NF_NEXT maps each remembered term whose normalization took a head step
-# to that step's reduct, the next term it normalized
+# to that step's reduct, the next term it normalized; so its size is the
+# number of head steps the remembered normalizations took
 _NF_TERMS: dict = {"sua": {}}
 _NF_TYPES: dict = {"sua": {}}
 _NF_NEXT: dict = {}
@@ -209,12 +210,15 @@ def clear_caches():
 class Normalizer:
     """One normalization, spending the steps a cold run would take.
 
-    A cold run takes each head step once, at the first term or type
-    whose normalization needs it; a later meeting with that term or
-    type is a memo hit.  So a remembered normal form that this run has
-    not yet met spends the steps of its own remembered normalization
-    (``_spend_remembered``) except those this run has already spent,
-    and the steps spent depend only on what is normalized.
+    A cold run, with an empty memo, takes each head step once: at the
+    first term or type whose normalization needs it.  A remembered
+    normal form met here for the first time owes the steps of its own
+    normalization that this run has not taken.  Those are at most all
+    the steps remembered, ``len(_NF_NEXT)``, so while that fits in what
+    is left of the budget the debt is only noted.  Otherwise
+    ``_settle`` walks what the owed normalizations met, as a cold run
+    would meet it, and spends each step once.  So the budget trips just
+    when a cold run's would, whatever the memo holds.
     """
 
     def __init__(self, budget: int = DEFAULT_BUDGET,
@@ -229,12 +233,29 @@ class Normalizer:
             self.term_memo = {}
             self.type_memo = {}
             self.next_memo = {}
-        self.met = set()  # unnormal terms and types normalized or spent for here
+        self.met = set()  # unnormal terms and types normalized or owed here
+        self.owing = []  # the remembered ones among them, not yet settled
+        self.settled = set()
 
-    def _spend_remembered(self, x):
-        # a cold run would normalize x's unnormal arguments and cell (or
-        # its arrow's parts), then each term its head steps lead to
-        met, todo = self.met, [x]
+    def _step(self):
+        self.budget.spend()
+        if self.owing and len(self.next_memo) > self.budget.left:
+            self._settle()
+
+    def _remembered(self, x):
+        # x is remembered and not normal
+        if x not in self.met:
+            self.met.add(x)
+            self.owing.append(x)
+            if len(self.next_memo) > self.budget.left:
+                self._settle()
+
+    def _settle(self):
+        # a cold run would normalize each owed term or type, that is its
+        # unnormal arguments and cell (or its arrow's parts), then each
+        # term its head steps lead to; none of them was normalized here
+        todo, self.owing = self.owing, []
+        settled = self.settled
         while todo:
             x = todo.pop()
             if isinstance(x, Coh):
@@ -244,9 +265,10 @@ class Normalizer:
             else:
                 continue
             # not remembered: an argument of an insertion reduct, normal
-            if nf is None or nf is x or x in met:
+            if nf is None or nf is x or x in settled:
                 continue
-            met.add(x)
+            settled.add(x)
+            self.met.add(x)
             nxt = self.next_memo.get(x)
             if nxt is not None:
                 self.budget.spend()
@@ -258,8 +280,8 @@ class Normalizer:
             return t
         nf = self.term_memo.get(t)
         if nf is not None:
-            if nf is not t and t not in self.met:
-                self._spend_remembered(t)
+            if nf is not t:
+                self._remembered(t)
             return nf
         out = self._term(t, path)
         self.term_memo[t] = out
@@ -285,8 +307,8 @@ class Normalizer:
             if step is None:
                 break
             rule, nxt, redexes = step
-            self.budget.spend()
             self.next_memo[key] = nxt
+            self._step()
             if self.trace is not None:
                 detail = "" if redexes is None else _insertion_detail(redexes[0])
                 self.trace(ReductionStep(rule, path, cur, nxt, nxt, detail))
@@ -298,8 +320,8 @@ class Normalizer:
             # substitutions, so only its cell can be unnormalized
             hit = self.term_memo.get(nxt)
             if hit is not None:
-                if hit is not nxt and nxt not in self.met:
-                    self._spend_remembered(nxt)
+                if hit is not nxt:
+                    self._remembered(nxt)
                 cur = hit
                 break
             reducts.append(nxt)
@@ -318,8 +340,8 @@ class Normalizer:
             return a
         nf = self.type_memo.get(a)
         if nf is not None:
-            if nf is not a and a not in self.met:
-                self._spend_remembered(a)
+            if nf is not a:
+                self._remembered(a)
             return nf
         out = Arrow(self.term(a.src, path + ("src",)),
                     self.type(a.base, path + ("base",)),

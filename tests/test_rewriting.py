@@ -211,6 +211,37 @@ def test_step_budget_trips():
         normalize(deep, budget=3, trace=lambda s: None)
 
 
+def _endo_comp(a, b):
+    # over the context (x : *) (f : x -> x)
+    x = Var(0)
+    return Coh(CHAIN2, unbiased_type(1, CHAIN2), (x, x, a, x, b))
+
+
+_UNIT = _endo_comp(Var(1), identity_term(STAR, Var(0)))  # 2 steps to f
+
+
+@pytest.mark.parametrize("warm, term, steps", [
+    # the same unit met twice in one normalization, computed here or remembered
+    ([], _endo_comp(_UNIT, _UNIT), 2),
+    ([_UNIT], _endo_comp(_UNIT, _UNIT), 2),
+    # two remembered normal forms whose normalizations share the unit's steps
+    ([], _endo_comp(_endo_comp(_UNIT, Var(1)), _endo_comp(Var(1), _UNIT)), 4),
+    ([_endo_comp(_UNIT, Var(1)), _endo_comp(Var(1), _UNIT)],
+     _endo_comp(_endo_comp(_UNIT, Var(1)), _endo_comp(Var(1), _UNIT)), 4),
+])
+def test_a_normalization_spends_each_step_once(warm, term, steps):
+    # the steps of a cold run, whatever the memo remembers
+    clear_caches()
+    for t in warm:
+        normalize(t)
+    with pytest.raises(StepBudgetExceeded):
+        normalize(term, budget=steps - 1)
+    assert normalize(term, budget=steps) == normalize(term, trace=lambda s: None)
+    log = []
+    normalize(term, trace=log.append)
+    assert len(log) == steps
+
+
 def test_cell_steps_preserve_sc_non_cell_steps_decrease(f_then_gh):
     a = Arrow(Var(0), STAR, Var(5))
     endo = Coh(CHAIN3, Arrow(f_then_gh, a, f_then_gh), id_sub(7))
