@@ -15,9 +15,10 @@ So the interior and exterior substitutions are flat splices of runs of
 variables around that block, at every branch height, and all three
 splices need only P's positions in S's context (``branch_at``, or a
 ``branch_table`` row for a canonical branch): the poles of P's blocks,
-the innermost block's target point and the branch variable.  The paper defines the substitutions by induction on branch
-height through suspension; the splices agree with it because
-suspension commutes with unbiased types,
+the innermost block's target point and the branch variable.  The paper
+defines the substitutions by induction on branch height through
+suspension; the splices agree with it because suspension commutes with
+unbiased types,
 ``suspend_type(unbiased_type(n, t)) == unbiased_type(n + 1, (t,))``.
 
 A head's redexes are found by one scan (``find_redexes``) and then
