@@ -24,6 +24,7 @@ from .rewriting import (
     DEFAULT_BUDGET, ReductionStep, StepBudgetExceeded,
     normalize,
 )
+from .trees import tree_to_ctx
 
 TOO_DEEP = "ResourceLimit: term nests too deeply"
 
@@ -69,9 +70,12 @@ def build_argparser() -> argparse.ArgumentParser:
 
 
 def make_tracer(names):
+    """Print each step over the names of its context: the declaration's,
+    or a head tree's for a step inside a coherence's cell."""
     def trace(step: ReductionStep):
-        before = fmt_term(step.before, names)
-        after = fmt_term(step.after, names)
+        over = names if step.head is None else tree_to_ctx(step.head).names
+        before = fmt_term(step.before, over)
+        after = fmt_term(step.after, over)
         line = f"{step.rule} @ {step.path_str()}: {before} ==> {after}"
         if step.detail:
             line += f"   [{step.detail}]"

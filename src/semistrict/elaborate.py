@@ -9,7 +9,7 @@ to definitional equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from .syntax import (
@@ -38,14 +38,12 @@ class ElabError(Exception):
 class CohValue:
     tree: tuple
     cell: Type
+    ctx: Context = field(init=False, repr=False)
+    lm_positions: tuple = field(init=False, repr=False)
 
-    @property
-    def ctx(self) -> Context:
-        return tree_to_ctx(self.tree)
-
-    @property
-    def lm_positions(self) -> tuple:
-        return locally_maximal_positions(self.tree)
+    def __post_init__(self):
+        object.__setattr__(self, "ctx", tree_to_ctx(self.tree))
+        object.__setattr__(self, "lm_positions", locally_maximal_positions(self.tree))
 
 
 @dataclass(frozen=True)
@@ -53,13 +51,12 @@ class DefValue:
     ctx: Context
     body: Term
     ty: Type
+    lm_positions: tuple = field(init=False, repr=False)
 
-    @property
-    def lm_positions(self) -> tuple:
-        used = frozenset()
-        for _, ty in self.ctx.entries:
-            used |= free_vars(ty)
-        return tuple(i for i in range(len(self.ctx)) if i not in used)
+    def __post_init__(self):
+        used = free_vars(self.ctx.types)
+        object.__setattr__(self, "lm_positions",
+                           tuple(i for i in range(len(self.ctx)) if i not in used))
 
 
 class Environment:
@@ -112,7 +109,7 @@ def elaborate_ctx(cx, env: Environment) -> Context:
         return _head_ctx(cx.tree, cx.names, cx.line, cx.col)
     ctx = Context(())
     for name, tye, line, col in cx.bindings:
-        if name in ctx.names:
+        if name in ctx.positions:
             raise ElabError("DuplicateName",
                             f"context binds {name!r} twice", line, col)
         ty = elaborate_type(tye, ctx, env)
@@ -136,8 +133,9 @@ def elaborate_type(tye, ctx: Context, env: Environment) -> Type:
 
 def elaborate_term(e, ctx: Context, env: Environment) -> Term:
     if isinstance(e, P.NameE):
-        if e.name in ctx.names:
-            return Var(ctx.names.index(e.name))
+        i = ctx.positions.get(e.name)
+        if i is not None:
+            return Var(i)
         val = env.get(e.name)
         if val is None:
             raise ElabError("UnknownVariable", f"{e.name!r} is not in scope",
@@ -147,7 +145,7 @@ def elaborate_term(e, ctx: Context, env: Environment) -> Term:
         if not e.args:
             return elaborate_term(e.head, ctx, env)
         if isinstance(e.head, P.NameE):
-            if e.head.name in ctx.names:
+            if e.head.name in ctx.positions:
                 raise ElabError("NotApplicable",
                                 f"variable {e.head.name!r} cannot take arguments",
                                 e.line, e.col)
@@ -193,6 +191,7 @@ def _infer_sub(src_ctx: Context, lm: tuple, args, ctx: Context,
     """Rebuild the full substitution from locally maximal arguments."""
     n = len(src_ctx)
     bound: List[Optional[Term]] = [None] * n
+    explicit = set(lm)
 
     # distribute the written arguments over the positions
     cursor = 0
@@ -200,7 +199,7 @@ def _infer_sub(src_ctx: Context, lm: tuple, args, ctx: Context,
         if cursor >= len(args):
             break
         term, braced = args[cursor]
-        if pos in lm or braced:
+        if pos in explicit or braced:
             bound[pos] = term
             cursor += 1
     if cursor != len(args):

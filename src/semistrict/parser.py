@@ -15,6 +15,12 @@ Grammar (see README for the full sketch):
     atom  := NAME | "(" tm ")" | "{" tm "}"
 
 Comments run from '#' to end of line.
+
+The tokenizer is one ``finditer`` pass over one pattern whose
+alternatives are a newline, other whitespace or a comment, an operator,
+a name, and any other character, which is an error.  Only ``\n``
+starts a line, and a column counts characters from the line's start:
+a tab, a carriage return, U+00A0 or U+2028 is whitespace one column wide.
 """
 
 from __future__ import annotations
@@ -37,53 +43,52 @@ class ParseError(Exception):
 
 
 _TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+|\#[^\n]*)
+    (?P<nl>\n)
+  | (?P<ws>[^\S\n]+|\#[^\n]*)
   | (?P<op>:=|->|=>|[():{}|=*\[\],])
   | (?P<name>[A-Za-z_][A-Za-z0-9_']*(?:-[A-Za-z0-9_'][A-Za-z0-9_']*)*)
+  | (?P<bad>.)
 """, re.VERBOSE)
 
 KEYWORDS = {"coh", "def", "normalize", "asserteq"}
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str  # 'op', 'name', 'eof'
-    text: str
-    line: int
-    col: int
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind  # 'op', 'name', 'eof'
+        self.text = text
+        self.line = line
+        self.col = col
 
 
 def tokenize(src: str) -> List[Token]:
     out = []
-    line, col, pos = 1, 1, 0
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if m is None:
-            raise ParseError(line, col, f"unexpected character {src[pos]!r}")
-        text = m.group(0)
-        if m.lastgroup != "ws":
-            out.append(Token(m.lastgroup, text, line, col))
-        nl = text.count("\n")
-        if nl:
-            line += nl
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-        pos = m.end()
-    out.append(Token("eof", "", line, col))
+    line, start = 1, 0  # start: the offset of the current line's first character
+    for m in _TOKEN_RE.finditer(src):
+        kind = m.lastgroup
+        if kind == "op" or kind == "name":
+            out.append(Token(kind, m.group(), line, m.start() - start + 1))
+        elif kind == "nl":
+            line, start = line + 1, m.end()
+        elif kind == "bad":
+            raise ParseError(line, m.start() - start + 1,
+                             f"unexpected character {m.group()!r}")
+    out.append(Token("eof", "", line, len(src) - start + 1))
     return out
 
 
 # --- expression forms -------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class NameE:
     name: str
     line: int
     col: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AppE:
     head: object  # NameE or CohE
     args: tuple   # of (expr, braced: bool)
@@ -91,7 +96,7 @@ class AppE:
     col: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CohE:
     tree: tuple
     names: tuple
@@ -100,13 +105,13 @@ class CohE:
     col: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StarE:
     line: int
     col: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ArrowE:
     lhs: object
     rhs: object
@@ -114,7 +119,7 @@ class ArrowE:
     col: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PsCtx:
     tree: tuple
     names: tuple
@@ -122,14 +127,14 @@ class PsCtx:
     col: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BindCtx:
     bindings: tuple  # of (name, ty expr, line, col)
     line: int
     col: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CohDecl:
     name: str
     ps: PsCtx
@@ -138,7 +143,7 @@ class CohDecl:
     col: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TermDef:
     name: str
     ctx: object
@@ -147,7 +152,7 @@ class TermDef:
     col: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class NormalizeCmd:
     ctx: object
     body: object
@@ -155,7 +160,7 @@ class NormalizeCmd:
     col: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AssertEqCmd:
     ctx: object
     lhs: object

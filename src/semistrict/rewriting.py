@@ -35,6 +35,9 @@ class ReductionStep:
     after: object
     result: object  # the full reduct at the level one_step was called on
     detail: str = ""
+    # before and after are over this tree's context: the head of the
+    # innermost coherence whose cell holds the step, None outside every cell
+    head: Optional[tuple] = None
 
     def path_str(self) -> str:
         if not self.path:
@@ -140,7 +143,8 @@ def one_step_term(t: Term) -> List[ReductionStep]:
              for rule, r, rdxs in head_steps(t)]
     for st in one_step_type(t.cell):
         steps.append(replace(st, path=("cell",) + st.path,
-                             result=Coh(t.head, st.result, t.args)))
+                             result=Coh(t.head, st.result, t.args),
+                             head=t.head if st.head is None else st.head))
     for i, a in enumerate(t.args):
         for st in one_step_term(a):
             new_args = t.args[:i] + (st.result,) + t.args[i + 1:]
@@ -233,6 +237,7 @@ class Normalizer:
             self.term_memo = {}
             self.type_memo = {}
             self.next_memo = {}
+        self.head = None  # the head whose cell is being normalized, as in steps
         self.met = set()  # unnormal terms and types normalized or owed here
         self.owing = []  # the remembered ones among them, not yet settled
         self.settled = set()
@@ -295,7 +300,9 @@ class Normalizer:
         args = []
         for i, a in enumerate(t.args):
             args.append(a if isinstance(a, Var) else self.term(a, path + (("arg", i),)))
+        outer, self.head = self.head, t.head
         cell = self.type(t.cell, path + ("cell",))
+        self.head = outer
         cur = Coh(t.head, cell, tuple(args))
         # cur's insertion redexes: the first head is scanned, each later
         # one's are carried over from the head before
@@ -311,7 +318,7 @@ class Normalizer:
             self._step()
             if self.trace is not None:
                 detail = "" if redexes is None else _insertion_detail(redexes[0])
-                self.trace(ReductionStep(rule, path, cur, nxt, nxt, detail))
+                self.trace(ReductionStep(rule, path, cur, nxt, nxt, detail, outer))
             if redexes is None:
                 # a removal can expose further redexes anywhere in the result
                 cur = self.term(nxt, path)
@@ -326,7 +333,9 @@ class Normalizer:
                 break
             reducts.append(nxt)
             key = nxt
+            self.head = nxt.head
             cell = self.type(nxt.cell, path + ("cell",))
+            self.head = outer
             cur = nxt if cell is nxt.cell else Coh(nxt.head, cell, nxt.args)
             redexes = carry_redexes(redexes, cur)
         for r in reducts:

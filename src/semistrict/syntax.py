@@ -5,11 +5,11 @@ ordered context; display names live on the context and are ignored by
 equality.  All values are immutable and hashable, and every operation
 here is pure.
 
-Variables, coherences and arrows are hash-consed: each constructor
-returns the one live object with the given components, so syntactic
-equality up to renaming is identity, and ``==`` and ``hash`` are those
-of ``object``.  The intern tables hold their terms weakly, so they grow
-only with the live terms.  Building a term hashes and compares its
+Variables, coherences, arrows and ``STAR`` are hash-consed: each
+constructor returns the one live object with the given components, so
+syntactic equality up to renaming is identity, and ``==`` and ``hash``
+are those of ``object``.  The intern tables hold their terms weakly, so
+they grow only with the live terms.  Building a term hashes and compares its
 components, which are themselves interned, by identity; only the head
 tree is a plain tuple that is hashed and compared by value.
 
@@ -22,7 +22,7 @@ substitution into the ambient context.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Union
 from weakref import WeakValueDictionary
 
@@ -124,13 +124,22 @@ class Coh(Term, _Interned):
         return t
 
 
-@dataclass(frozen=True, slots=True)
 class Star(Type):
+    """The type of points; ``Star()`` is the one object ``STAR``."""
+
+    __slots__ = ()
+
+    def __new__(cls):
+        return STAR
+
+    def __reduce__(self):
+        return "STAR"
+
     def __repr__(self):
         return "Star"
 
 
-STAR = Star()
+STAR = object.__new__(Star)
 
 
 class Arrow(Type, _Interned):
@@ -168,18 +177,28 @@ Syntax = Union[Term, Type, Sub]
 class Context:
     """Ordered telescope of (display name, type) entries.
 
-    Equality and hashing ignore the display names.  The types and
-    their hash are computed once, at construction.
+    Equality and hashing ignore the display names.  The names, the
+    types and their hash are computed once, at construction; each
+    name's first position once, when names are first resolved, since
+    most kernel contexts never are.
     """
 
     entries: tuple
+    names: tuple = field(init=False, repr=False)
     types: tuple = field(init=False, repr=False)
     _hash: int = field(init=False, repr=False)
 
     def __post_init__(self):
+        names = tuple(n for n, _ in self.entries)
         types = tuple(t for _, t in self.entries)
+        object.__setattr__(self, "names", names)
         object.__setattr__(self, "types", types)
         object.__setattr__(self, "_hash", hash(types))
+
+    @cached_property
+    def positions(self) -> dict:
+        # filled from the end, so a repeated name keeps its first position
+        return {n: i for i, n in reversed(tuple(enumerate(self.names)))}
 
     def __len__(self):
         return len(self.entries)
@@ -192,10 +211,6 @@ class Context:
 
     def type_of(self, i: int) -> Type:
         return self.entries[i][1]
-
-    @property
-    def names(self):
-        return tuple(n for n, _ in self.entries)
 
     def extended(self, name: str, ty: Type) -> "Context":
         return Context(self.entries + ((name, ty),))

@@ -173,3 +173,28 @@ def test_equal_deep_chains_in_one_run_normalize(capsys, tmp_path):
     code, out, err = _run(capsys, "normalize", str(short), str(long))
     assert (code, err) == (0, "")
     assert len(out.splitlines()) == 2
+
+
+@pytest.mark.parametrize("name", ["basics.catt", "monoidal.catt"])
+@pytest.mark.parametrize("mode", ["normalize", "eq"])
+def test_tracing_the_corpus_prints_steps_and_the_same_results(capsys, mode, name):
+    path = str(CORPUS / name)
+    untraced = _run(capsys, mode, path)
+    code, out, err = _run(capsys, mode, "--trace", path)
+    assert (code, out) == untraced[:2] == (0, untraced[1])
+    for line in err.splitlines():
+        assert re.match(r"[a-z-]+ @ \S+: .+ ==> .+", line), line
+
+
+def test_a_step_inside_a_cell_is_printed_over_its_heads_context(capsys, tmp_path):
+    # the coherence's head has five variables, the declaration's context three
+    path = tmp_path / "cell.catt"
+    path.write_text("normalize (x(f)y) | coh (a(p)b(q)c : comp p (comp q (id c)) "
+                    "-> comp p q) f (id y)\n")
+    code, out, err = _run(capsys, "normalize", "--trace", str(path))
+    assert (code, out) == (0, "coh (x(f)y : f -> f) f\n")
+    assert err.splitlines()[:2] == [
+        "insertion @ cell.src.arg[4]: coh (x(f)y(g)z : x -> z) g (coh (x : x -> x) z)"
+        " ==> coh (x(f)y : x -> y) g   [S=[[],[]] P=[1] T=[] -> [[]]]",
+        "disc-removal @ cell.src.arg[4]: coh (x(f)y : x -> y) g ==> g",
+    ]

@@ -120,3 +120,27 @@ def test_an_error_leaves_the_environment_unchanged(env):
         _elaborate(env, "def d (x(f)y) := comp f f")
     [(t,)] = _elaborate(env, "def d (x : *) := id x")
     assert t is identity_term(t.cell.base, Var(0))
+
+
+PASTING = "normalize (x(f)y(g)z)\n  | "
+BINDING = "normalize (x : *) (y : *) (f : x -> y) (z : *) (g : y -> z)\n  | "
+
+
+@pytest.mark.parametrize("ctx", [PASTING, BINDING])
+@pytest.mark.parametrize("body, kind, col", [
+    # an unknown argument, at the argument
+    ("comp f q", "UnknownVariable", 12),
+    # an unknown name applied, at the application
+    ("nope f g", "UnknownVariable", 5),
+    # an unknown name on its own, at the name
+    ("q", "UnknownVariable", 5),
+    # a context variable applied, at the application
+    ("comp (g f) g", "NotApplicable", 11),
+    ("f x", "NotApplicable", 5),
+])
+def test_name_errors_are_located_in_either_kind_of_context(env, ctx, body, kind, col):
+    assert _error(env, ctx + body) == (kind, 2, col)
+
+
+def test_an_unknown_name_in_a_binding_type_is_located_at_the_name(env):
+    assert _error(env, "normalize (x : *)\n (f : x -> q) | f") == ("UnknownVariable", 2, 12)

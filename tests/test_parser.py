@@ -91,3 +91,58 @@ def test_parse_errors_are_located(src, line, col, msg, expected):
     e = info.value
     assert (e.line, e.col, e.msg, e.expected) == (line, col, msg, expected)
     assert str(e).startswith(f"{line}:{col}: {msg}")
+
+
+def _positions(src):
+    return [(t.kind, t.text, t.line, t.col) for t in tokenize(src)]
+
+
+def test_crlf_line_endings_start_lines_after_the_line_feed():
+    # the carriage return is whitespace at the end of its line
+    assert _positions("coh c (x) : x -> x\r\nnormalize (x) | c x\r\n")[-8:] == [
+        ("name", "normalize", 2, 1), ("op", "(", 2, 11), ("name", "x", 2, 12),
+        ("op", ")", 2, 13), ("op", "|", 2, 15), ("name", "c", 2, 17),
+        ("name", "x", 2, 19), ("eof", "", 3, 1),
+    ]
+
+
+def test_a_tab_is_one_column():
+    assert _positions("\tcoh\tc\n\t\tx") == [
+        ("name", "coh", 1, 2), ("name", "c", 1, 6), ("name", "x", 2, 3),
+        ("eof", "", 2, 4),
+    ]
+
+
+@pytest.mark.parametrize("space", ["\u00a0", "\u2028"])
+def test_unicode_spaces_separate_tokens_without_starting_a_line(space):
+    assert _positions(f"x{space}y{space}{space}z") == [
+        ("name", "x", 1, 1), ("name", "y", 1, 3), ("name", "z", 1, 6),
+        ("eof", "", 1, 7),
+    ]
+
+
+@pytest.mark.parametrize("src, eof", [
+    ("x # the end", (1, 12)),
+    ("x # the end\n", (2, 1)),
+    ("#\n#", (2, 2)),
+])
+def test_a_comment_at_the_end_of_the_file(src, eof):
+    assert _positions(src)[-1] == ("eof", "", *eof)
+
+
+@pytest.mark.parametrize("src, eof", [
+    ("", (1, 1)),
+    ("x\n  y  ", (2, 6)),
+    ("x\n\n", (3, 1)),
+])
+def test_the_eof_token_is_after_the_last_character(src, eof):
+    assert _positions(src)[-1] == ("eof", "", *eof)
+
+
+def test_an_unexpected_character_on_a_later_line():
+    src = "coh c (x) : x -> x\n\n  normalize (x) | c é\n"
+    with pytest.raises(ParseError) as info:
+        tokenize(src)
+    e = info.value
+    assert (e.line, e.col, e.msg) == (3, 21, "unexpected character 'é'")
+    assert str(e) == "3:21: unexpected character 'é'"

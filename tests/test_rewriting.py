@@ -267,6 +267,17 @@ def test_trace_stream_is_deterministic(f_then_gh):
     assert "S=[[],[]]" in first[0][2]
 
 
+def test_a_step_inside_a_cell_carries_the_head_it_is_over(f_then_gh):
+    a = Arrow(Var(0), STAR, Var(5))
+    endo = Coh(CHAIN3, Arrow(f_then_gh, a, f_then_gh), id_sub(7))
+    clear_caches()  # the cell's steps are taken here, not remembered
+    log = []
+    normalize(endo, trace=log.append)
+    for steps in (log, one_step_term(endo)):
+        assert {(st.path[:1] == ("cell",), st.head) for st in steps} == {
+            (True, CHAIN3), (False, None)}
+
+
 def test_insertion_detail_formatted_only_when_traced(f_then_gh, monkeypatch):
     def fail(r):
         raise AssertionError("detail formatted without a trace")

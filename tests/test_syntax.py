@@ -160,9 +160,10 @@ def test_deep_terms_built_twice_are_one_object():
 
 def test_pickled_terms_unpickle_to_the_live_object(comp_fg):
     arrow = Arrow(comp_fg, Arrow(Var(0), STAR, Var(3)), comp_fg)
-    for x in (comp_fg, arrow, _deep_chain(50)):
+    for x in (comp_fg, arrow, _deep_chain(50), STAR):
         assert pickle.loads(pickle.dumps(x)) is x
     assert copy.deepcopy(arrow) is arrow
+    assert copy.deepcopy(STAR) is STAR
 
 
 def test_terms_are_immutable(comp_fg):
