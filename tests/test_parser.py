@@ -84,6 +84,7 @@ def test_several_declarations_keep_their_own_positions():
     ("def coh (x) := x", 1, 5, "found 'coh'", ("a name",)),
     ("asserteq | x = x", 1, 10, "found '|'", ("a context",)),
     ("normalize [[]", 1, 14, "found 'end of file' inside a tree literal", ()),
+    ("coh c (x) : x -> x\n\n  normalize (x) | c é\n", 3, 21, "unexpected character 'é'", ()),
 ])
 def test_parse_errors_are_located(src, line, col, msg, expected):
     with pytest.raises(ParseError) as info:
@@ -122,27 +123,13 @@ def test_unicode_spaces_separate_tokens_without_starting_a_line(space):
 
 
 @pytest.mark.parametrize("src, eof", [
+    ("", (1, 1)),
+    ("x\n  y  ", (2, 6)),
+    ("x\n\n", (3, 1)),
+    # a comment at the end of the file, with and without a newline
     ("x # the end", (1, 12)),
     ("x # the end\n", (2, 1)),
     ("#\n#", (2, 2)),
 ])
-def test_a_comment_at_the_end_of_the_file(src, eof):
-    assert _positions(src)[-1] == ("eof", "", *eof)
-
-
-@pytest.mark.parametrize("src, eof", [
-    ("", (1, 1)),
-    ("x\n  y  ", (2, 6)),
-    ("x\n\n", (3, 1)),
-])
 def test_the_eof_token_is_after_the_last_character(src, eof):
     assert _positions(src)[-1] == ("eof", "", *eof)
-
-
-def test_an_unexpected_character_on_a_later_line():
-    src = "coh c (x) : x -> x\n\n  normalize (x) | c é\n"
-    with pytest.raises(ParseError) as info:
-        tokenize(src)
-    e = info.value
-    assert (e.line, e.col, e.msg) == (3, 21, "unexpected character 'é'")
-    assert str(e) == "3:21: unexpected character 'é'"
