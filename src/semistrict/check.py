@@ -95,8 +95,10 @@ def _infer(ctx: Context, t: Term) -> Type:
         raise TypingError("ArityMismatch",
                           f"substitution has {len(args)} entries for a context "
                           f"of length {len(head_ctx)}")
+    # the head context's types share their bases: push them with one memo
+    memo = {}
     for i, a in enumerate(args):
-        want = apply_sub_type(head_ctx.type_of(i), args)
+        want = apply_sub_type(head_ctx.type_of(i), args, memo)
         got = infer_term(ctx, a)
         if not def_eq(got, want):
             raise TypingError(
@@ -106,7 +108,7 @@ def _infer(ctx: Context, t: Term) -> Type:
     if not known:
         _check_support(t.head, head_ctx, cell)
         _GOOD_HEADS.add(head)
-    return apply_sub_type(cell, args)
+    return apply_sub_type(cell, args, memo)
 
 
 def _check_support(tree, head_ctx: Context, cell: Arrow) -> None:

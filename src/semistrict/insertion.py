@@ -230,7 +230,8 @@ def exterior_sub(s: Tree, p: Branch, t: Tree, at: Optional[tuple] = None,
         pieces += (level.tgt, level.src)
         level = level.base
     pieces.append(level.tgt)
-    block = [apply_sub_term(x, iota) for x in reversed(pieces)]
+    memo = {}
+    block = [apply_sub_term(x, iota, memo) for x in reversed(pieces)]
     # cell never reads the branch variable's entry when it is left as None
     block.append(Coh(t, ty, iota) if cell is None or dim_type(cell) > lh else None)
     b = a + ctx_len(inner) - 1  # the first position after the window

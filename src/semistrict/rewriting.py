@@ -81,8 +81,9 @@ def endo_coherence_removal(t: Term) -> Optional[Term]:
         return None
     if is_identity(t):
         return None
-    return identity_term(apply_sub_type(cell.base, t.args),
-                         apply_sub_term(cell.src, t.args))
+    memo = {}
+    return identity_term(apply_sub_type(cell.base, t.args, memo),
+                         apply_sub_term(cell.src, t.args, memo))
 
 
 def apply_insertion(t: Coh, r: InsertionRedex) -> Term:

@@ -8,10 +8,12 @@ here is pure.
 Variables, coherences, arrows and ``STAR`` are hash-consed: each
 constructor returns the one live object with the given components, so
 syntactic equality up to renaming is identity, and ``==`` and ``hash``
-are those of ``object``.  The intern tables hold their terms weakly, so
-they grow only with the live terms.  Building a term hashes and compares its
-components, which are themselves interned, by identity; only the head
-tree is a plain tuple that is hashed and compared by value.
+are those of ``object``.  The intern tables are plain dicts that live
+as long as the process: the kernel's memos hold their terms anyway, and
+a plain lookup is the cheapest construction.  Building a term hashes and
+compares its components, which are themselves interned, by identity;
+only the head tree is a plain tuple that is hashed and compared by
+value.
 
 Terms are either variables or coherences ``Coh(head, cell, args)``
 where ``head`` is a pasting tree (see trees.py), ``cell`` is a type
@@ -23,8 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Union
-from weakref import WeakValueDictionary
+from typing import Optional, Union
 
 # A planar rooted tree is a tuple of planar rooted trees (trees.py).
 Tree = tuple
@@ -37,7 +38,7 @@ class KernelError(Exception):
 @lru_cache(maxsize=None)
 def ctx_len(t: Tree) -> int:
     """Number of variables in the context a tree generates."""
-    return len(t) + 1 + sum(ctx_len(c) for c in t)
+    return len(t) + 1 + sum(map(ctx_len, t))
 
 
 class Term:
@@ -107,7 +108,7 @@ class Coh(Term, _Interned):
     """
 
     _fields = ("head", "cell", "args")
-    __slots__ = _fields + ("__weakref__",)
+    __slots__ = _fields
 
     def __new__(cls, head: Tree, cell: "Type", args: "Sub"):
         key = (head, cell, args)
@@ -146,7 +147,7 @@ class Arrow(Type, _Interned):
     """Arrow type ``src -> tgt`` over ``base``."""
 
     _fields = ("src", "base", "tgt")
-    __slots__ = _fields + ("__weakref__",)
+    __slots__ = _fields
 
     def __new__(cls, src: Term, base: Type, tgt: Term):
         key = (src, base, tgt)
@@ -160,10 +161,9 @@ class Arrow(Type, _Interned):
         return a
 
 
-# the live coherences and arrows, keyed by their components; an entry
-# goes when its term does
-_COHS = WeakValueDictionary()
-_ARROWS = WeakValueDictionary()
+# every coherence and arrow built in this process, keyed by its components
+_COHS: dict = {}
+_ARROWS: dict = {}
 
 
 # Substitutions are dense positional vectors: entry i is the image of
@@ -230,31 +230,67 @@ class Context:
 
 
 # --- substitution action -------------------------------------------------
+#
+# A term is a DAG: one interned subterm can occur many times.  So one
+# call of these functions remembers each coherence and arrow it has
+# pushed through ``sub`` in ``memo``, keyed by the interned object, and
+# a caller that pushes several pieces through the same ``sub`` can pass
+# them all one memo.  A memo belongs to one ``sub``.
 
-def apply_sub_term(t: Term, sub: Sub) -> Term:
+def apply_sub_term(t: Term, sub: Sub, memo: Optional[dict] = None) -> Term:
     if isinstance(t, Var):
-        if not 0 <= t.idx < len(sub):
+        if t.idx >= len(sub):
             raise KernelError(f"substitution arity {len(sub)} too small for {t!r}")
         return sub[t.idx]
     if isinstance(t, Coh):
+        if memo is None:
+            memo = {}
+        else:
+            out = memo.get(t)
+            if out is not None:
+                return out
         # Substitution acts on the args component only; the head and its
         # cell type live over the head's own context.
-        return Coh(t.head, t.cell, compose(t.args, sub))
+        out = memo[t] = Coh(t.head, t.cell, compose(t.args, sub, memo))
+        return out
     raise KernelError(f"not a term: {t!r}")
 
 
-def apply_sub_type(a: Type, sub: Sub) -> Type:
+def apply_sub_type(a: Type, sub: Sub, memo: Optional[dict] = None) -> Type:
     if isinstance(a, Star):
         return a
     if isinstance(a, Arrow):
-        return Arrow(apply_sub_term(a.src, sub), apply_sub_type(a.base, sub),
-                     apply_sub_term(a.tgt, sub))
+        if memo is None:
+            memo = {}
+        else:
+            out = memo.get(a)
+            if out is not None:
+                return out
+        out = memo[a] = Arrow(apply_sub_term(a.src, sub, memo),
+                              apply_sub_type(a.base, sub, memo),
+                              apply_sub_term(a.tgt, sub, memo))
+        return out
     raise KernelError(f"not a type: {a!r}")
 
 
-def compose(tau: Sub, sigma: Sub) -> Sub:
-    """tau followed by sigma: entries of tau pushed through sigma."""
-    return tuple(apply_sub_term(t, sigma) for t in tau)
+def compose(tau: Sub, sigma: Sub, memo: Optional[dict] = None) -> Sub:
+    """tau followed by sigma: entries of tau pushed through sigma.
+
+    A loop, not a generator expression: two frames per nesting level.
+    """
+    if memo is None:
+        memo = {}
+    n = len(sigma)
+    out = []
+    for t in tau:
+        if isinstance(t, Var):
+            if t.idx >= n:
+                raise KernelError(f"substitution arity {n} too small for {t!r}")
+            out.append(sigma[t.idx])
+        else:
+            x = memo.get(t)
+            out.append(apply_sub_term(t, sigma, memo) if x is None else x)
+    return tuple(out)
 
 
 def id_sub(n: int) -> Sub:

@@ -177,7 +177,9 @@ def tree_inc(eps: str, n: int, t: Tree) -> Sub:
     def walk(node: Tree, m: int, pos: int):
         # pos is the position of node's first point in t's layout
         if m <= 0 or not node:
-            out.append(Var(pos if eps == "-" else pos + point_positions(node)[-1]))
+            # the last point comes just before the last child's block
+            last = ctx_len(node) - 1 - ctx_len(node[-1]) if node else 0
+            out.append(Var(pos if eps == "-" else pos + last))
             return
         out.append(Var(pos))
         for c in node:

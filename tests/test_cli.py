@@ -175,6 +175,16 @@ def test_equal_deep_chains_in_one_run_normalize(capsys, tmp_path):
     assert len(out.splitlines()) == 2
 
 
+def test_forty_doubling_definitions_check(capsys, tmp_path):
+    # d{k} x unfolds to 2^k identities: only shared substitution keeps it small
+    path = tmp_path / "doubling.catt"
+    path.write_text("def d0 (x : *) := id x\n" + "".join(
+        f"def d{k} (x : *) := comp (d{k - 1} x) (d{k - 1} x)\n" for k in range(1, 41))
+        + "normalize (x : *) | d40 x\n")
+    assert _run(capsys, "check", str(path)) == (0, "", "")
+    assert _run(capsys, "normalize", str(path)) == (0, "coh (x : x -> x) x\n", "")
+
+
 @pytest.mark.parametrize("name", ["basics.catt", "monoidal.catt"])
 @pytest.mark.parametrize("mode", ["normalize", "eq"])
 def test_tracing_the_corpus_prints_steps_and_the_same_results(capsys, mode, name):

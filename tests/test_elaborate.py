@@ -2,6 +2,7 @@
 
 import pytest
 
+from semistrict import syntax
 from semistrict.elaborate import ElabError, process_decl
 from semistrict.parser import parse
 from semistrict.syntax import Var, apply_sub_term, id_sub
@@ -47,6 +48,33 @@ def test_a_definition_is_applied_through_its_context(env):
     [(body,), (applied,)] = _elaborate(env, src)
     # x, y, f, g, a go to r, u, s, t, c of the layout p r q u s t c
     assert applied is apply_sub_term(body, (Var(1), Var(3), Var(4), Var(5), Var(6)))
+
+
+def _doubling_defs(n: int) -> str:
+    # d{k} x mentions d{k-1} x twice, so its body unfolds to 2^k leaves
+    return "def d0 (x : *) := id x\n" + "".join(
+        f"def d{k} (x : *) := comp (d{k - 1} x) (d{k - 1} x)\n" for k in range(1, n + 1))
+
+
+def test_shared_definitions_elaborate_in_linear_substitution_work(env, monkeypatch):
+    calls = 0
+    apply = syntax.apply_sub_term
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return apply(*args)
+
+    # every recursive call goes through the module's global
+    monkeypatch.setattr(syntax, "apply_sub_term", counting)
+    counts = []
+    for d in parse(_doubling_defs(40)):
+        calls = 0
+        process_decl(d, env)
+        counts.append(calls)
+    # each shared subterm is substituted once per call, not once per occurrence
+    assert len({b - a for a, b in zip(counts[3:], counts[4:])}) == 1
+    assert counts[40] < 10 * 40
 
 
 def test_names_resolve_to_context_positions(env):

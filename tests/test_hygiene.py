@@ -27,8 +27,9 @@ BENCH = sorted((ROOT / "bench").glob("*.py"))
 
 # names a kernel module keeps without a use yet, each with its reason
 UNUSED_ALLOWED = {
-    # rewriting.clear_caches: empties the process-wide normal-form memos;
-    # its caller comes when the CLI scopes the caches to one run
+    # rewriting.clear_caches: empties the process-wide normal-form memos,
+    # so a test can start from cold memos; the kernel keeps them for the
+    # life of the process
     "clear_caches",
 }
 

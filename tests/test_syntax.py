@@ -1,6 +1,6 @@
 import copy
-import gc
 import pickle
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,10 +9,15 @@ from semistrict.syntax import (
     _ARROWS, _COHS, STAR, Arrow, Coh, Context, KernelError, Var,
     apply_sub_term, compose, dim_type, free_vars, id_sub, support,
 )
+from semistrict.check import _GOOD_HEADS, _INFER_CACHE
+from semistrict.cli import main
+from semistrict.rewriting import _NF_NEXT, _NF_TERMS, _NF_TYPES
 from semistrict.trees import disc, tree_to_ctx
 from semistrict.unbiased import identity_term, unbiased_coh, unbiased_type
 
 from conftest import CHAIN1, CHAIN2
+
+CORPUS = Path(__file__).parent.parent / "corpus"
 
 
 def test_variable_lookup(ctx2, comp_fg):
@@ -175,13 +180,21 @@ def test_terms_are_immutable(comp_fg):
             delattr(x, name)
 
 
-def test_unreferenced_terms_leave_the_intern_tables():
-    gc.collect()
-    cohs, arrows = len(_COHS), len(_ARROWS)
-    # fresh: these arguments and arrows occur nowhere else
-    fresh = [Coh(CHAIN1, Arrow(Var(i), STAR, Var(i + 1)), (Var(i), Var(i + 1), Var(i + 2)))
-             for i in range(5000, 6000)]
-    assert len(_COHS) == cohs + 1000 and len(_ARROWS) == arrows + 1000
-    del fresh
-    gc.collect()
-    assert (len(_COHS), len(_ARROWS)) == (cohs, arrows)
+def test_a_second_corpus_run_interns_and_remembers_nothing_new(capsys):
+    # the intern tables and memos live as long as the process, so they are
+    # bounded by the distinct syntax a run meets, not by how often it runs
+    corpus = sorted(str(p) for p in CORPUS.glob("*.catt"))
+
+    def run():
+        for mode in ("check", "normalize", "eq"):
+            assert main([mode, *corpus]) == 0
+        capsys.readouterr()
+
+    def sizes():
+        return (len(_COHS), len(_ARROWS), len(_NF_TERMS["sua"]), len(_NF_TYPES["sua"]),
+                len(_NF_NEXT), len(_INFER_CACHE), len(_GOOD_HEADS))
+
+    run()
+    first = sizes()
+    run()
+    assert sizes() == first

@@ -155,6 +155,20 @@ def test_fig5_point_and_block_positions():
     assert [FIG5_CTX.name_of(i) for i in (0, 1, 2, 3, 5, 4, 6)] == list("xyfghab")
 
 
+def test_target_inclusion_maps_a_truncated_subtree_to_its_last_point():
+    # tree_inc("+", ..) reads a subtree's last point off context lengths;
+    # point_positions finds it by walking the points
+    wide = tuple(((),) * k for k in range(6))
+    for t in list(enumerate_trees(9)) + [wide, (wide,), (wide, wide)]:
+        assert tree_inc("+", 0, t) == (Var(point_positions(t)[-1]),)
+        if not t:
+            continue
+        # depth 1: each child's block is truncated to one arrow, its last point
+        ones = tree_inc("+", 1, t)[2::2]
+        assert ones == tuple(Var(b + point_positions(c)[-1])
+                             for b, c in zip(block_starts(t), t)), t
+
+
 def test_tree_statistics():
     assert trunk_height(()) == 0
     assert trunk_height(((),)) == 1
