@@ -197,10 +197,11 @@ class _Budget:
 TraceFn = Callable[[ReductionStep], None]
 
 # normal forms are context independent, so they cache globally: one memo
-# per table, held in a dict whose values bench/tracing.py sums over.
-# _NF_NEXT maps each remembered term whose normalization took a head step
-# to that step's reduct, the next term it normalized; so its size is the
-# number of head steps the remembered normalizations took
+# per table, held in a dict whose values bench/tracing.py sums over.  The
+# term memo holds each term normalized, each head over normal parts and
+# each insertion reduct met on the way, and each normal form, as its own.
+# _NF_NEXT maps each remembered head that took a step to that step's
+# reduct; so its size is the number of head steps remembered
 _NF_TERMS: dict = {"sua": {}}
 _NF_TYPES: dict = {"sua": {}}
 _NF_NEXT: dict = {}
@@ -215,15 +216,22 @@ def clear_caches():
 class Normalizer:
     """One normalization, spending the steps a cold run would take.
 
-    A cold run, with an empty memo, takes each head step once: at the
-    first term or type whose normalization needs it.  A remembered
-    normal form met here for the first time owes the steps of its own
-    normalization that this run has not taken.  Those are at most all
-    the steps remembered, ``len(_NF_NEXT)``, so while that fits in what
-    is left of the budget the debt is only noted.  Otherwise
-    ``_settle`` walks what the owed normalizations met, as a cold run
-    would meet it, and spends each step once.  So the budget trips just
-    when a cold run's would, whatever the memo holds.
+    Reduction is terminating and confluent, so a term's normal form
+    depends only on the term.  After a term's arguments and cell are
+    normalized, the head over them is looked up too: a head met again
+    under other unnormalized syntax, or a normal form met again, takes
+    no step and no redex scan.
+
+    A cold run, with an empty memo, remembers heads the same way, so it
+    takes each head's step once: at the first term or type whose
+    normalization reaches that head.  A remembered normal form met here
+    for the first time owes the steps of its own normalization that
+    this run has not taken.  Those are at most all the steps
+    remembered, ``len(_NF_NEXT)``, so while that fits in what is left
+    of the budget the debt is only noted.  Otherwise ``_settle`` walks
+    what the owed normalizations met, as a cold run would meet it, and
+    spends each step once.  So the budget trips just when a cold run's
+    would, whatever the memo holds.
     """
 
     def __init__(self, budget: int = DEFAULT_BUDGET,
@@ -258,8 +266,9 @@ class Normalizer:
 
     def _settle(self):
         # a cold run would normalize each owed term or type, that is its
-        # unnormal arguments and cell (or its arrow's parts), then each
-        # term its head steps lead to; none of them was normalized here
+        # unnormal arguments and cell (or its arrow's parts), then its
+        # head over their normal forms and each term its head steps lead
+        # to; none of them was normalized here
         todo, self.owing = self.owing, []
         settled = self.settled
         while todo:
@@ -279,6 +288,10 @@ class Normalizer:
             if nxt is not None:
                 self.budget.spend()
                 todo.append(nxt)
+            elif isinstance(x, Coh):
+                # x took no step of its own: its head over normal parts did
+                todo.append(Coh(x.head, self.type_memo.get(x.cell, x.cell),
+                                tuple(self.term_memo.get(a, a) for a in x.args)))
             todo.extend(parts)
 
     def term(self, t: Term, path: tuple = ()) -> Term:
@@ -305,17 +318,27 @@ class Normalizer:
         cell = self.type(t.cell, path + ("cell",))
         self.head = outer
         cur = Coh(t.head, cell, tuple(args))
-        # cur's insertion redexes: the first head is scanned, each later
-        # one's are carried over from the head before
-        redexes = None
-        key = t  # the term whose normalization takes cur's head step
-        reducts = []  # insertion reducts met on the way, all sharing the result
+        # each head over normal parts is looked up before it takes a step;
+        # the first is scanned for insertion redexes, each later one's are
+        # carried over from the head before
+        nxt, redexes = t, None
+        done = []  # heads and insertion reducts met on the way, all sharing the result
         while True:
+            if cur is not nxt:
+                hit = self.term_memo.get(cur)
+                if hit is not None:
+                    if hit is not cur:
+                        self._remembered(cur)
+                    cur = hit
+                    break
+                done.append(cur)
+            if redexes is not None:
+                redexes = carry_redexes(redexes, cur)
             step = next(head_steps(cur, redexes), None)
             if step is None:
                 break
             rule, nxt, redexes = step
-            self.next_memo[key] = nxt
+            self.next_memo[cur] = nxt
             self._step()
             if self.trace is not None:
                 detail = "" if redexes is None else _insertion_detail(redexes[0])
@@ -332,14 +355,12 @@ class Normalizer:
                     self._remembered(nxt)
                 cur = hit
                 break
-            reducts.append(nxt)
-            key = nxt
+            done.append(nxt)
             self.head = nxt.head
             cell = self.type(nxt.cell, path + ("cell",))
             self.head = outer
             cur = nxt if cell is nxt.cell else Coh(nxt.head, cell, nxt.args)
-            redexes = carry_redexes(redexes, cur)
-        for r in reducts:
+        for r in done:
             self.term_memo[r] = cur
             if cur is not r:
                 self.met.add(r)
@@ -390,6 +411,9 @@ def def_eq(a, b) -> bool:
     here is one identity test.  Equal syntax is convertible without
     normalizing either side, since ``normalize`` is a function.  Normal
     forms themselves are remembered for the life of the process
-    (``_NF_TERMS``, ``_NF_TYPES``), keyed by identity.
+    (``_NF_TERMS``, ``_NF_TYPES``), keyed by identity, under the term
+    and under each head over normal parts its normalization met; a
+    normal form is remembered as its own, so normalizing one again is
+    one lookup.
     """
     return a == b or normalize(a) == normalize(b)

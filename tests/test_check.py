@@ -6,9 +6,9 @@ from semistrict import check, rewriting
 from semistrict.check import TypingError, infer_term
 from semistrict.harness import GenConfig, gen_population
 from semistrict.rewriting import def_eq, normalize
-from semistrict.syntax import STAR, Arrow, Coh, Var, id_sub
-from semistrict.trees import block_starts, point_positions, tree_to_ctx
-from semistrict.unbiased import unbiased_coh, unbiased_type
+from semistrict.syntax import STAR, Arrow, Coh, Context, Var, id_sub
+from semistrict.trees import block_starts, disc, point_positions, tree_to_ctx
+from semistrict.unbiased import identity_term, unbiased_coh, unbiased_type
 
 from conftest import CHAIN1, CHAIN2
 
@@ -87,6 +87,80 @@ def test_def_eq_of_equal_syntax_normalizes_nothing(monkeypatch, f_then_gh, fg_th
     # different syntax still goes through normal forms
     assert def_eq(f_then_gh, fg_then_h)
     assert calls == [f_then_gh, fg_then_h]
+
+
+# argument types that are convertible to the wanted ones but not equal
+# syntax, over x, y, f, g : x -> y and further arrows
+_X, _Y, _F, _G, _A, _B, _M = (Var(i) for i in range(7))
+_XY = Arrow(_X, STAR, _Y)
+_F_THEN_ID = Coh(CHAIN2, unbiased_type(1, CHAIN2),
+                 (_X, _Y, _F, _Y, identity_term(STAR, _Y)))  # comp f (id y)
+
+
+def _ctx(*types):
+    return Context(tuple(zip("xyfgabm", types)))
+
+
+def _disc_coh(n, args):
+    return Coh(disc(n), unbiased_type(n, disc(n)), args)
+
+
+def _counting_def_eq(monkeypatch):
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return def_eq(a, b)
+
+    monkeypatch.setattr(check, "def_eq", counting)
+    return calls
+
+
+@pytest.mark.parametrize("ctx, t", [
+    # a : comp f (id y) -> g, passed where an arrow f -> g is wanted
+    (_ctx(STAR, STAR, _XY, _XY, Arrow(_F_THEN_ID, _XY, _G)),
+     _disc_coh(2, (_X, _Y, _F, _G, _A))),
+    # m : a -> b over comp f (id y) -> g, while a and b are over f -> g
+    (_ctx(STAR, STAR, _XY, _XY, Arrow(_F, _XY, _G), Arrow(_F, _XY, _G),
+          Arrow(_A, Arrow(_F_THEN_ID, _XY, _G), _B)),
+     _disc_coh(3, (_X, _Y, _F, _G, _A, _B, _M))),
+], ids=["source", "base"])
+def test_a_convertible_argument_type_falls_back_to_def_eq(monkeypatch, ctx, t):
+    _clear_memos()
+    infer_term(tree_to_ctx(t.head), Coh(t.head, t.cell, id_sub(len(t.args))))
+    calls = _counting_def_eq(monkeypatch)
+    assert infer_term(ctx, t) == Arrow(t.args[-3], ctx.type_of(len(t.args) - 3),
+                                       t.args[-2])
+    # only the last argument's type is not the wanted syntax
+    assert len(calls) == 1 and calls[0][0] == ctx.type_of(len(t.args) - 1)
+
+
+def test_argument_types_equal_to_the_wanted_ones_need_no_conversion(monkeypatch, ctx2, comp_fg):
+    _clear_memos()
+    infer_term(ctx2, comp_fg)  # the head, remembered
+    calls = _counting_def_eq(monkeypatch)
+    # comp (comp f g) f over x, f : x -> x: two more uses of the head
+    ctx = _ctx(STAR, Arrow(_X, STAR, _X))
+    fg = Coh(comp_fg.head, comp_fg.cell, (_X, _X, _Y, _X, _Y))
+    infer_term(ctx, Coh(comp_fg.head, comp_fg.cell, (_X, _X, fg, _X, _Y)))
+    assert calls == []
+
+
+@pytest.mark.parametrize("ctx, t, detail", [
+    (_ctx(STAR, STAR, _XY, _XY, Arrow(_G, _XY, _F)), _disc_coh(2, (_X, _Y, _F, _G, _A)),
+     "argument 4 (a) has type Arrow(Var(3), Arrow(Var(0), Star, Var(1)), Var(2)), "
+     "expected Arrow(Var(2), Arrow(Var(0), Star, Var(1)), Var(3))"),
+    (_ctx(STAR, STAR, _XY, _XY, Arrow(_F_THEN_ID, _XY, _G)), _disc_coh(2, (_X, _Y, _G, _F, _A)),
+     "argument 4 (a) has type Arrow(Coh(((), ()), Arrow(Var(0), Star, Var(3)), (Var(0), "
+     "Var(1), Var(2), Var(1), Coh((), Arrow(Var(0), Star, Var(0)), (Var(1),)))), "
+     "Arrow(Var(0), Star, Var(1)), Var(3)), expected Arrow(Var(3), Arrow(Var(0), Star, "
+     "Var(1)), Var(2))"),
+    (_ctx(STAR, STAR, _XY), _disc_coh(1, (_F, _Y, _F)),
+     "argument 0 (x) has type Arrow(Var(0), Star, Var(1)), expected Star"),
+], ids=["reversed", "convertible-source-reversed", "arrow-for-object"])
+def test_a_wrong_argument_type_is_a_type_mismatch(ctx, t, detail):
+    _clear_memos()
+    assert _error(ctx, t) == ("TypeMismatch", detail)
 
 
 def _deep_chain(n, shape):

@@ -143,8 +143,9 @@ _DOUBLING = (["def d0 (x : *) := id x\n"]
     # the first two terms' normalizations share comp f (id x)'s steps
     ([_F + "comp (comp f (id x)) f\n", _F + "comp f (comp f (id x))\n",
       _F + "comp (comp (comp f (id x)) f) (comp f (comp f (id x)))\n"], 4),
-    # d10 x holds d9 x twice, which holds d8 x twice, and so on
-    (_DOUBLING, 11),
+    # d10 x holds d9 x twice, which holds d8 x twice, and so on; every
+    # level's head over normal arguments is d1 x, whose two steps are taken once
+    (_DOUBLING, 2),
 ], ids=["repeated", "overlapping", "doubling"])
 def test_a_step_budget_spends_the_steps_of_a_cold_normalization(capsys, tmp_path, decls, steps):
     # --trace normalizes with a memo of its own, so its steps are a cold
@@ -194,6 +195,16 @@ def test_tracing_the_corpus_prints_steps_and_the_same_results(capsys, mode, name
     assert (code, out) == untraced[:2] == (0, untraced[1])
     for line in err.splitlines():
         assert re.match(r"[a-z-]+ @ \S+: .+ ==> .+", line), line
+
+
+def test_tracing_the_corpus_takes_a_remembered_heads_steps_once(capsys):
+    # 55 steps while only whole terms were remembered: 7 of them were taken
+    # again on a head that other unnormalized syntax had already reached
+    paths = [str(CORPUS / "basics.catt"), str(CORPUS / "monoidal.catt")]
+    untraced = _run(capsys, "normalize", *paths)
+    code, out, err = _run(capsys, "normalize", "--trace", *paths)
+    assert (code, out) == untraced[:2] == (0, untraced[1])
+    assert len(err.splitlines()) == 48
 
 
 def test_a_step_inside_a_cell_is_printed_over_its_heads_context(capsys, tmp_path):

@@ -202,13 +202,33 @@ def test_strategy_independence():
 
 
 def test_step_budget_trips():
+    # each insertion on the left-nested chain is at a new head
+    _, chain = _comp_chain(6, "left", None)
+    log = []
+    normalize(chain, trace=log.append)
+    assert len({s.before for s in log}) == len(log) >= 4
     with pytest.raises(StepBudgetExceeded):
-        deep = Var(2)
-        a = Arrow(Var(0), STAR, Var(1))
-        for _ in range(12):
-            u1 = unbiased_type(1, disc(1))
-            deep = Coh(disc(1), u1, (Var(0), Var(1), deep))
-        normalize(deep, budget=3, trace=lambda s: None)
+        normalize(chain, budget=3, trace=lambda s: None)
+
+
+def test_a_head_already_normalized_takes_no_step_and_no_scan(monkeypatch):
+    # each head over normal parts is remembered with its normal form, and
+    # so is each normal form, so head_steps never sees one a second time
+    pop = gen_population(GenConfig(seed=20), 300)
+    memo = rewriting._NF_TERMS["sua"]
+    heads = []
+    real = rewriting.head_steps
+
+    def spy(t, redexes=None):
+        assert t not in memo
+        heads.append(t)
+        return real(t, redexes)
+
+    clear_caches()
+    monkeypatch.setattr(rewriting, "head_steps", spy)
+    for _, t in pop:
+        normalize(t)
+    assert heads and len(set(heads)) == len(heads)
 
 
 def _endo_comp(a, b):

@@ -169,6 +169,20 @@ def test_target_inclusion_maps_a_truncated_subtree_to_its_last_point():
                              for b, c in zip(block_starts(t), t)), t
 
 
+def test_each_context_entry_is_an_object_or_an_arrow_between_earlier_entries():
+    # check._infer relies on this layout: each arrow's type is
+    # Var(s) -> Var(u) over the type of s, with s and u earlier
+    wide = tuple(((),) * k for k in range(6))
+    for t in list(enumerate_trees(9)) + [wide, (wide,), (wide, wide)]:
+        types = tree_to_ctx(t).types
+        for i, ty in enumerate(types):
+            if ty is STAR:
+                continue
+            s, u = ty.src.idx, ty.tgt.idx
+            assert s < i and u < i, (t, i)
+            assert ty == Arrow(Var(s), types[s], Var(u)), (t, i)
+
+
 def test_tree_statistics():
     assert trunk_height(()) == 0
     assert trunk_height(((),)) == 1
