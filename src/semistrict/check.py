@@ -12,7 +12,9 @@ read only the head ``(tree, cell)`` and never the arguments.  So a head
 that has passed them once is remembered for the life of the process and
 later uses check only their arguments.  Only passes are remembered: a
 bad head is checked afresh, and raises the same error, on every use.
-Inferred types are memoized per (context, term).
+A variable's type is read off the context, and an argument that is a
+variable is typed in place; only the types of coherences are memoized,
+per (context, term).
 
 An argument is checked against the head's pasting context, where each
 entry's type is ``*`` or ``Var(s) -> Var(u)`` over the type of entry
@@ -68,7 +70,17 @@ def boundary_support(tree, eps: str, n: int) -> frozenset:
     return support(ctx, tree_inc(eps, n, tree))
 
 
+def _unbound(ctx: Context, v: Var) -> TypingError:
+    return TypingError("UnknownVariable",
+                       f"variable {v.idx} not bound in a context of "
+                       f"length {len(ctx)}")
+
+
 def infer_term(ctx: Context, t: Term) -> Type:
+    if isinstance(t, Var):
+        if t.idx >= len(ctx.types):
+            raise _unbound(ctx, t)
+        return ctx.types[t.idx]
     key = (ctx, t)
     hit = _INFER_CACHE.get(key)
     if hit is not None:
@@ -79,12 +91,6 @@ def infer_term(ctx: Context, t: Term) -> Type:
 
 
 def _infer(ctx: Context, t: Term) -> Type:
-    if isinstance(t, Var):
-        if not 0 <= t.idx < len(ctx):
-            raise TypingError("UnknownVariable",
-                              f"variable {t.idx} not bound in a context of "
-                              f"length {len(ctx)}")
-        return ctx.type_of(t.idx)
     if not isinstance(t, Coh):
         raise KernelError(f"not a term: {t!r}")
     head_ctx = tree_to_ctx(t.head)
@@ -106,8 +112,15 @@ def _infer(ctx: Context, t: Term) -> Type:
     # the head context's types share their bases: push them with one memo
     memo = {}
     gots = []
+    types = ctx.types
     for i, (a, ty) in enumerate(zip(args, head_ctx.types)):
-        got = infer_term(ctx, a)
+        # a variable's type is read off the context, with no call
+        if isinstance(a, Var):
+            if a.idx >= len(types):
+                raise _unbound(ctx, a)
+            got = types[a.idx]
+        else:
+            got = infer_term(ctx, a)
         gots.append(got)
         # ty is STAR or Var(s) -> Var(u) over the type of s (module docstring)
         if ty is STAR:

@@ -77,27 +77,28 @@ def branch_table(t: Tree) -> tuple:
     any other child is walked into.
     """
     out = []
-
-    def walk(node: Tree, path: Branch, src: int, poles: tuple) -> int:
-        # src is the position of node's first point; returns the one after its context
-        tgt = src + 1
-        for k, c in enumerate(node):
-            # block k lies between the points at src and tgt, its variables after tgt
-            p, at = path + (k,), poles + (src, tgt)
-            d, leaf = 0, c
-            while len(leaf) == 1:
-                leaf, d = leaf[0], d + 1
-            if leaf:
-                end = walk(c, p, tgt + 1, at)
-            else:  # a linear block: a disc of 2d+1 variables
-                v = tgt + 1 + 2 * d
-                out.append((p, v, len(p) + d, at + (v,)))
-                end = v + 1
-            src, tgt = tgt, end
-        return tgt
-
-    walk(t, (), 0, ())
+    _branch_walk(t, (), 0, (), out)
     return tuple(out)
+
+
+def _branch_walk(node: Tree, path: Branch, src: int, poles: tuple, out: list) -> int:
+    # src is the position of node's first point; returns the one after its context
+    # (a module function: a recursive closure would be a reference cycle)
+    tgt = src + 1
+    for k, c in enumerate(node):
+        # block k lies between the points at src and tgt, its variables after tgt
+        p, at = path + (k,), poles + (src, tgt)
+        d, leaf = 0, c
+        while len(leaf) == 1:
+            leaf, d = leaf[0], d + 1
+        if leaf:
+            end = _branch_walk(c, p, tgt + 1, at, out)
+        else:  # a linear block: a disc of 2d+1 variables
+            v = tgt + 1 + 2 * d
+            out.append((p, v, len(p) + d, at + (v,)))
+            end = v + 1
+        src, tgt = tgt, end
+    return tgt
 
 
 def locally_maximal_positions(t: Tree) -> tuple:

@@ -17,19 +17,20 @@ def fmt_ps(tree: Tree, names=None) -> str:
     """Paren pasting notation, e.g. (x(f)y(g)z) for the two-arrow tree."""
     if names is None:
         names = tree_to_ctx(tree).names
+    return "(" + _emit_ps(tree, 0, names) + ")"
 
-    def emit(t: Tree, offset: int) -> str:
-        if not t:
-            return names[offset]
-        pts = point_positions(t)
-        bs = block_starts(t)
-        out = names[offset + pts[0]]
-        for i, child in enumerate(t):
-            out += "(" + emit(child, offset + bs[i]) + ")"
-            out += names[offset + pts[i + 1]]
-        return out
 
-    return "(" + emit(tree, 0) + ")"
+def _emit_ps(t: Tree, offset: int, names) -> str:
+    # a module function: a recursive closure would be a reference cycle
+    if not t:
+        return names[offset]
+    pts = point_positions(t)
+    bs = block_starts(t)
+    out = names[offset + pts[0]]
+    for i, child in enumerate(t):
+        out += "(" + _emit_ps(child, offset + bs[i], names) + ")"
+        out += names[offset + pts[i + 1]]
+    return out
 
 
 def fmt_term(t: Term, names) -> str:

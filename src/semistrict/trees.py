@@ -10,7 +10,10 @@ layout of child ``i``, one dimension up: its points have type
 ``p_i -> p_i+1``.  All positional bookkeeping in this module and in
 ``insertion`` (point positions, block starts, inclusion substitutions)
 refers to that layout, and ``tree_to_ctx`` and ``tree_inc`` build
-contexts and boundary inclusions by one walk over it.
+contexts and boundary inclusions by one walk over it.  Each walk is a
+module function, not a nested closure: a recursive closure is a
+reference cycle, garbage that only the cycle collector frees (see
+syntax.py).
 
 ``Bi`` is also child ``i``'s own context, suspended and glued in at
 its poles, which is how the paper defines it.  No construction here
@@ -139,18 +142,19 @@ def _auto_names(types) -> tuple:
 @lru_cache(maxsize=None)
 def tree_to_ctx(t: Tree) -> Context:
     types = []
-
-    def walk(node: Tree, base: Type):
-        src = len(types)
-        types.append(base)
-        for c in node:
-            tgt = len(types)
-            types.append(base)
-            walk(c, Arrow(Var(src), base, Var(tgt)))
-            src = tgt
-
-    walk(t, STAR)
+    _layout_types(t, STAR, types)
     return Context(tuple(zip(_auto_names(types), types)))
+
+
+def _layout_types(node: Tree, base: Type, types: list) -> None:
+    """Append the types of node's layout, its points over base."""
+    src = len(types)
+    types.append(base)
+    for c in node:
+        tgt = len(types)
+        types.append(base)
+        _layout_types(c, Arrow(Var(src), base, Var(tgt)), types)
+        src = tgt
 
 
 # --- boundaries and inclusions --------------------------------------------
@@ -173,23 +177,23 @@ def tree_inc(eps: str, n: int, t: Tree) -> Sub:
     if eps not in ("-", "+"):
         raise KernelError(f"bad direction {eps!r}")
     out = []
-
-    def walk(node: Tree, m: int, pos: int):
-        # pos is the position of node's first point in t's layout
-        if m <= 0 or not node:
-            # the last point comes just before the last child's block
-            last = ctx_len(node) - 1 - ctx_len(node[-1]) if node else 0
-            out.append(Var(pos if eps == "-" else pos + last))
-            return
-        out.append(Var(pos))
-        for c in node:
-            pos += 1
-            out.append(Var(pos))
-            walk(c, m - 1, pos + 1)
-            pos += ctx_len(c)
-
-    walk(t, n, 0)
+    _inc_walk(eps, t, n, 0, out)
     return tuple(out)
+
+
+def _inc_walk(eps: str, node: Tree, m: int, pos: int, out: list) -> None:
+    # pos is the position of node's first point in t's layout
+    if m <= 0 or not node:
+        # the last point comes just before the last child's block
+        last = ctx_len(node) - 1 - ctx_len(node[-1]) if node else 0
+        out.append(Var(pos if eps == "-" else pos + last))
+        return
+    out.append(Var(pos))
+    for c in node:
+        pos += 1
+        out.append(Var(pos))
+        _inc_walk(eps, c, m - 1, pos + 1, out)
+        pos += ctx_len(c)
 
 
 # --- rendering ------------------------------------------------------------

@@ -1,9 +1,11 @@
 import sys
+from pathlib import Path
 
 import pytest
 
 from semistrict import check, rewriting
 from semistrict.check import TypingError, infer_term
+from semistrict.cli import main
 from semistrict.harness import GenConfig, gen_population
 from semistrict.rewriting import def_eq, normalize
 from semistrict.syntax import STAR, Arrow, Coh, Context, Var, id_sub
@@ -11,6 +13,8 @@ from semistrict.trees import block_starts, disc, point_positions, tree_to_ctx
 from semistrict.unbiased import identity_term, unbiased_coh, unbiased_type
 
 from conftest import CHAIN1, CHAIN2
+
+CORPUS = Path(__file__).parent.parent / "corpus"
 
 
 def _clear_memos():
@@ -161,6 +165,23 @@ def test_argument_types_equal_to_the_wanted_ones_need_no_conversion(monkeypatch,
 def test_a_wrong_argument_type_is_a_type_mismatch(ctx, t, detail):
     _clear_memos()
     assert _error(ctx, t) == ("TypeMismatch", detail)
+
+
+@pytest.mark.parametrize("t", [Var(99), _disc_coh(1, (_X, Var(99), _F))],
+                         ids=["bare", "argument"])
+def test_an_unbound_variable_is_unknown(t):
+    _clear_memos()
+    assert _error(_ctx(STAR, STAR, _XY), t) == (
+        "UnknownVariable", "variable 99 not bound in a context of length 3")
+
+
+def test_the_inference_memo_holds_no_variables(capsys):
+    corpus = sorted(str(p) for p in CORPUS.glob("*.catt"))
+    _clear_memos()
+    assert main(["check", *corpus]) == 0
+    capsys.readouterr()
+    assert check._INFER_CACHE
+    assert not [t for _, t in check._INFER_CACHE if isinstance(t, Var)]
 
 
 def _deep_chain(n, shape):

@@ -1,4 +1,5 @@
 import copy
+import gc
 import pickle
 from pathlib import Path
 
@@ -9,10 +10,15 @@ from semistrict.syntax import (
     _ARROWS, _COHS, STAR, Arrow, Coh, Context, KernelError, Var,
     apply_sub_term, compose, dim_type, free_vars, id_sub, support,
 )
-from semistrict.check import _GOOD_HEADS, _INFER_CACHE
+from semistrict.check import _GOOD_HEADS, _INFER_CACHE, infer_term
 from semistrict.cli import main
-from semistrict.rewriting import _NF_NEXT, _NF_TERMS, _NF_TYPES
-from semistrict.trees import disc, tree_to_ctx
+from semistrict.elaborate import new_env, process_decl
+from semistrict.harness import GenConfig, gen_population
+from semistrict.insertion import branch_table
+from semistrict.parser import parse
+from semistrict.printer import fmt_term
+from semistrict.rewriting import _NF_NEXT, _NF_TERMS, _NF_TYPES, clear_caches, normalize
+from semistrict.trees import disc, tree_inc, tree_to_ctx
 from semistrict.unbiased import identity_term, unbiased_coh, unbiased_type
 
 from conftest import CHAIN1, CHAIN2
@@ -198,3 +204,28 @@ def test_a_second_corpus_run_interns_and_remembers_nothing_new(capsys):
     first = sizes()
     run()
     assert sizes() == first
+
+
+def test_kernel_work_leaves_no_cyclic_garbage():
+    # interned syntax is never freed, so importing syntax raises the young
+    # collection threshold; that is sound only while checking, normalizing,
+    # elaborating and printing make no reference cycles, which a later
+    # collection would have to free
+    assert gc.get_threshold()[0] >= 20_000
+    pop = gen_population(GenConfig(seed=20), 300)
+    gc.collect()
+    gc.disable()
+    try:
+        for cached in (tree_to_ctx, tree_inc, branch_table):
+            cached.cache_clear()
+        clear_caches()
+        for ctx, t in pop:
+            infer_term(ctx, t)
+            fmt_term(normalize(t), ctx.names)
+        env = new_env()
+        for path in sorted(CORPUS.glob("*.catt")):
+            for decl in parse(path.read_text()):
+                process_decl(decl, env)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
