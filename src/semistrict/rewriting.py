@@ -182,16 +182,23 @@ def one_step_sub(s: Sub) -> List[ReductionStep]:
 # --- normalization -----------------------------------------------------------
 
 class _Budget:
-    __slots__ = ("left",)
+    __slots__ = ("left", "floor")
 
     def __init__(self, n: int):
         self.left = n
+        self.floor = 0  # what a normalization keeps back once it skips steps
 
-    def spend(self, n: int = 1):
-        self.left -= n
-        if self.left < 0:
-            raise StepBudgetExceeded(
-                "step budget exhausted; reduction should always terminate")
+    def spend(self):
+        self.left -= 1
+        if self.left < self.floor:
+            if self.left < 0:
+                raise StepBudgetExceeded(
+                    "step budget exhausted; reduction should always terminate")
+            raise _Recount
+
+
+class _Recount(Exception):
+    """A run skipped more remembered steps than its budget has left."""
 
 
 TraceFn = Callable[[ReductionStep], None]
@@ -200,99 +207,61 @@ TraceFn = Callable[[ReductionStep], None]
 # per table, held in a dict whose values bench/tracing.py sums over.  The
 # term memo holds each term normalized, each head over normal parts and
 # each insertion reduct met on the way, and each normal form, as its own.
-# _NF_NEXT maps each remembered head that took a step to that step's
-# reduct; so its size is the number of head steps remembered
+# _NF_STEPS counts the head steps taken over these memos, so it bounds
+# the steps a cold normalization of anything they remember takes
 _NF_TERMS: dict = {"sua": {}}
 _NF_TYPES: dict = {"sua": {}}
-_NF_NEXT: dict = {}
+_NF_STEPS = 0
 
 
 def clear_caches():
+    global _NF_STEPS
     _NF_TERMS["sua"].clear()
     _NF_TYPES["sua"].clear()
-    _NF_NEXT.clear()
+    _NF_STEPS = 0
 
 
 class Normalizer:
-    """One normalization, spending the steps a cold run would take.
+    """One normalization, with a cold run's verdict on its step budget.
 
     Reduction is terminating and confluent, so a term's normal form
     depends only on the term.  After a term's arguments and cell are
     normalized, the head over them is looked up too: a head met again
     under other unnormalized syntax, or a normal form met again, takes
-    no step and no redex scan.
+    no step and no redex scan.  A cold run, over empty memos, remembers
+    heads the same way, so it takes each head's step once.
 
-    A cold run, with an empty memo, remembers heads the same way, so it
-    takes each head's step once: at the first term or type whose
-    normalization reaches that head.  A remembered normal form met here
-    for the first time owes the steps of its own normalization that
-    this run has not taken.  Those are at most all the steps
-    remembered, ``len(_NF_NEXT)``, so while that fits in what is left
-    of the budget the debt is only noted.  Otherwise ``_settle`` walks
-    what the owed normalizations met, as a cold run would meet it, and
-    spends each step once.  So the budget trips just when a cold run's
-    would, whatever the memo holds.
+    A run over the shared memos takes some of a cold run's steps and
+    skips the others, at remembered terms that are not normal; each
+    skipped step was taken by an earlier run and counted in
+    ``_NF_STEPS``.  So a run that overruns its budget is right, and one
+    that skipped is right while ``remembered``, that count when it
+    began, fits in what is left of the budget.  When it stops fitting,
+    at a skip or at a step after one (``_Budget.floor``), the run raises
+    ``_Recount`` and ``normalize`` redoes it over private memos, cold:
+    a budget below the remembered steps can cost a normalization twice.
     """
 
     def __init__(self, budget: int = DEFAULT_BUDGET,
-                 trace: Optional[TraceFn] = None):
+                 trace: Optional[TraceFn] = None, private: bool = False):
         self.budget = _Budget(budget)
         self.trace = trace
-        if trace is None:
-            self.term_memo = _NF_TERMS["sua"]
-            self.type_memo = _NF_TYPES["sua"]
-            self.next_memo = _NF_NEXT
-        else:
-            self.term_memo = {}
-            self.type_memo = {}
-            self.next_memo = {}
+        # a traced run is cold, so its steps are a cold run's
+        self.private = private or trace is not None
+        self.term_memo = {} if self.private else _NF_TERMS["sua"]
+        self.type_memo = {} if self.private else _NF_TYPES["sua"]
+        self.remembered = 0 if self.private else _NF_STEPS
         self.head = None  # the head whose cell is being normalized, as in steps
-        self.met = set()  # unnormal terms and types normalized or owed here
-        self.owing = []  # the remembered ones among them, not yet settled
-        self.settled = set()
 
-    def _step(self):
-        self.budget.spend()
-        if self.owing and len(self.next_memo) > self.budget.left:
-            self._settle()
+    def _skip(self):
+        # at a remembered term that is not normal
+        b = self.budget
+        b.floor = self.remembered
+        if b.left < b.floor:
+            raise _Recount
 
-    def _remembered(self, x):
-        # x is remembered and not normal
-        if x not in self.met:
-            self.met.add(x)
-            self.owing.append(x)
-            if len(self.next_memo) > self.budget.left:
-                self._settle()
-
-    def _settle(self):
-        # a cold run would normalize each owed term or type, that is its
-        # unnormal arguments and cell (or its arrow's parts), then its
-        # head over their normal forms and each term its head steps lead
-        # to; none of them was normalized here
-        todo, self.owing = self.owing, []
-        settled = self.settled
-        while todo:
-            x = todo.pop()
-            if isinstance(x, Coh):
-                nf, parts = self.term_memo.get(x), x.args + (x.cell,)
-            elif isinstance(x, Arrow):
-                nf, parts = self.type_memo.get(x), (x.src, x.base, x.tgt)
-            else:
-                continue
-            # not remembered: an argument of an insertion reduct, normal
-            if nf is None or nf is x or x in settled:
-                continue
-            settled.add(x)
-            self.met.add(x)
-            nxt = self.next_memo.get(x)
-            if nxt is not None:
-                self.budget.spend()
-                todo.append(nxt)
-            elif isinstance(x, Coh):
-                # x took no step of its own: its head over normal parts did
-                todo.append(Coh(x.head, self.type_memo.get(x.cell, x.cell),
-                                tuple(self.term_memo.get(a, a) for a in x.args)))
-            todo.extend(parts)
+    def run(self, x):
+        return self.term(x) if isinstance(x, (Var, Coh)) else self.type(x)
 
     def term(self, t: Term, path: tuple = ()) -> Term:
         if isinstance(t, Var):
@@ -300,12 +269,10 @@ class Normalizer:
         nf = self.term_memo.get(t)
         if nf is not None:
             if nf is not t:
-                self._remembered(t)
+                self._skip()
             return nf
         out = self._term(t, path)
         self.term_memo[t] = out
-        if out is not t:
-            self.met.add(t)
         return out
 
     def _term(self, t: Coh, path: tuple) -> Term:
@@ -328,7 +295,7 @@ class Normalizer:
                 hit = self.term_memo.get(cur)
                 if hit is not None:
                     if hit is not cur:
-                        self._remembered(cur)
+                        self._skip()
                     cur = hit
                     break
                 done.append(cur)
@@ -338,8 +305,7 @@ class Normalizer:
             if step is None:
                 break
             rule, nxt, redexes = step
-            self.next_memo[cur] = nxt
-            self._step()
+            self.budget.spend()
             if self.trace is not None:
                 detail = "" if redexes is None else _insertion_detail(redexes[0])
                 self.trace(ReductionStep(rule, path, cur, nxt, nxt, detail, outer))
@@ -352,7 +318,7 @@ class Normalizer:
             hit = self.term_memo.get(nxt)
             if hit is not None:
                 if hit is not nxt:
-                    self._remembered(nxt)
+                    self._skip()
                 cur = hit
                 break
             done.append(nxt)
@@ -362,8 +328,6 @@ class Normalizer:
             cur = nxt if cell is nxt.cell else Coh(nxt.head, cell, nxt.args)
         for r in done:
             self.term_memo[r] = cur
-            if cur is not r:
-                self.met.add(r)
         return cur
 
     def type(self, a: Type, path: tuple = ()) -> Type:
@@ -372,25 +336,29 @@ class Normalizer:
         nf = self.type_memo.get(a)
         if nf is not None:
             if nf is not a:
-                self._remembered(a)
+                self._skip()
             return nf
         out = Arrow(self.term(a.src, path + ("src",)),
                     self.type(a.base, path + ("base",)),
                     self.term(a.tgt, path + ("tgt",)))
         self.type_memo[a] = out
-        if out is not a:
-            self.met.add(a)
         return out
 
 
 def normalize(x, budget: int = DEFAULT_BUDGET,
               trace: Optional[TraceFn] = None):
+    global _NF_STEPS
+    if not isinstance(x, (Var, Coh, Star, Arrow)):
+        raise KernelError(f"not syntax: {x!r}")
     nz = Normalizer(budget, trace)
-    if isinstance(x, (Var, Coh)):
-        return nz.term(x)
-    if isinstance(x, (Star, Arrow)):
-        return nz.type(x)
-    raise KernelError(f"not syntax: {x!r}")
+    try:
+        return nz.run(x)
+    except _Recount:
+        # the memos skipped more steps than the budget has left
+        return Normalizer(budget, private=True).run(x)
+    finally:
+        if not nz.private:
+            _NF_STEPS += budget - nz.budget.left
 
 
 def normalize_first_step(x, budget: int = DEFAULT_BUDGET):
@@ -414,6 +382,7 @@ def def_eq(a, b) -> bool:
     (``_NF_TERMS``, ``_NF_TYPES``), keyed by identity, under the term
     and under each head over normal parts its normalization met; a
     normal form is remembered as its own, so normalizing one again is
-    one lookup.
+    one lookup.  The default budget is far above ``_NF_STEPS``, so no
+    conversion is redone over private memos (``Normalizer``).
     """
     return a == b or normalize(a) == normalize(b)

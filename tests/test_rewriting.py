@@ -240,6 +240,24 @@ def _endo_comp(a, b):
 _UNIT = _endo_comp(Var(1), identity_term(STAR, Var(0)))  # 2 steps to f
 
 
+def _warmed_population(seed, count):
+    """(warm, term, cold steps) for generated terms that take a step.
+
+    The memos are warmed by a few other terms at random, and half the
+    time by the term itself or one of its arguments.
+    """
+    rng = random.Random(seed)
+    pop = [t for _, t in gen_population(GenConfig(seed=seed), count)]
+    for t in pop:
+        log = []
+        normalize(t, trace=log.append)
+        if log:
+            warm = rng.sample(pop, rng.randint(0, 3))
+            if isinstance(t, Coh) and rng.random() < 0.5:
+                warm.append(rng.choice((t,) + t.args))
+            yield warm, t, len(log)
+
+
 @pytest.mark.parametrize("warm, term, steps", [
     # the same unit met twice in one normalization, computed here or remembered
     ([], _endo_comp(_UNIT, _UNIT), 2),
@@ -248,6 +266,7 @@ _UNIT = _endo_comp(Var(1), identity_term(STAR, Var(0)))  # 2 steps to f
     ([], _endo_comp(_endo_comp(_UNIT, Var(1)), _endo_comp(Var(1), _UNIT)), 4),
     ([_endo_comp(_UNIT, Var(1)), _endo_comp(Var(1), _UNIT)],
      _endo_comp(_endo_comp(_UNIT, Var(1)), _endo_comp(Var(1), _UNIT)), 4),
+    *_warmed_population(1, 150),
 ])
 def test_a_normalization_spends_each_step_once(warm, term, steps):
     # the steps of a cold run, whatever the memo remembers
@@ -260,6 +279,25 @@ def test_a_normalization_spends_each_step_once(warm, term, steps):
     log = []
     normalize(term, trace=log.append)
     assert len(log) == steps
+
+
+def test_a_default_budget_never_normalizes_twice(monkeypatch):
+    # a benchmark population remembers far fewer steps than the default
+    # budget, so no normalization is redone over private memos
+    redone = []
+
+    class Spy(rewriting.Normalizer):
+        def __init__(self, budget, trace=None, private=False):
+            redone.append(private)
+            super().__init__(budget, trace, private)
+
+    pop = gen_population(GenConfig(seed=11), 3000)[:3000]
+    clear_caches()
+    monkeypatch.setattr(rewriting, "Normalizer", Spy)
+    for _, t in pop:
+        normalize(t)
+    assert len(redone) == len(pop) and not any(redone)
+    assert 0 < rewriting._NF_STEPS < rewriting.DEFAULT_BUDGET
 
 
 def test_cell_steps_preserve_sc_non_cell_steps_decrease(f_then_gh):

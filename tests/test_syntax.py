@@ -17,7 +17,8 @@ from semistrict.harness import GenConfig, gen_population
 from semistrict.insertion import branch_table
 from semistrict.parser import parse
 from semistrict.printer import fmt_term
-from semistrict.rewriting import _NF_NEXT, _NF_TERMS, _NF_TYPES, clear_caches, normalize
+from semistrict import rewriting
+from semistrict.rewriting import _NF_TERMS, _NF_TYPES, clear_caches, normalize
 from semistrict.trees import disc, tree_inc, tree_to_ctx
 from semistrict.unbiased import identity_term, unbiased_coh, unbiased_type
 
@@ -198,7 +199,7 @@ def test_a_second_corpus_run_interns_and_remembers_nothing_new(capsys):
 
     def sizes():
         return (len(_COHS), len(_ARROWS), len(_NF_TERMS["sua"]), len(_NF_TYPES["sua"]),
-                len(_NF_NEXT), len(_INFER_CACHE), len(_GOOD_HEADS))
+                rewriting._NF_STEPS, len(_INFER_CACHE), len(_GOOD_HEADS))
 
     run()
     first = sizes()
