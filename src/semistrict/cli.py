@@ -29,18 +29,25 @@ from .trees import tree_to_ctx
 TOO_DEEP = "ResourceLimit: term nests too deeply"
 
 
-def resource_limit(e: Exception) -> str:
-    """The ``Kind: detail`` of a step budget or stack overrun."""
-    if isinstance(e, RecursionError):
-        return TOO_DEEP
-    return f"StepBudgetExceeded: {e}"
-
-
-def step_budget(text: str) -> int:
+def non_negative(text: str) -> int:
     n = int(text)
     if n < 0:
         raise argparse.ArgumentTypeError(f"must not be negative: {n}")
     return n
+
+
+def read_source(path: str) -> str:
+    """A file's text.  A byte that is not UTF-8 decodes to a lone
+    surrogate, and the first one is a ParseError at its character."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        src = fh.read()
+    try:
+        src.encode("utf-8")
+    except UnicodeEncodeError as e:
+        at = e.start
+        raise P.ParseError(src.count("\n", 0, at) + 1, at - src.rfind("\n", 0, at),
+                           f"byte 0x{ord(src[at]) - 0xDC00:02x} is not UTF-8") from None
+    return src
 
 
 def build_argparser() -> argparse.ArgumentParser:
@@ -60,11 +67,11 @@ def build_argparser() -> argparse.ArgumentParser:
         # count steps; the conversions run while checking do neither
         p.add_argument("--trace", action="store_true",
                        help="log one-step reductions to stderr")
-        p.add_argument("--step-budget", type=step_budget, default=DEFAULT_BUDGET,
+        p.add_argument("--step-budget", type=non_negative, default=DEFAULT_BUDGET,
                        metavar="N", help="normalizer step budget")
     rep = sub.add_parser("report", help="harness summary statistics as TSV")
     rep.add_argument("--seed", type=int, default=0)
-    rep.add_argument("--count", type=int, default=200, metavar="N",
+    rep.add_argument("--count", type=non_negative, default=200, metavar="N",
                      help="number of generated terms")
     return ap
 
@@ -88,13 +95,10 @@ def run_files(args) -> int:
     failures = 0
     for path in args.files:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                src = fh.read()
+            decls = P.parse(read_source(path))
         except OSError as e:
             print(f"{path}: {e}", file=sys.stderr)
             return 2
-        try:
-            decls = P.parse(src)
         except P.ParseError as e:
             print(f"{path}:{e.line}:{e.col}: ParseError: {e.msg}",
                   file=sys.stderr)
@@ -105,24 +109,10 @@ def run_files(args) -> int:
         for decl in decls:
             try:
                 checked = process_decl(decl, env)
-            except (TypingError, ElabError) as e:
-                line = getattr(e, "line", 0) or decl.line
-                col = getattr(e, "col", 0) or decl.col
-                kind = getattr(e, "kind", e.__class__.__name__)
-                print(f"{path}:{line}:{col}: {kind}: {e.detail}",
-                      file=sys.stderr)
-                failures += 1
-                continue
-            except (StepBudgetExceeded, RecursionError) as e:
-                print(f"{path}:{decl.line}:{decl.col}: {resource_limit(e)}",
-                      file=sys.stderr)
-                failures += 1
-                continue
-            if args.command == "check":
-                continue
-            names = checked.ctx.names
-            trace = make_tracer(names) if args.trace else None
-            try:
+                if args.command == "check":
+                    continue
+                names = checked.ctx.names
+                trace = make_tracer(names) if args.trace else None
                 if args.command == "normalize" and isinstance(decl, P.NormalizeCmd):
                     nf = normalize(checked.terms[0], args.step_budget, trace)
                     print(fmt_term(nf, names))
@@ -130,13 +120,18 @@ def run_files(args) -> int:
                     lhs, rhs = checked.terms
                     ok = (normalize(lhs, args.step_budget, trace)
                           == normalize(rhs, args.step_budget, trace))
-                    verdict = "ok" if ok else "FAIL"
-                    print(f"{path}:{decl.line}: {verdict}")
-                    if not ok:
-                        failures += 1
-            except (StepBudgetExceeded, RecursionError) as e:
-                print(f"{path}:{decl.line}:{decl.col}: {resource_limit(e)}",
+                    print(f"{path}:{decl.line}: {'ok' if ok else 'FAIL'}")
+                    failures += not ok
+            except (TypingError, ElabError) as e:
+                line = getattr(e, "line", 0) or decl.line
+                col = getattr(e, "col", 0) or decl.col
+                print(f"{path}:{line}:{col}: {e.kind}: {e.detail}",
                       file=sys.stderr)
+                failures += 1
+            except (StepBudgetExceeded, RecursionError) as e:
+                why = (TOO_DEEP if isinstance(e, RecursionError)
+                       else f"StepBudgetExceeded: {e}")
+                print(f"{path}:{decl.line}:{decl.col}: {why}", file=sys.stderr)
                 failures += 1
     return 1 if failures else 0
 

@@ -1,23 +1,32 @@
 """Elaboration: declarations, implicit argument inference, environments.
 
-An application ``name a1 .. ak`` supplies the locally maximal arguments
-in tree order; the full substitution is reconstructed by walking the
+An environment is a dict from names to values.  A value is a body over
+a context together with its explicit positions: the variables no type
+in the context mentions.  A definition's body is its term; a coherence,
+declared or written as a ``coh`` literal, is its ``Coh`` over the
+context its pasting notation names, applied to that context's
+variables, and its explicit positions are the locally maximal ones.  So
+applying a value is one operation: substitute the arguments into the
+body.
+
+An application ``name a1 .. ak`` supplies the explicit arguments in
+context order; the full substitution is reconstructed by walking the
 declared boundary chains of those arguments against their inferred
 types.  Shared endpoints must agree syntactically or, failing that, up
-to definitional equality.
+to definitional equality.  Diagnostics name a value's variables as its
+declaration wrote them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, NamedTuple, Optional
 
 from .syntax import (
     Arrow, Coh, Context, STAR, Sub, Term, Type, Var,
     apply_sub_term, dim_type, free_vars, id_sub,
 )
 from .trees import tree_to_ctx
-from .insertion import locally_maximal_positions
 from .rewriting import def_eq
 from .check import infer_term
 from . import parser as P
@@ -34,79 +43,56 @@ class ElabError(Exception):
         return f"{self.kind}: {self.detail}"
 
 
-@dataclass(frozen=True)
-class CohValue:
-    tree: tuple
-    cell: Type
-    ctx: Context = field(init=False, repr=False)
-    lm_positions: tuple = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "ctx", tree_to_ctx(self.tree))
-        object.__setattr__(self, "lm_positions", locally_maximal_positions(self.tree))
-
-
-@dataclass(frozen=True)
-class DefValue:
+class Value(NamedTuple):
+    """A named value: ``body`` over ``ctx``, applied to the arguments at
+    the ``explicit`` positions."""
     ctx: Context
     body: Term
-    ty: Type
-    lm_positions: tuple = field(init=False, repr=False)
-
-    def __post_init__(self):
-        used = free_vars(self.ctx.types)
-        object.__setattr__(self, "lm_positions",
-                           tuple(i for i in range(len(self.ctx)) if i not in used))
+    explicit: tuple
 
 
-class Environment:
-    """Named, type-checked declarations; no shadowing."""
-
-    def __init__(self):
-        self.table: Dict[str, object] = {}
-
-    def add(self, name: str, value, line=0, col=0):
-        if name in self.table:
-            raise ElabError("DuplicateName", f"{name!r} is already defined",
-                            line, col)
-        self.table[name] = value
-
-    def get(self, name: str):
-        return self.table.get(name)
-
-    def copy(self) -> "Environment":
-        env = Environment()
-        env.table = dict(self.table)
-        return env
+def _value(ctx: Context, body: Term) -> Value:
+    """A value whose explicit positions are the variables no type in
+    ``ctx`` mentions; over a pasting context, the locally maximal ones."""
+    used = free_vars(ctx.types)
+    return Value(ctx, body, tuple(i for i in range(len(ctx)) if i not in used))
 
 
-def _head_ctx(tree: tuple, names: tuple, line: int, col: int) -> Context:
-    """The context of a pasting tree, under the names its notation gives."""
-    types = tree_to_ctx(tree).types
-    if len(names) != len(types):
+def _define(env: dict, name: str, val: Value, line: int, col: int) -> None:
+    if name in env:
+        raise ElabError("DuplicateName", f"{name!r} is already defined",
+                        line, col)
+    env[name] = val
+
+
+def _head_ctx(ps) -> Context:
+    """The context of a pasting tree, under the names its notation gives;
+    ``ps`` is a ``PsCtx`` or a ``CohE``, and errors are located at it."""
+    types = tree_to_ctx(ps.tree).types
+    if len(ps.names) != len(types):
         raise ElabError("ArityMismatch",
-                        f"pasting notation names {len(names)} variables, "
-                        f"context has {len(types)}", line, col)
-    if len(set(names)) != len(names):
+                        f"pasting notation names {len(ps.names)} variables, "
+                        f"context has {len(types)}", ps.line, ps.col)
+    if len(set(ps.names)) != len(ps.names):
         raise ElabError("DuplicateName",
-                        "pasting notation repeats a variable name", line, col)
-    return Context(tuple(zip(names, types)))
+                        "pasting notation repeats a variable name", ps.line, ps.col)
+    return Context(tuple(zip(ps.names, types)))
 
 
-def _coh_value(tree: tuple, ctx: Context, tye, env: Environment,
-              line: int, col: int) -> CohValue:
-    """A coherence over ``ctx``, the context of ``tree``: its cell type
-    is elaborated there and must be an arrow."""
+def _coh(ps, tye, env: dict, line: int, col: int) -> Value:
+    """The coherence of cell type ``tye`` over the context its pasting
+    notation ``ps`` names, as its identity instance there."""
+    ctx = _head_ctx(ps)
     cell = elaborate_type(tye, ctx, env)
     if not isinstance(cell, Arrow):
         raise ElabError("TypeMismatch", "a coherence needs an arrow type",
                         line, col)
-    return CohValue(tree, cell)
+    return _value(ctx, Coh(ps.tree, cell, id_sub(len(ctx))))
 
 
-def elaborate_ctx(cx, env: Environment) -> Context:
+def elaborate_ctx(cx, env: dict) -> Context:
     if isinstance(cx, P.PsCtx):
-        return _head_ctx(cx.tree, cx.names, cx.line, cx.col)
+        return _head_ctx(cx)
     ctx = Context(())
     for name, tye, line, col in cx.bindings:
         if name in ctx.positions:
@@ -117,7 +103,7 @@ def elaborate_ctx(cx, env: Environment) -> Context:
     return ctx
 
 
-def elaborate_type(tye, ctx: Context, env: Environment) -> Type:
+def elaborate_type(tye, ctx: Context, env: dict) -> Type:
     if isinstance(tye, P.StarE):
         return STAR
     s = elaborate_term(tye.lhs, ctx, env)
@@ -131,67 +117,47 @@ def elaborate_type(tye, ctx: Context, env: Environment) -> Type:
     return Arrow(s, a, t)
 
 
-def elaborate_term(e, ctx: Context, env: Environment) -> Term:
-    if isinstance(e, P.NameE):
-        i = ctx.positions.get(e.name)
+def elaborate_term(e, ctx: Context, env: dict) -> Term:
+    """A name, a ``coh`` literal, or either applied; a bare name is an
+    application to no arguments."""
+    head, args = (e.head, e.args) if isinstance(e, P.AppE) else (e, ())
+    if isinstance(head, P.NameE):
+        i = ctx.positions.get(head.name)
         if i is not None:
-            return Var(i)
-        val = env.get(e.name)
-        if val is None:
-            raise ElabError("UnknownVariable", f"{e.name!r} is not in scope",
-                            e.line, e.col)
-        return _apply_value(val, (), ctx, env, e.line, e.col)
-    if isinstance(e, P.AppE):
-        if not e.args:
-            return elaborate_term(e.head, ctx, env)
-        if isinstance(e.head, P.NameE):
-            if e.head.name in ctx.positions:
+            if args:
                 raise ElabError("NotApplicable",
-                                f"variable {e.head.name!r} cannot take arguments",
+                                f"variable {head.name!r} cannot take arguments",
                                 e.line, e.col)
-            val = env.get(e.head.name)
-            if val is None:
-                raise ElabError("UnknownVariable",
-                                f"{e.head.name!r} is not in scope",
-                                e.line, e.col)
-        elif isinstance(e.head, P.CohE):
-            val = _elaborate_coh_literal(e.head, env)
-        else:
-            raise ElabError("NotApplicable",
-                            "only names and coh literals take arguments",
+            return Var(i)
+        val = env.get(head.name)
+        if val is None:
+            raise ElabError("UnknownVariable", f"{head.name!r} is not in scope",
                             e.line, e.col)
-        # a loop, not a generator expression: one frame per nesting level
-        args = []
-        for a, braced in e.args:
-            args.append((elaborate_term(a, ctx, env), braced))
-        return _apply_value(val, tuple(args), ctx, env, e.line, e.col)
-    if isinstance(e, P.CohE):
-        return _apply_value(_elaborate_coh_literal(e, env), (), ctx,
-                            env, e.line, e.col)
-    raise ElabError("Internal", f"unexpected expression {e!r}")
-
-
-def _elaborate_coh_literal(e: P.CohE, env: Environment) -> CohValue:
-    ctx = _head_ctx(e.tree, e.names, e.line, e.col)
-    return _coh_value(e.tree, ctx, e.ty, env, e.line, e.col)
-
-
-def _apply_value(val, args, ctx, env, line, col) -> Term:
-    sub = _infer_sub(val.ctx, val.lm_positions, args, ctx, line, col)
-    if isinstance(val, CohValue):
-        term = Coh(val.tree, val.cell, sub)
+    elif isinstance(head, P.CohE):
+        val = _coh(head, head.ty, env, head.line, head.col)
     else:
-        term = apply_sub_term(val.body, sub)
+        raise ElabError("NotApplicable",
+                        "only names and coh literals take arguments",
+                        e.line, e.col)
+    # a loop, not a generator expression: one frame per nesting level
+    terms = []
+    for a, braced in args:
+        terms.append((elaborate_term(a, ctx, env), braced))
+    return _apply_value(val, tuple(terms), ctx, e.line, e.col)
+
+
+def _apply_value(val: Value, args, ctx: Context, line, col) -> Term:
+    term = apply_sub_term(val.body, _infer_sub(val, args, ctx, line, col))
     infer_term(ctx, term)
     return term
 
 
-def _infer_sub(src_ctx: Context, lm: tuple, args, ctx: Context,
-               line, col) -> Sub:
-    """Rebuild the full substitution from locally maximal arguments."""
+def _infer_sub(val: Value, args, ctx: Context, line, col) -> Sub:
+    """Rebuild the full substitution from the explicit arguments."""
+    src_ctx = val.ctx
     n = len(src_ctx)
     bound: List[Optional[Term]] = [None] * n
-    explicit = set(lm)
+    explicit = set(val.explicit)
 
     # distribute the written arguments over the positions
     cursor = 0
@@ -205,7 +171,7 @@ def _infer_sub(src_ctx: Context, lm: tuple, args, ctx: Context,
     if cursor != len(args):
         supplied = len([1 for _, b in args if not b])
         raise ElabError("ArityMismatch",
-                        f"expected {len(lm)} arguments, got {supplied}",
+                        f"expected {len(explicit)} arguments, got {supplied}",
                         line, col)
 
     def bind(pos: int, term: Term):
@@ -220,7 +186,7 @@ def _infer_sub(src_ctx: Context, lm: tuple, args, ctx: Context,
                 f"normalization", line, col)
         # keep the first binding; explicit bindings win over inferred ones
 
-    for pos in lm:
+    for pos in val.explicit:
         if bound[pos] is None:
             raise ElabError("ArityMismatch",
                             f"missing argument for {src_ctx.name_of(pos)!r}",
@@ -256,34 +222,23 @@ class CheckedDecl:
     terms: tuple
 
 
-def process_decl(decl, env: Environment) -> CheckedDecl:
+def process_decl(decl, env: dict) -> CheckedDecl:
     if isinstance(decl, P.CohDecl):
-        ctx = elaborate_ctx(decl.ps, env)
-        val = _coh_value(decl.ps.tree, ctx, decl.ty, env, decl.line, decl.col)
-        # validate through the checker against the identity instantiation
-        term = Coh(val.tree, val.cell, id_sub(len(ctx)))
-        infer_term(ctx, term)
-        env.add(decl.name, val, decl.line, decl.col)
-        return CheckedDecl(ctx, (term,))
-    if isinstance(decl, P.TermDef):
+        val = _coh(decl.ps, decl.ty, env, decl.line, decl.col)
+        ctx, terms = val.ctx, (val.body,)
+    else:
         ctx = elaborate_ctx(decl.ctx, env)
-        body = elaborate_term(decl.body, ctx, env)
-        ty = infer_term(ctx, body)
-        env.add(decl.name, DefValue(ctx, body, ty), decl.line, decl.col)
-        return CheckedDecl(ctx, (body,))
-    if isinstance(decl, P.NormalizeCmd):
-        ctx = elaborate_ctx(decl.ctx, env)
-        body = elaborate_term(decl.body, ctx, env)
-        infer_term(ctx, body)
-        return CheckedDecl(ctx, (body,))
-    if isinstance(decl, P.AssertEqCmd):
-        ctx = elaborate_ctx(decl.ctx, env)
-        lhs = elaborate_term(decl.lhs, ctx, env)
-        rhs = elaborate_term(decl.rhs, ctx, env)
-        infer_term(ctx, lhs)
-        infer_term(ctx, rhs)
-        return CheckedDecl(ctx, (lhs, rhs))
-    raise ElabError("Internal", f"unknown declaration {decl!r}")
+        exprs = (decl.lhs, decl.rhs) if isinstance(decl, P.AssertEqCmd) else (decl.body,)
+        terms = ()
+        for e in exprs:  # not a comprehension, which would take a frame
+            terms += (elaborate_term(e, ctx, env),)
+    for t in terms:
+        infer_term(ctx, t)
+    if isinstance(decl, P.CohDecl):
+        _define(env, decl.name, val, decl.line, decl.col)
+    elif isinstance(decl, P.TermDef):
+        _define(env, decl.name, _value(ctx, terms[0]), decl.line, decl.col)
+    return CheckedDecl(ctx, terms)
 
 
 PRELUDE_SRC = """
@@ -298,18 +253,18 @@ coh unitor-l (x(f)y) : comp (id x) f -> f
 coh unitor-r (x(f)y) : comp f (id y) -> f
 """
 
-_PRELUDE: Optional[Environment] = None
+_PRELUDE: Optional[dict] = None
 
 
-def prelude() -> Environment:
+def prelude() -> dict:
     global _PRELUDE
     if _PRELUDE is None:
-        env = Environment()
+        env = {}
         for decl in P.parse(PRELUDE_SRC):
             process_decl(decl, env)
         _PRELUDE = env
     return _PRELUDE
 
 
-def new_env() -> Environment:
-    return prelude().copy()
+def new_env() -> dict:
+    return dict(prelude())

@@ -358,7 +358,7 @@ class Parser:
                 self.expect("}")
             else:
                 break
-        if not args and isinstance(head, NameE):
+        if not args:
             return head
         return AppE(head, tuple(args), t.line, t.col)
 

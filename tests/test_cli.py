@@ -96,6 +96,24 @@ def test_misused_normalizer_options_are_usage_errors(capsys, argv):
     assert out == "" and argv[1] in err
 
 
+def test_a_negative_report_count_is_a_usage_error(capsys):
+    code, out, err = _run(capsys, "report", "--count", "-3")
+    assert code == 2
+    assert out == "" and "--count" in err
+
+
+def test_a_file_that_is_not_utf8_is_a_parse_error(capsys, tmp_path):
+    bad = tmp_path / "bad.catt"
+    # a column counts characters: the two bytes of U+00E9 are one
+    bad.write_bytes("coh x \u00e9 ".encode() + b"\xff\n\xfe\n")
+    good = tmp_path / "good.catt"
+    good.write_text("normalize (x(f)y) | comp f (id y)\n")
+    code, out, err = _run(capsys, "normalize", str(bad), str(good))
+    # the run ends there, as at any parse error
+    assert (code, out) == (1, "")
+    assert err == f"{bad}:1:9: ParseError: byte 0xff is not UTF-8\n"
+
+
 def test_a_step_budget_counts_every_step(capsys, tmp_path):
     path = tmp_path / "unit.catt"
     path.write_text("normalize (x(f)y) | comp f (id y)\n")

@@ -5,6 +5,7 @@ import pytest
 from semistrict import syntax
 from semistrict.elaborate import ElabError, process_decl
 from semistrict.parser import parse
+from semistrict.rewriting import normalize
 from semistrict.syntax import Var, apply_sub_term, id_sub
 from semistrict.unbiased import identity_term, unbiased_coh
 
@@ -168,6 +169,24 @@ BINDING = "normalize (x : *) (y : *) (f : x -> y) (z : *) (g : y -> z)\n  | "
 ])
 def test_name_errors_are_located_in_either_kind_of_context(env, ctx, body, kind, col):
     assert _error(env, ctx + body) == (kind, 2, col)
+
+
+def test_a_diagnostic_names_a_coherence_variable_as_declared(env):
+    # f ends at y where g starts, so g f puts both z and x at swap's q
+    src = "coh swap (p(u)q(v)r) : p -> r\nnormalize (x(f)y(g)z) | swap g f"
+    with pytest.raises(ElabError) as info:
+        _elaborate(env, src)
+    assert info.value.kind == "InferenceFailure"
+    assert info.value.detail == "boundary terms for 'q' disagree after normalization"
+
+
+@pytest.mark.parametrize("src", [
+    "asserteq (x(f)y(g)z) | (comp f g) = comp f g",
+    "asserteq (x(f)y) | (coh (a(u)b : a -> b) f) = f",
+])
+def test_a_parenthesized_whole_term_elaborates_and_decides(env, src):
+    [(lhs, rhs)] = _elaborate(env, src)
+    assert normalize(lhs) is normalize(rhs)
 
 
 def test_an_unknown_name_in_a_binding_type_is_located_at_the_name(env):

@@ -4,7 +4,7 @@ from typing import NamedTuple
 import pytest
 
 from semistrict.syntax import (
-    STAR, Arrow, Coh, Var, apply_sub_term, apply_sub_type, compose, id_sub,
+    STAR, Arrow, Coh, Var, apply_sub_term, apply_sub_type, compose, free_vars, id_sub,
 )
 from semistrict.trees import (
     block_starts, ctx_len, disc, is_linear, point_positions,
@@ -109,6 +109,9 @@ def test_branch_table_matches_leaf_path_walk():
         assert canonical_branches(t) == tuple(p for p, _, _ in want)
         if t:
             assert locally_maximal_positions(t) == tuple(v for _, v, _ in want)
+        # the elaborator's explicit positions: the variables no type mentions
+        used = free_vars(tree_to_ctx(t).types)
+        assert tuple(i for i in range(ctx_len(t)) if i not in used) == locally_maximal_positions(t)
         for p in _all_branches(t, t):  # non-canonical branches too
             assert branch_var(t, p) == _branch_var_by_descent(t, p)
     assert locally_maximal_positions(()) == (0,)
