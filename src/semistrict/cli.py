@@ -37,9 +37,11 @@ def non_negative(text: str) -> int:
 
 
 def read_source(path: str) -> str:
-    """A file's text.  A byte that is not UTF-8 decodes to a lone
+    """A file's text, with no newline translation: only a line feed
+    starts a line.  A byte that is not UTF-8 decodes to a lone
     surrogate, and the first one is a ParseError at its character."""
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape",
+              newline="") as fh:
         src = fh.read()
     try:
         src.encode("utf-8")

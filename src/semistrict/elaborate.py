@@ -24,7 +24,7 @@ from typing import List, NamedTuple, Optional
 
 from .syntax import (
     Arrow, Coh, Context, STAR, Sub, Term, Type, Var,
-    apply_sub_term, dim_type, free_vars, id_sub,
+    apply_sub_term, free_vars, id_sub,
 )
 from .trees import tree_to_ctx
 from .rewriting import def_eq
@@ -45,17 +45,30 @@ class ElabError(Exception):
 
 class Value(NamedTuple):
     """A named value: ``body`` over ``ctx``, applied to the arguments at
-    the ``explicit`` positions."""
+    the ``explicit`` positions.  ``chains`` holds, for each explicit
+    position, the positions its declared type's source and target name,
+    level by level from the top, flat: ``None`` where an endpoint is not
+    a variable."""
     ctx: Context
     body: Term
     explicit: tuple
+    chains: tuple
 
 
 def _value(ctx: Context, body: Term) -> Value:
     """A value whose explicit positions are the variables no type in
     ``ctx`` mentions; over a pasting context, the locally maximal ones."""
     used = free_vars(ctx.types)
-    return Value(ctx, body, tuple(i for i in range(len(ctx)) if i not in used))
+    explicit = tuple(i for i in range(len(ctx)) if i not in used)
+    chains = []
+    for i in explicit:
+        chain, ty = [], ctx.types[i]
+        while isinstance(ty, Arrow):
+            for end in (ty.src, ty.tgt):
+                chain.append(end.idx if isinstance(end, Var) else None)
+            ty = ty.base
+        chains.append(tuple(chain))
+    return Value(ctx, body, explicit, tuple(chains))
 
 
 def _define(env: dict, name: str, val: Value, line: int, col: int) -> None:
@@ -155,62 +168,71 @@ def _apply_value(val: Value, args, ctx: Context, line, col) -> Term:
 def _infer_sub(val: Value, args, ctx: Context, line, col) -> Sub:
     """Rebuild the full substitution from the explicit arguments."""
     src_ctx = val.ctx
-    n = len(src_ctx)
-    bound: List[Optional[Term]] = [None] * n
-    explicit = set(val.explicit)
-
-    # distribute the written arguments over the positions
-    cursor = 0
-    for pos in range(n):
-        if cursor >= len(args):
-            break
-        term, braced = args[cursor]
-        if pos in explicit or braced:
+    explicit = val.explicit
+    bound: List[Optional[Term]] = [None] * len(src_ctx)
+    placed = len(args) == len(explicit)
+    if placed:
+        for pos, (term, braced) in zip(explicit, args):
+            if braced:
+                placed = False
+                break
             bound[pos] = term
-            cursor += 1
-    if cursor != len(args):
-        supplied = len([1 for _, b in args if not b])
-        raise ElabError("ArityMismatch",
-                        f"expected {len(explicit)} arguments, got {supplied}",
-                        line, col)
+    if not placed:
+        # a braced argument takes the next position, explicit or not
+        bound = [None] * len(src_ctx)
+        cursor = 0
+        for pos in range(len(bound)):
+            if cursor >= len(args):
+                break
+            term, braced = args[cursor]
+            if braced or pos in explicit:
+                bound[pos] = term
+                cursor += 1
+        if cursor != len(args):
+            supplied = len([1 for _, b in args if not b])
+            noun = "argument" if len(explicit) == 1 else "arguments"
+            raise ElabError("ArityMismatch",
+                            f"expected {len(explicit)} {noun}, got {supplied}",
+                            line, col)
 
-    def bind(pos: int, term: Term):
-        old = bound[pos]
-        if old is None:
-            bound[pos] = term
-            return
-        if not def_eq(old, term):
-            raise ElabError(
-                "InferenceFailure",
-                f"boundary terms for {src_ctx.name_of(pos)!r} disagree after "
-                f"normalization", line, col)
-        # keep the first binding; explicit bindings win over inferred ones
-
-    for pos in val.explicit:
-        if bound[pos] is None:
+    # match each explicit argument's type against its declared chain; a
+    # position keeps its first binding, so explicit ones win
+    types = ctx.types
+    for pos, chain in zip(explicit, val.chains):
+        term = bound[pos]
+        if term is None:
             raise ElabError("ArityMismatch",
                             f"missing argument for {src_ctx.name_of(pos)!r}",
                             line, col)
-        declared = src_ctx.type_of(pos)
-        got = infer_term(ctx, bound[pos])
-        if dim_type(got) != dim_type(declared):
+        # a variable's type is read off the context, with no call
+        got = types[term.idx] if isinstance(term, Var) else infer_term(ctx, term)
+        ends = []
+        while isinstance(got, Arrow):
+            ends.append(got.src)
+            ends.append(got.tgt)
+            got = got.base
+        if len(ends) != len(chain):
             raise ElabError(
                 "TypeMismatch",
                 f"argument for {src_ctx.name_of(pos)!r} has dimension "
-                f"{dim_type(got)}, expected {dim_type(declared)}", line, col)
-        while isinstance(declared, Arrow):
-            if isinstance(declared.src, Var):
-                bind(declared.src.idx, got.src)
-            if isinstance(declared.tgt, Var):
-                bind(declared.tgt.idx, got.tgt)
-            declared, got = declared.base, got.base
+                f"{len(ends) // 2}, expected {len(chain) // 2}", line, col)
+        for at, end in zip(chain, ends):
+            if at is None:
+                continue
+            old = bound[at]
+            if old is None:
+                bound[at] = end
+            elif not def_eq(old, end):
+                raise ElabError(
+                    "InferenceFailure",
+                    f"boundary terms for {src_ctx.name_of(at)!r} disagree "
+                    f"after normalization", line, col)
 
-    missing = [i for i, t in enumerate(bound) if t is None]
-    if missing:
+    if None in bound:
         raise ElabError(
             "InferenceFailure",
             f"cannot infer argument for "
-            f"{src_ctx.name_of(missing[0])!r}", line, col)
+            f"{src_ctx.name_of(bound.index(None))!r}", line, col)
     return tuple(bound)
 
 

@@ -16,11 +16,13 @@ Grammar (see README for the full sketch):
 
 Comments run from '#' to end of line.
 
-The tokenizer is one ``finditer`` pass over one pattern whose
-alternatives are a newline, other whitespace or a comment, an operator,
-a name, and any other character, which is an error.  Only ``\n``
-starts a line, and a column counts characters from the line's start:
-a tab, a carriage return, U+00A0 or U+2028 is whitespace one column wide.
+The tokenizer is one ``findall`` over one pattern, whose groups are the
+whitespace and comments before a token, then an operator, a name, or
+any other character, which is an error; at the end of the input all
+three are empty.  A token is a plain ``(kind, text, line, col)`` tuple,
+``kind`` being ``'op'``, ``'name'`` or ``'eof'``.  Only ``\n`` starts a
+line, and a column counts characters from the line's start: a tab, a
+carriage return, U+00A0 or U+2028 is whitespace one column wide.
 """
 
 from __future__ import annotations
@@ -42,41 +44,43 @@ class ParseError(Exception):
         super().__init__(f"{line}:{col}: {msg}{extra}")
 
 
+# Once the whitespace group has taken all it can, one of the three
+# alternatives or the end of input matches, so nothing backtracks.
 _TOKEN_RE = re.compile(r"""
-    (?P<nl>\n)
-  | (?P<ws>[^\S\n]+|\#[^\n]*)
-  | (?P<op>:=|->|=>|[():{}|=*\[\],])
-  | (?P<name>[A-Za-z_][A-Za-z0-9_']*(?:-[A-Za-z0-9_'][A-Za-z0-9_']*)*)
-  | (?P<bad>.)
+    (\s*(?:\#[^\n]*\s*)*)
+    (?: (:=|->|=>|[():{}|=*\[\],])
+      | ([A-Za-z_][A-Za-z0-9_']*(?:-[A-Za-z0-9_'][A-Za-z0-9_']*)*)
+      | (.)
+      | \Z )
 """, re.VERBOSE)
 
 KEYWORDS = {"coh", "def", "normalize", "asserteq"}
+_RPAREN, _RBRACE = frozenset({")"}), frozenset({"}"})
 
 
-class Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind: str, text: str, line: int, col: int):
-        self.kind = kind  # 'op', 'name', 'eof'
-        self.text = text
-        self.line = line
-        self.col = col
-
-
-def tokenize(src: str) -> List[Token]:
-    out = []
+def tokenize(src: str) -> List[tuple]:
+    toks = _TOKEN_RE.findall(src)
     line, start = 1, 0  # start: the offset of the current line's first character
-    for m in _TOKEN_RE.finditer(src):
-        kind = m.lastgroup
-        if kind == "op" or kind == "name":
-            out.append(Token(kind, m.group(), line, m.start() - start + 1))
-        elif kind == "nl":
-            line, start = line + 1, m.end()
-        elif kind == "bad":
-            raise ParseError(line, m.start() - start + 1,
-                             f"unexpected character {m.group()!r}")
-    out.append(Token("eof", "", line, len(src) - start + 1))
-    return out
+    pos = 0
+    # each match becomes its token in place; the first one at the end, eof
+    for i, (ws, op, name, bad) in enumerate(toks):
+        if ws:
+            if "\n" in ws:
+                line += ws.count("\n")
+                start = pos + ws.rfind("\n") + 1
+            pos += len(ws)
+        if op:
+            toks[i] = ("op", op, line, pos - start + 1)
+            pos += len(op)
+        elif name:
+            toks[i] = ("name", name, line, pos - start + 1)
+            pos += len(name)
+        elif bad:
+            raise ParseError(line, pos - start + 1, f"unexpected character {bad!r}")
+        else:
+            toks[i] = ("eof", "", line, pos - start + 1)
+            del toks[i + 1:]
+            return toks
 
 
 # --- expression forms -------------------------------------------------------
@@ -170,215 +174,208 @@ class AssertEqCmd:
 
 
 class Parser:
+    """Recursive descent over the token tuples ``(kind, text, line, col)``."""
+
     def __init__(self, src: str):
         self.toks = tokenize(src)
         self.i = 0
 
-    def peek(self) -> Token:
+    def peek(self) -> tuple:
         return self.toks[self.i]
 
-    def next(self) -> Token:
+    def expect(self, text: str) -> tuple:
         t = self.toks[self.i]
+        if t[1] != text:
+            raise ParseError(t[2], t[3], f"found {t[1] or 'end of file'!r}",
+                             expected=(text,))
         self.i += 1
         return t
 
-    def expect(self, text: str) -> Token:
-        t = self.peek()
-        if t.text != text:
-            raise ParseError(t.line, t.col, f"found {t.text or 'end of file'!r}",
-                             expected=(text,))
-        return self.next()
-
-    def expect_name(self) -> Token:
-        t = self.peek()
-        if t.kind != "name" or t.text in KEYWORDS:
-            raise ParseError(t.line, t.col, f"found {t.text or 'end of file'!r}",
+    def expect_name(self) -> str:
+        kind, text, line, col = self.toks[self.i]
+        if kind != "name" or text in KEYWORDS:
+            raise ParseError(line, col, f"found {text or 'end of file'!r}",
                              expected=("a name",))
-        return self.next()
+        self.i += 1
+        return text
 
     # -- declarations
 
     def parse_file(self) -> List[object]:
         decls = []
-        while self.peek().kind != "eof":
+        while self.peek()[0] != "eof":
             decls.append(self.parse_decl())
         return decls
 
     def parse_decl(self):
-        t = self.peek()
-        if t.text == "coh":
-            self.next()
+        _, text, line, col = self.peek()
+        if text == "coh":
+            self.i += 1
             name = self.expect_name()
             ps = self.parse_ps()
             self.expect(":")
             ty = self.parse_ty()
-            return CohDecl(name.text, ps, ty, t.line, t.col)
-        if t.text == "def":
-            self.next()
+            return CohDecl(name, ps, ty, line, col)
+        if text == "def":
+            self.i += 1
             name = self.expect_name()
             ctx = self.parse_ctx()
             self.expect(":=")
             body = self.parse_tm()
-            return TermDef(name.text, ctx, body, t.line, t.col)
-        if t.text == "normalize":
-            self.next()
+            return TermDef(name, ctx, body, line, col)
+        if text == "normalize":
+            self.i += 1
             ctx = self.parse_ctx()
             self.expect("|")
             body = self.parse_tm()
-            return NormalizeCmd(ctx, body, t.line, t.col)
-        if t.text == "asserteq":
-            self.next()
+            return NormalizeCmd(ctx, body, line, col)
+        if text == "asserteq":
+            self.i += 1
             ctx = self.parse_ctx()
             self.expect("|")
             lhs = self.parse_tm()
             self.expect("=")
             rhs = self.parse_tm()
-            return AssertEqCmd(ctx, lhs, rhs, t.line, t.col)
-        raise ParseError(t.line, t.col, f"found {t.text or 'end of file'!r}",
+            return AssertEqCmd(ctx, lhs, rhs, line, col)
+        raise ParseError(line, col, f"found {text or 'end of file'!r}",
                          expected=("coh", "def", "normalize", "asserteq"))
 
     # -- pasting notation
 
     def parse_ps(self) -> PsCtx:
-        t = self.peek()
-        if t.text == "[":
+        _, text, line, col = self.peek()
+        if text == "[":
             tree = self.parse_tree()
-            return PsCtx(tree, tree_to_ctx(tree).names, t.line, t.col)
+            return PsCtx(tree, tree_to_ctx(tree).names, line, col)
         self.expect("(")
         tree, names = self.parse_ps_level()
         self.expect(")")
-        return PsCtx(tree, names, t.line, t.col)
+        return PsCtx(tree, names, line, col)
 
     def parse_ps_level(self) -> Tuple[tuple, tuple]:
         """One alternating level: NAME ( "(" level ")" NAME )*.
 
         Returns the tree together with its names in context layout order
-        (p0 p1 B0 p2 B1 ...).
+        (p0 p1 B0 p2 B1 ...): each block's names follow the point after it.
         """
-        first = self.expect_name().text
-        points = [first]
-        blocks = []
-        while self.peek().text == "(":
-            self.next()
-            blocks.append(self.parse_ps_level())
+        names = [self.expect_name()]
+        trees = []
+        while self.toks[self.i][1] == "(":
+            self.i += 1
+            tree, inner = self.parse_ps_level()
             self.expect(")")
-            points.append(self.expect_name().text)
-        tree = tuple(b[0] for b in blocks)
-        names = list(points[:2]) if len(points) > 1 else list(points)
-        for i, (_, bnames) in enumerate(blocks):
-            names.extend(bnames)
-            if i + 1 < len(blocks):
-                names.append(points[i + 2])
-        return tree, tuple(names)
+            names.append(self.expect_name())
+            names.extend(inner)
+            trees.append(tree)
+        return tuple(trees), tuple(names)
 
     def parse_tree(self) -> tuple:
         """tree := "[" (tree | ",")* "]"; the commas are optional."""
         self.expect("[")
         children = []
         while True:
-            t = self.peek()
-            if t.text == "]":
-                self.next()
+            _, text, line, col = self.peek()
+            if text == "]":
+                self.i += 1
                 return tuple(children)
-            if t.text == "[":
+            if text == "[":
                 children.append(self.parse_tree())
-            elif t.text == ",":
-                self.next()
+            elif text == ",":
+                self.i += 1
             else:
-                raise ParseError(t.line, t.col, f"found {t.text or 'end of file'!r} "
+                raise ParseError(line, col, f"found {text or 'end of file'!r} "
                                  "inside a tree literal")
 
     # -- contexts
 
     def parse_ctx(self):
-        t = self.peek()
-        if t.text == "[":
-            ps = self.parse_ps()
-            return ps
+        if self.peek()[1] == "[":
+            return self.parse_ps()
         groups = []
-        while self.peek().text in ("(", "{"):
-            opener = self.next()
-            closer = ")" if opener.text == "(" else "}"
+        while self.peek()[1] in ("(", "{"):
+            _, opener, line, col = self.peek()
+            self.i += 1
+            closer = ")" if opener == "(" else "}"
             first = self.expect_name()
-            if self.peek().text == ":":
-                self.next()
+            if self.peek()[1] == ":":
+                self.i += 1
                 ty = self.parse_ty(stop={closer})
                 self.expect(closer)
-                groups.append((first.text, ty, opener.line, opener.col))
+                groups.append((first, ty, line, col))
             else:
-                if groups or opener.text == "{":
-                    raise ParseError(opener.line, opener.col,
+                if groups or opener == "{":
+                    raise ParseError(line, col,
                                      "pasting notation cannot follow bindings")
                 # re-parse the whole group as pasting notation
                 self.i -= 2
                 return self.parse_ps()
         if not groups:
-            t = self.peek()
-            raise ParseError(t.line, t.col, f"found {t.text or 'end of file'!r}",
+            _, text, line, col = self.peek()
+            raise ParseError(line, col, f"found {text or 'end of file'!r}",
                              expected=("a context",))
         return BindCtx(tuple(groups), groups[0][2], groups[0][3])
 
     # -- types
 
     def parse_ty(self, stop=frozenset()):
-        t = self.peek()
-        if t.text == "*":
-            self.next()
-            return StarE(t.line, t.col)
+        _, text, line, col = self.peek()
+        if text == "*":
+            self.i += 1
+            return StarE(line, col)
         lhs = self.parse_tm(stop=stop | {"->", "=>"})
-        arr = self.peek()
-        if arr.text not in ("->", "=>"):
-            raise ParseError(arr.line, arr.col,
-                             f"found {arr.text or 'end of file'!r}",
+        _, arr, aline, acol = self.peek()
+        if arr not in ("->", "=>"):
+            raise ParseError(aline, acol, f"found {arr or 'end of file'!r}",
                              expected=("->", "=>"))
-        self.next()
+        self.i += 1
         rhs = self.parse_tm(stop=stop)
-        return ArrowE(lhs, rhs, t.line, t.col)
+        return ArrowE(lhs, rhs, line, col)
 
     # -- terms
 
     def parse_tm(self, stop=frozenset()):
-        t = self.peek()
-        head = self.parse_head()
+        toks = self.toks
+        _, text, line, col = toks[self.i]
+        if text == "(":
+            self.i += 1
+            head = self.parse_tm(_RPAREN)
+            self.expect(")")
+        elif text == "coh":
+            head = self.parse_coh()
+        else:
+            head = NameE(self.expect_name(), line, col)
         args = []
         while True:
-            nxt = self.peek()
-            if nxt.kind == "eof" or nxt.text in stop:
+            kind, text, aline, acol = toks[self.i]
+            if kind == "name":
+                if text in KEYWORDS:
+                    break
+                args.append((NameE(text, aline, acol), False))
+                self.i += 1
+            elif text in stop:
                 break
-            if nxt.kind == "name" and nxt.text not in KEYWORDS:
-                args.append((NameE(nxt.text, nxt.line, nxt.col), False))
-                self.next()
-            elif nxt.text == "(":
-                self.next()
-                args.append((self.parse_tm(stop={")"}), False))
+            elif text == "(":
+                self.i += 1
+                args.append((self.parse_tm(_RPAREN), False))
                 self.expect(")")
-            elif nxt.text == "{":
-                self.next()
-                args.append((self.parse_tm(stop={"}"}), True))
+            elif text == "{":
+                self.i += 1
+                args.append((self.parse_tm(_RBRACE), True))
                 self.expect("}")
             else:
                 break
         if not args:
             return head
-        return AppE(head, tuple(args), t.line, t.col)
+        return AppE(head, tuple(args), line, col)
 
-    def parse_head(self):
-        t = self.peek()
-        if t.text == "coh":
-            self.next()
-            self.expect("(")
-            tree, names = self.parse_ps_level()
-            self.expect(":")
-            ty = self.parse_ty(stop={")"})
-            self.expect(")")
-            return CohE(tree, names, ty, t.line, t.col)
-        if t.text == "(":
-            self.next()
-            inner = self.parse_tm(stop={")"})
-            self.expect(")")
-            return inner
-        name = self.expect_name()
-        return NameE(name.text, name.line, name.col)
+    def parse_coh(self) -> CohE:
+        _, _, line, col = self.expect("coh")
+        self.expect("(")
+        tree, names = self.parse_ps_level()
+        self.expect(":")
+        ty = self.parse_ty(stop=_RPAREN)
+        self.expect(")")
+        return CohE(tree, names, ty, line, col)
 
 
 def parse(src: str) -> List[object]:

@@ -114,6 +114,28 @@ def test_a_file_that_is_not_utf8_is_a_parse_error(capsys, tmp_path):
     assert err == f"{bad}:1:9: ParseError: byte 0xff is not UTF-8\n"
 
 
+@pytest.mark.parametrize("newline, second", [("\r", (1, 35)), ("\r\n", (2, 17))])
+def test_only_a_line_feed_starts_a_line_of_a_file(capsys, tmp_path, newline, second):
+    # a lone carriage return is one column, as the tokenizer counts it
+    path = tmp_path / "cr.catt"
+    path.write_bytes(f"normalize (x) | q{newline}normalize (x) | r\n".encode())
+    code, out, err = _run(capsys, "check", str(path))
+    assert (code, out) == (1, "")
+    assert err == (f"{path}:1:17: UnknownVariable: 'q' is not in scope\n"
+                   f"{path}:{second[0]}:{second[1]}: UnknownVariable: 'r' is not in scope\n")
+
+
+def test_a_definition_whose_body_is_a_variable_applies(capsys, tmp_path):
+    path = tmp_path / "var.catt"
+    path.write_text("def v (x : *) := x\n"
+                    "normalize (y : *) | v y\n"
+                    "def w (x(f)y) := f\n"
+                    "normalize (x(f)y(g)z) | w (comp f g)\n")
+    code, out, err = _run(capsys, "normalize", str(path))
+    assert (code, err) == (0, "")
+    assert out == "y\ncoh (x(f)y(g)z : x -> z) f g\n"
+
+
 def test_a_step_budget_counts_every_step(capsys, tmp_path):
     path = tmp_path / "unit.catt"
     path.write_text("normalize (x(f)y) | comp f (id y)\n")

@@ -113,12 +113,17 @@ def test_not_applicable(env, src, where):
 
 
 @pytest.mark.parametrize("src, where", [
-    ("normalize (x(f)y(g)z) | comp f", (1, 25)),
-    ("normalize (x(f)y(g)z) | comp f g f", (1, 25)),
-    ("normalize (x(f)y(g)z)\n  | comp f (comp g)", (2, 13)),
+    # where: line, column and detail
+    ("normalize (x(f)y(g)z) | comp f", (1, 25, "missing argument for 'g'")),
+    ("normalize (x(f)y(g)z) | comp f g f", (1, 25, "expected 2 arguments, got 3")),
+    ("normalize (x(f)y(g)z)\n  | comp f (comp g)", (2, 13, "missing argument for 'g'")),
+    ("normalize (x) | id x x", (1, 17, "expected 1 argument, got 2")),
 ])
 def test_arity_mismatch(env, src, where):
-    assert _error(env, src) == ("ArityMismatch", *where)
+    with pytest.raises(ElabError) as info:
+        _elaborate(env, src)
+    e = info.value
+    assert (e.kind, e.line, e.col, e.detail) == ("ArityMismatch", *where)
 
 
 @pytest.mark.parametrize("src, where", [

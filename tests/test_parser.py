@@ -1,5 +1,8 @@
 """The surface parser on its own: tokens, declarations and error positions."""
 
+import random
+import re
+
 import pytest
 
 from semistrict.parser import (
@@ -10,8 +13,7 @@ from semistrict.parser import (
 
 def test_tokens_carry_their_line_and_column():
     src = "coh unitor-l (x) : x -> x  # note\n  def d := a' {b}\n"
-    got = [(t.kind, t.text, t.line, t.col) for t in tokenize(src)]
-    assert got == [
+    assert tokenize(src) == [
         ("name", "coh", 1, 1), ("name", "unitor-l", 1, 5), ("op", "(", 1, 14),
         ("name", "x", 1, 15), ("op", ")", 1, 16), ("op", ":", 1, 18),
         ("name", "x", 1, 20), ("op", "->", 1, 22), ("name", "x", 1, 25),
@@ -94,13 +96,9 @@ def test_parse_errors_are_located(src, line, col, msg, expected):
     assert str(e).startswith(f"{line}:{col}: {msg}")
 
 
-def _positions(src):
-    return [(t.kind, t.text, t.line, t.col) for t in tokenize(src)]
-
-
 def test_crlf_line_endings_start_lines_after_the_line_feed():
     # the carriage return is whitespace at the end of its line
-    assert _positions("coh c (x) : x -> x\r\nnormalize (x) | c x\r\n")[-8:] == [
+    assert tokenize("coh c (x) : x -> x\r\nnormalize (x) | c x\r\n")[-8:] == [
         ("name", "normalize", 2, 1), ("op", "(", 2, 11), ("name", "x", 2, 12),
         ("op", ")", 2, 13), ("op", "|", 2, 15), ("name", "c", 2, 17),
         ("name", "x", 2, 19), ("eof", "", 3, 1),
@@ -108,7 +106,7 @@ def test_crlf_line_endings_start_lines_after_the_line_feed():
 
 
 def test_a_tab_is_one_column():
-    assert _positions("\tcoh\tc\n\t\tx") == [
+    assert tokenize("\tcoh\tc\n\t\tx") == [
         ("name", "coh", 1, 2), ("name", "c", 1, 6), ("name", "x", 2, 3),
         ("eof", "", 2, 4),
     ]
@@ -116,7 +114,7 @@ def test_a_tab_is_one_column():
 
 @pytest.mark.parametrize("space", ["\u00a0", "\u2028"])
 def test_unicode_spaces_separate_tokens_without_starting_a_line(space):
-    assert _positions(f"x{space}y{space}{space}z") == [
+    assert tokenize(f"x{space}y{space}{space}z") == [
         ("name", "x", 1, 1), ("name", "y", 1, 3), ("name", "z", 1, 6),
         ("eof", "", 1, 7),
     ]
@@ -132,4 +130,57 @@ def test_unicode_spaces_separate_tokens_without_starting_a_line(space):
     ("#\n#", (2, 2)),
 ])
 def test_the_eof_token_is_after_the_last_character(src, eof):
-    assert _positions(src)[-1] == ("eof", "", *eof)
+    assert tokenize(src)[-1] == ("eof", "", *eof)
+
+
+# The tokenizer as one match per token, newlines apart: a reference for
+# the one-call tokenizer, which must give the same tokens and errors.
+_REFERENCE_RE = re.compile(r"""
+    (?P<nl>\n)
+  | (?P<ws>[^\S\n]+|\#[^\n]*)
+  | (?P<op>:=|->|=>|[():{}|=*\[\],])
+  | (?P<name>[A-Za-z_][A-Za-z0-9_']*(?:-[A-Za-z0-9_'][A-Za-z0-9_']*)*)
+  | (?P<bad>.)
+""", re.VERBOSE)
+
+
+def _reference_tokenize(src):
+    out = []
+    line, start = 1, 0
+    for m in _REFERENCE_RE.finditer(src):
+        kind = m.lastgroup
+        if kind == "op" or kind == "name":
+            out.append((kind, m.group(), line, m.start() - start + 1))
+        elif kind == "nl":
+            line, start = line + 1, m.end()
+        elif kind == "bad":
+            raise ParseError(line, m.start() - start + 1,
+                             f"unexpected character {m.group()!r}")
+    out.append(("eof", "", line, len(src) - start + 1))
+    return out
+
+
+def _outcome(tokenizer, src):
+    try:
+        return tokenizer(src)
+    except ParseError as e:
+        return (e.line, e.col, e.msg)
+
+
+# whitespace a line break or not, comments, every operator character,
+# name characters and a character that is neither
+_ALPHABET = ["\n", "\r", "\t", "\x0b", "\x0c", "\x85", "\u00a0", "\u2028", " ",
+             "#", ":", "=", "-", ">", "(", ")", "{", "}", "|", "*", "[", "]", ",",
+             "a", "Z", "_", "0", "9", "'", "é"]
+
+
+def test_the_tokenizer_agrees_with_one_match_per_token():
+    rng = random.Random(18)
+    for _ in range(20_000):
+        src = "".join(rng.choices(_ALPHABET, k=rng.randint(0, 24)))
+        assert _outcome(tokenize, src) == _outcome(_reference_tokenize, src), repr(src)
+
+
+@pytest.mark.parametrize("src", ["x" + " " * 100_000, "x" + " " * 100_000 + "é"])
+def test_a_long_whitespace_tail_tokenizes_as_one_run(src):
+    assert _outcome(tokenize, src) == _outcome(_reference_tokenize, src)
