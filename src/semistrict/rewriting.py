@@ -87,10 +87,16 @@ def endo_coherence_removal(t: Term) -> Optional[Term]:
 
 
 def apply_insertion(t: Coh, r: InsertionRedex) -> Term:
-    # with a found redex's positions the splices skip the trunk check,
-    # so it runs once, in inserted_tree
-    return Coh(inserted_tree(r.S, r.P, r.T), exterior_sub(r.S, r.P, r.T, r.at, t.cell),
-               inserted_sub(r.outer, r.P, r.inner, r.S, r.T, r.at))
+    # the reduct's tree and cell depend on (S, A, P, T) alone (r.at on S
+    # and P), so each shape builds them once; with a found redex's
+    # positions the splices skip the trunk check, so it runs once per
+    # shape, in inserted_tree
+    key = (r.S, t.cell, r.P, r.T)
+    head = _HEADS.get(key)
+    if head is None:
+        head = _HEADS[key] = (inserted_tree(r.S, r.P, r.T),
+                              exterior_sub(r.S, r.P, r.T, r.at, t.cell))
+    return Coh(*head, inserted_sub(r.outer, r.P, r.inner, r.S, r.T, r.at))
 
 
 def _insertion_detail(r: InsertionRedex) -> str:
@@ -212,6 +218,10 @@ TraceFn = Callable[[ReductionStep], None]
 _NF_TERMS: dict = {"sua": {}}
 _NF_TYPES: dict = {"sua": {}}
 _NF_STEPS = 0
+# each insertion shape's reduct tree and cell, keyed by (S, A, P, T) in
+# apply_insertion: a function of syntax, not a normal form, so private
+# runs share it too
+_HEADS: dict = {}
 
 
 def clear_caches():
@@ -219,6 +229,7 @@ def clear_caches():
     _NF_TERMS["sua"].clear()
     _NF_TYPES["sua"].clear()
     _NF_STEPS = 0
+    _HEADS.clear()
 
 
 class Normalizer:

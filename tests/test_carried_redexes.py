@@ -12,14 +12,17 @@ import pytest
 
 from semistrict import insertion, rewriting
 from semistrict.check import infer_term
-from semistrict.syntax import STAR, Arrow, Coh, Var, apply_sub_term, compose
+from semistrict.syntax import (
+    STAR, Arrow, Coh, Var, apply_sub_term, compose, ctx_len, id_sub,
+)
 from semistrict.trees import (
     block_starts, disc, point_positions, suspend_term, suspend_tree, tree_dim,
     tree_to_ctx, trunk_height,
 )
 from semistrict.unbiased import identity_term, unbiased_coh, unbiased_type
 from semistrict.insertion import (
-    branch_at, branch_table, exterior_sub, find_redexes, inserted_tree,
+    branch_at, branch_table, carry_redexes, exterior_sub, find_redexes,
+    inserted_sub, inserted_tree,
 )
 from semistrict.rewriting import clear_caches, normalize, normalize_first_step
 from semistrict.harness import (
@@ -67,24 +70,20 @@ def test_branch_positions_end_in_the_branch_variable():
         assert at[-1] == v and len(at) == 2 * len(p) + 1
 
 
-def test_carried_redexes_at_every_insertion_point(carried):
-    # the one-insertion squares: the argument at p is a composite or an
-    # identity, every other argument a variable
-    cases = 0
+def _one_insertion_squares():
+    """(term, the tree of its context) for each one-insertion square: the
+    argument at p is a composite or an identity, every other argument a
+    variable."""
     for s, p, t in enumerate_insertion_points(6):
-        if not _inserts_at(s, p, t):
-            continue
-        term = Coh(s, unbiased_type(tree_dim(s), s), exterior_sub(s, p, t))
-        infer_term(tree_to_ctx(inserted_tree(s, p, t)), term)
-        _agrees(term)
-        cases += 1
-    assert cases == 1654 and carried
+        if _inserts_at(s, p, t):
+            yield (Coh(s, unbiased_type(tree_dim(s), s), exterior_sub(s, p, t)),
+                   inserted_tree(s, p, t))
 
 
-def test_carried_redexes_with_two_insertion_points(carried):
-    # two arguments insert, at pa before pb: the exterior substitution at
-    # pb (which leaves pa's path alone), then at pa in the tree it makes
-    cases = 0
+def _two_insertion_squares():
+    """(term, the tree of its context) where two arguments insert, at pa
+    before pb: the exterior substitution at pb (which leaves pa's path
+    alone), then at pa in the tree it makes."""
     trees = list(enumerate_trees(5))
     for s in trees:
         branches = canonical_branches(s)
@@ -96,14 +95,83 @@ def test_carried_redexes_with_two_insertion_points(carried):
                     r = inserted_tree(s, pb, tb)
                     kb = exterior_sub(s, pb, tb)
                     for ta in trees:
-                        if not _inserts_at(s, pa, ta):
-                            continue
-                        ka = exterior_sub(r, pa, ta)
-                        term = Coh(s, unbiased_type(tree_dim(s), s), compose(kb, ka))
-                        infer_term(tree_to_ctx(inserted_tree(r, pa, ta)), term)
-                        _agrees(term)
-                        cases += 1
+                        if _inserts_at(s, pa, ta):
+                            yield (Coh(s, unbiased_type(tree_dim(s), s),
+                                       compose(kb, exterior_sub(r, pa, ta))),
+                                   inserted_tree(r, pa, ta))
+
+
+def test_carried_redexes_at_every_insertion_point(carried):
+    cases = 0
+    for term, r in _one_insertion_squares():
+        infer_term(tree_to_ctx(r), term)
+        _agrees(term)
+        cases += 1
+    assert cases == 1654 and carried
+
+
+def test_carried_redexes_with_two_insertion_points(carried):
+    cases = 0
+    for term, r in _two_insertion_squares():
+        infer_term(tree_to_ctx(r), term)
+        _agrees(term)
+        cases += 1
     assert cases == 1244 and max(carried) == 1
+
+
+def _direct_insertion(t, r):
+    """The reduct as the paper writes it, with P's positions found afresh."""
+    return Coh(inserted_tree(r.S, r.P, r.T), exterior_sub(r.S, r.P, r.T, None, t.cell),
+               inserted_sub(r.outer, r.P, r.inner, r.S, r.T))
+
+
+def _found(t):
+    return t, find_redexes(t)[0]
+
+
+def _carried(t):
+    # the first redex applied, and the next one carried to its reduct
+    redexes = find_redexes(t)
+    u = _direct_insertion(t, redexes[0])
+    return u, carry_redexes(redexes, u)[0]
+
+
+@pytest.mark.parametrize("squares, redex", [
+    (_one_insertion_squares, _found),
+    (_two_insertion_squares, _found),
+    (_two_insertion_squares, _carried),
+], ids=["one-found", "two-found", "two-carried"])
+def test_a_remembered_reduct_head_is_the_one_a_step_builds(monkeypatch, squares, redex):
+    # each shape (S, A, P, T) is built on its first step, then only looked
+    # up, here over arguments renamed apart, which only splices them.  The
+    # head cell is an unbiased composite's; a full coherence's one
+    # dimension up, whose push builds the unbiased cell at the branch; or
+    # x -> x, which no well-formed coherence has but which is the same
+    # syntax over every tree, so that only S tells those shapes apart
+    built, shapes = [], set()
+    exterior = rewriting.exterior_sub
+
+    def counted(*args):
+        built.append(args)
+        return exterior(*args)
+
+    monkeypatch.setattr(rewriting, "exterior_sub", counted)
+    clear_caches()
+    cases = 0
+    for term, r in squares():
+        top = unbiased_coh(tree_dim(term.head), term.head)
+        shift = id_sub(ctx_len(r) + 1)[1:]
+        for cell in (term.cell, Arrow(top, term.cell, top), Arrow(Var(0), STAR, Var(0))):
+            for args in (term.args, compose(term.args, shift)):
+                u, rdx = redex(Coh(term.head, cell, args))
+                shape = (rdx.S, u.cell, rdx.P, rdx.T)
+                built.clear()
+                assert rewriting.apply_insertion(u, rdx) == _direct_insertion(u, rdx)
+                assert len(built) == (shape not in shapes)
+                shapes.add(shape)
+            cases += 1
+    assert cases == 3 * (1654 if squares is _one_insertion_squares else 1244)
+    assert len(rewriting._HEADS) == len(shapes)
 
 
 def _comp_chain(n, shape, rng):

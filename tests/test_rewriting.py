@@ -371,6 +371,63 @@ def _comp_chain(n, shape, rng):
     return tree, build(0, n)
 
 
+def _doubling(n):
+    """d{n} x, where d0 x is id x and d{k} x is comp (d{k-1} x) (d{k-1} x)."""
+    t = identity_term(STAR, Var(0))
+    for _ in range(n):
+        t = _endo_comp(t, t)
+    return t
+
+
+@pytest.mark.parametrize("term", [
+    suspend_term(_comp_chain(12, "left", None)[1]),
+    _doubling(10),
+], ids=["dim-2-chain", "doubling"])
+def test_the_insertion_shape_memo_moves_no_step(monkeypatch, term):
+    # normalized cold, then with every reduct head remembered and the
+    # normal forms forgotten: the same steps and the same budget verdicts
+    built = []
+    exterior = rewriting.exterior_sub
+
+    def counted(*args):
+        built.append(args)
+        return exterior(*args)
+
+    monkeypatch.setattr(rewriting, "exterior_sub", counted)
+
+    def forget_normal_forms():
+        heads = dict(rewriting._HEADS)
+        clear_caches()
+        rewriting._HEADS.update(heads)
+
+    def steps():
+        log = []
+        nf = normalize(term, trace=log.append)
+        return nf, [(s.rule, s.path, s.before, s.after, s.detail, s.head) for s in log]
+
+    def verdicts(n, reset):
+        out = []
+        for budget in (n - 1, n):
+            reset()
+            try:
+                out.append(normalize(term, budget=budget))
+            except StepBudgetExceeded:
+                out.append(None)
+        return out
+
+    clear_caches()
+    nf, cold = steps()
+    n = len(cold)
+    assert n >= 2 and built
+    assert verdicts(n, clear_caches) == [None, nf]
+    shapes = len(rewriting._HEADS)
+    built.clear()
+    forget_normal_forms()
+    assert steps() == (nf, cold)
+    assert verdicts(n, forget_normal_forms) == [None, nf]
+    assert not built and len(rewriting._HEADS) == shapes
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_comp_chains_normalize_to_the_unbiased_composite(dim):
     rng = random.Random(dim)

@@ -199,7 +199,8 @@ def test_a_second_corpus_run_interns_and_remembers_nothing_new(capsys):
 
     def sizes():
         return (len(_COHS), len(_ARROWS), len(_NF_TERMS["sua"]), len(_NF_TYPES["sua"]),
-                rewriting._NF_STEPS, len(_INFER_CACHE), len(_GOOD_HEADS))
+                rewriting._NF_STEPS, len(rewriting._HEADS), len(_INFER_CACHE),
+                len(_GOOD_HEADS))
 
     run()
     first = sizes()
