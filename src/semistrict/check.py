@@ -27,8 +27,6 @@ substitution and compared by def_eq.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .syntax import (
     STAR, Arrow, Coh, Context, KernelError, Star, Term, Type, Var,
     apply_sub_type, support,
@@ -37,10 +35,10 @@ from .trees import tree_dim, tree_inc, tree_to_ctx
 from .rewriting import def_eq
 
 
-@dataclass
 class TypingError(Exception):
-    kind: str
-    detail: str
+    def __init__(self, kind: str, detail: str):
+        self.kind = kind
+        self.detail = detail
 
     def __str__(self):
         return f"{self.kind}: {self.detail}"

@@ -19,11 +19,10 @@ declaration wrote them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, NamedTuple, Optional
 
 from .syntax import (
-    Arrow, Coh, Context, STAR, Sub, Term, Type, Var,
+    Arrow, Coh, Context, Record, STAR, Sub, Term, Type, Var,
     apply_sub_term, free_vars, id_sub,
 )
 from .trees import tree_to_ctx
@@ -32,12 +31,12 @@ from .check import infer_term
 from . import parser as P
 
 
-@dataclass
 class ElabError(Exception):
-    kind: str
-    detail: str
-    line: int = 0
-    col: int = 0
+    def __init__(self, kind: str, detail: str, line: int = 0, col: int = 0):
+        self.kind = kind
+        self.detail = detail
+        self.line = line
+        self.col = col
 
     def __str__(self):
         return f"{self.kind}: {self.detail}"
@@ -222,7 +221,7 @@ def _infer_sub(val: Value, args, ctx: Context, line, col) -> Sub:
             old = bound[at]
             if old is None:
                 bound[at] = end
-            elif not def_eq(old, end):
+            elif old is not end and not def_eq(old, end):
                 raise ElabError(
                     "InferenceFailure",
                     f"boundary terms for {src_ctx.name_of(at)!r} disagree "
@@ -238,10 +237,12 @@ def _infer_sub(val: Value, args, ctx: Context, line, col) -> Sub:
 
 # --- declaration processing --------------------------------------------------
 
-@dataclass
-class CheckedDecl:
-    ctx: Context
-    terms: tuple
+class CheckedDecl(Record):
+    __slots__ = ("ctx", "terms")
+
+    def __init__(self, ctx: Context, terms: tuple):
+        self.ctx = ctx
+        self.terms = terms
 
 
 def process_decl(decl, env: dict) -> CheckedDecl:

@@ -28,9 +28,9 @@ carriage return, U+00A0 or U+2028 is whitespace one column wide.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import List, Tuple
 
+from .syntax import Record
 from .trees import tree_to_ctx
 
 
@@ -85,92 +85,103 @@ def tokenize(src: str) -> List[tuple]:
 
 # --- expression forms -------------------------------------------------------
 
-@dataclass(slots=True)
-class NameE:
-    name: str
-    line: int
-    col: int
+class NameE(Record):
+    __slots__ = ("name", "line", "col")
+
+    def __init__(self, name: str, line: int, col: int):
+        self.name = name
+        self.line, self.col = line, col
 
 
-@dataclass(slots=True)
-class AppE:
-    head: object  # NameE or CohE
-    args: tuple   # of (expr, braced: bool)
-    line: int
-    col: int
+class AppE(Record):
+    __slots__ = ("head", "args", "line", "col")
+
+    def __init__(self, head: object, args: tuple, line: int, col: int):
+        self.head = head  # NameE or CohE
+        self.args = args  # of (expr, braced: bool)
+        self.line, self.col = line, col
 
 
-@dataclass(slots=True)
-class CohE:
-    tree: tuple
-    names: tuple
-    ty: object
-    line: int
-    col: int
+class CohE(Record):
+    __slots__ = ("tree", "names", "ty", "line", "col")
+
+    def __init__(self, tree: tuple, names: tuple, ty: object, line: int, col: int):
+        self.tree = tree
+        self.names = names
+        self.ty = ty
+        self.line, self.col = line, col
 
 
-@dataclass(slots=True)
-class StarE:
-    line: int
-    col: int
+class StarE(Record):
+    __slots__ = ("line", "col")
+
+    def __init__(self, line: int, col: int):
+        self.line, self.col = line, col
 
 
-@dataclass(slots=True)
-class ArrowE:
-    lhs: object
-    rhs: object
-    line: int
-    col: int
+class ArrowE(Record):
+    __slots__ = ("lhs", "rhs", "line", "col")
+
+    def __init__(self, lhs: object, rhs: object, line: int, col: int):
+        self.lhs = lhs
+        self.rhs = rhs
+        self.line, self.col = line, col
 
 
-@dataclass(slots=True)
-class PsCtx:
-    tree: tuple
-    names: tuple
-    line: int
-    col: int
+class PsCtx(Record):
+    __slots__ = ("tree", "names", "line", "col")
+
+    def __init__(self, tree: tuple, names: tuple, line: int, col: int):
+        self.tree = tree
+        self.names = names
+        self.line, self.col = line, col
 
 
-@dataclass(slots=True)
-class BindCtx:
-    bindings: tuple  # of (name, ty expr, line, col)
-    line: int
-    col: int
+class BindCtx(Record):
+    __slots__ = ("bindings", "line", "col")
+
+    def __init__(self, bindings: tuple, line: int, col: int):
+        self.bindings = bindings  # of (name, ty expr, line, col)
+        self.line, self.col = line, col
 
 
-@dataclass(slots=True)
-class CohDecl:
-    name: str
-    ps: PsCtx
-    ty: object
-    line: int
-    col: int
+class CohDecl(Record):
+    __slots__ = ("name", "ps", "ty", "line", "col")
+
+    def __init__(self, name: str, ps: PsCtx, ty: object, line: int, col: int):
+        self.name = name
+        self.ps = ps
+        self.ty = ty
+        self.line, self.col = line, col
 
 
-@dataclass(slots=True)
-class TermDef:
-    name: str
-    ctx: object
-    body: object
-    line: int
-    col: int
+class TermDef(Record):
+    __slots__ = ("name", "ctx", "body", "line", "col")
+
+    def __init__(self, name: str, ctx: object, body: object, line: int, col: int):
+        self.name = name
+        self.ctx = ctx
+        self.body = body
+        self.line, self.col = line, col
 
 
-@dataclass(slots=True)
-class NormalizeCmd:
-    ctx: object
-    body: object
-    line: int
-    col: int
+class NormalizeCmd(Record):
+    __slots__ = ("ctx", "body", "line", "col")
+
+    def __init__(self, ctx: object, body: object, line: int, col: int):
+        self.ctx = ctx
+        self.body = body
+        self.line, self.col = line, col
 
 
-@dataclass(slots=True)
-class AssertEqCmd:
-    ctx: object
-    lhs: object
-    rhs: object
-    line: int
-    col: int
+class AssertEqCmd(Record):
+    __slots__ = ("ctx", "lhs", "rhs", "line", "col")
+
+    def __init__(self, ctx: object, lhs: object, rhs: object, line: int, col: int):
+        self.ctx = ctx
+        self.lhs = lhs
+        self.rhs = rhs
+        self.line, self.col = line, col
 
 
 class Parser:

@@ -10,11 +10,10 @@ complexity, is in ``harness``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Callable, Iterator, List, Optional, Tuple
 
 from .syntax import (
-    Arrow, Coh, KernelError, Star, Sub, Term, Type, Var,
+    Arrow, Coh, Immutable, KernelError, Record, Star, Sub, Term, Type, Var,
     apply_sub_term, apply_sub_type,
 )
 from .trees import bracket, is_linear, tree_dim
@@ -27,17 +26,27 @@ from .insertion import (
 
 # --- steps -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ReductionStep:
-    rule: str
-    path: tuple
-    before: object
-    after: object
-    result: object  # the full reduct at the level one_step was called on
-    detail: str = ""
-    # before and after are over this tree's context: the head of the
-    # innermost coherence whose cell holds the step, None outside every cell
-    head: Optional[tuple] = None
+class ReductionStep(Immutable, Record):
+    """``rule`` took ``before`` to ``after`` at ``path``; ``result`` is the
+    full reduct at the level ``one_step`` was called on.  ``before`` and
+    ``after`` are over the context of ``head``: the head of the innermost
+    coherence whose cell holds the step, None outside every cell."""
+
+    __slots__ = ("rule", "path", "before", "after", "result", "detail", "head")
+
+    def __init__(self, rule: str, path: tuple, before, after, result,
+                 detail: str = "", head: Optional[tuple] = None):
+        for f, v in zip(self.__slots__, (rule, path, before, after, result, detail, head)):
+            object.__setattr__(self, f, v)
+
+    def __hash__(self):
+        return hash(tuple(getattr(self, f) for f in self.__slots__))
+
+    def under(self, part, result, head: Optional[tuple] = None) -> "ReductionStep":
+        """This step seen one level up, inside ``part`` of syntax whose
+        reduct is ``result``; ``head`` is the head whose cell ``part`` is."""
+        return ReductionStep(self.rule, (part,) + self.path, self.before, self.after,
+                             result, self.detail, head if self.head is None else self.head)
 
     def path_str(self) -> str:
         if not self.path:
@@ -149,14 +158,11 @@ def one_step_term(t: Term) -> List[ReductionStep]:
                            "" if rdxs is None else _insertion_detail(rdxs[0]))
              for rule, r, rdxs in head_steps(t)]
     for st in one_step_type(t.cell):
-        steps.append(replace(st, path=("cell",) + st.path,
-                             result=Coh(t.head, st.result, t.args),
-                             head=t.head if st.head is None else st.head))
+        steps.append(st.under("cell", Coh(t.head, st.result, t.args), t.head))
     for i, a in enumerate(t.args):
         for st in one_step_term(a):
             new_args = t.args[:i] + (st.result,) + t.args[i + 1:]
-            steps.append(replace(st, path=(("arg", i),) + st.path,
-                                 result=Coh(t.head, t.cell, new_args)))
+            steps.append(st.under(("arg", i), Coh(t.head, t.cell, new_args)))
     return steps
 
 
@@ -165,14 +171,11 @@ def one_step_type(a: Type) -> List[ReductionStep]:
     if not isinstance(a, Arrow):
         return steps
     for st in one_step_term(a.src):
-        steps.append(replace(st, path=("src",) + st.path,
-                             result=Arrow(st.result, a.base, a.tgt)))
+        steps.append(st.under("src", Arrow(st.result, a.base, a.tgt)))
     for st in one_step_type(a.base):
-        steps.append(replace(st, path=("base",) + st.path,
-                             result=Arrow(a.src, st.result, a.tgt)))
+        steps.append(st.under("base", Arrow(a.src, st.result, a.tgt)))
     for st in one_step_term(a.tgt):
-        steps.append(replace(st, path=("tgt",) + st.path,
-                             result=Arrow(a.src, a.base, st.result)))
+        steps.append(st.under("tgt", Arrow(a.src, a.base, st.result)))
     return steps
 
 
@@ -180,8 +183,7 @@ def one_step_sub(s: Sub) -> List[ReductionStep]:
     steps: List[ReductionStep] = []
     for i, t in enumerate(s):
         for st in one_step_term(t):
-            steps.append(replace(st, path=(("entry", i),) + st.path,
-                                 result=s[:i] + (st.result,) + s[i + 1:]))
+            steps.append(st.under(("entry", i), s[:i] + (st.result,) + s[i + 1:]))
     return steps
 
 

@@ -30,7 +30,6 @@ substitution into the ambient context.
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Optional, Union
 
@@ -56,12 +55,9 @@ class Type:
     __slots__ = ()
 
 
-class _Interned:
-    """Immutable syntax whose constructor returns the interned object.
-
-    ``_fields`` names the components; pickling rebuilds through the
-    constructor, so it yields the live object again.
-    """
+class Immutable:
+    """Assigning or deleting an attribute raises ``AttributeError``; a
+    constructor sets them through ``object.__setattr__`` or ``__dict__``."""
 
     __slots__ = ()
 
@@ -70,6 +66,32 @@ class _Interned:
 
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Record:
+    """A record whose fields are its ``__slots__``: equal to a record of
+    its own class with equal fields."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class _Interned(Immutable):
+    """Immutable syntax whose constructor returns the interned object.
+
+    ``_fields`` names the components; pickling rebuilds through the
+    constructor, so it yields the live object again.
+    """
+
+    __slots__ = ()
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f) for f in self._fields)
@@ -189,8 +211,7 @@ Sub = tuple
 Syntax = Union[Term, Type, Sub]
 
 
-@dataclass(frozen=True, eq=False)
-class Context:
+class Context(Immutable):
     """Ordered telescope of (display name, type) entries.
 
     Equality and hashing ignore the display names.  The names, the
@@ -199,17 +220,10 @@ class Context:
     most kernel contexts never are.
     """
 
-    entries: tuple
-    names: tuple = field(init=False, repr=False)
-    types: tuple = field(init=False, repr=False)
-    _hash: int = field(init=False, repr=False)
-
-    def __post_init__(self):
-        names = tuple(n for n, _ in self.entries)
-        types = tuple(t for _, t in self.entries)
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "types", types)
-        object.__setattr__(self, "_hash", hash(types))
+    def __init__(self, entries: tuple):
+        types = tuple(t for _, t in entries)
+        self.__dict__.update(entries=entries, names=tuple(n for n, _ in entries),
+                             types=types, _hash=hash(types))
 
     @cached_property
     def positions(self) -> dict:

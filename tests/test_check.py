@@ -1,3 +1,4 @@
+import pickle
 import sys
 from pathlib import Path
 
@@ -210,3 +211,11 @@ def test_400_deep_chains_decide_at_the_default_recursion_limit(shape):
     _clear_memos()
     assert infer_term(tree_to_ctx(tree), t) == unbiased_type(1, tree)
     assert normalize(t) == unbiased_coh(1, tree)
+
+
+def test_a_typing_error_keeps_its_kind_and_detail():
+    e = TypingError("TypeMismatch", "source of arrow has type *")
+    assert (e.kind, e.detail, str(e)) == (
+        "TypeMismatch", "source of arrow has type *", "TypeMismatch: source of arrow has type *")
+    back = pickle.loads(pickle.dumps(e))
+    assert (type(back), back.kind, back.detail) == (TypingError, e.kind, e.detail)

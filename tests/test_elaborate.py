@@ -1,5 +1,7 @@
 """The elaborator on its own: implicit arguments and located errors."""
 
+import pickle
+
 import pytest
 
 from semistrict import syntax
@@ -196,3 +198,21 @@ def test_a_parenthesized_whole_term_elaborates_and_decides(env, src):
 
 def test_an_unknown_name_in_a_binding_type_is_located_at_the_name(env):
     assert _error(env, "normalize (x : *)\n (f : x -> q) | f") == ("UnknownVariable", 2, 12)
+
+
+def test_an_elaboration_error_keeps_its_kind_detail_and_position():
+    e = ElabError("ArityMismatch", "expected 1 argument, got 2", 3, 7)
+    assert (e.kind, e.detail, e.line, e.col) == ("ArityMismatch", "expected 1 argument, got 2", 3, 7)
+    assert str(e) == "ArityMismatch: expected 1 argument, got 2"
+    bare = ElabError("UnknownVariable", "q")
+    assert (bare.line, bare.col) == (0, 0)
+    back = pickle.loads(pickle.dumps(e))
+    assert (type(back), back.kind, back.detail, back.line, back.col) == (
+        ElabError, e.kind, e.detail, e.line, e.col)
+
+
+def test_checked_declarations_compare_by_their_fields(env):
+    [a] = parse("normalize (x(f)y(g)z) | comp f g")
+    [b] = parse("normalize (a(u)b(v)c) | comp u v")
+    assert process_decl(a, env) == process_decl(b, env)
+    assert process_decl(a, env) != process_decl(parse("normalize (x(f)y) | f")[0], env)

@@ -151,6 +151,24 @@ def test_loading_the_cli_leaves_harness_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_no_kernel_module_imports_dataclasses():
+    # importing dataclasses pulls in inspect, and each @dataclass builds
+    # its methods with exec on every start; only harness, which the CLI
+    # loads lazily, may use them
+    users = [p.name for p in KERNEL for node in ast.walk(_parse(p))
+             if (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
+             or (isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names))]
+    assert not users, f"modules importing dataclasses: {', '.join(users)}"
+
+
+def test_starting_the_cli_loads_neither_dataclasses_nor_inspect():
+    probe = ("import sys, semistrict.cli; from semistrict import elaborate; "
+             "elaborate.prelude(); print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert out.stdout.strip() == "[]"
+
+
 def test_every_kernel_name_is_used_outside_its_definition():
     # a use is a name in the code of another module (not __init__, which
     # re-exports nothing) or of its own module outside its own definition,

@@ -75,6 +75,16 @@ def test_several_declarations_keep_their_own_positions():
         ("CohDecl", 2, 1), ("NormalizeCmd", 4, 1)]
 
 
+def test_forms_compare_by_class_and_fields():
+    a, b = NameE("x", 1, 1), NameE("y", 1, 6)
+    assert ArrowE(a, b, 1, 1) == ArrowE(NameE("x", 1, 1), b, 1, 1)
+    assert ArrowE(a, b, 1, 1) != ArrowE(a, b, 1, 2)
+    # same fields in the same order, but another form
+    assert ArrowE(a, b, 1, 1) != NormalizeCmd(a, b, 1, 1)
+    assert PsCtx((), ("x",), 1, 1) != CohE((), ("x",), None, 1, 1)
+    assert repr(a) == "NameE(name='x', line=1, col=1)"
+
+
 @pytest.mark.parametrize("src, line, col, msg, expected", [
     ("coh oops (x(f)y :", 1, 17, "found ':'", (")",)),
     ("normalize (x(f)y) | comp f $", 1, 28, "unexpected character '$'", ()),

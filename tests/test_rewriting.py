@@ -155,6 +155,28 @@ def test_one_step_endo_includes_ecr_and_argument_steps(f_then_gh):
     assert any(s.path and s.path[0] == "cell" for s in steps)
 
 
+def test_a_step_is_an_immutable_record_seen_from_each_level(f_then_gh):
+    a = Arrow(Var(0), STAR, Var(5))
+    endo = Coh(CHAIN3, Arrow(f_then_gh, a, f_then_gh), id_sub(7))
+    steps = one_step_term(endo)
+    again = one_step_term(endo)
+    assert steps == again and {hash(step) for step in steps} == {hash(step) for step in again}
+    inner = one_step_term(f_then_gh)[0]
+    step = inner.under(("arg", 0), "reduct")
+    assert (step.rule, step.path, step.before, step.after, step.result, step.detail, step.head) == (
+        inner.rule, (("arg", 0),) + inner.path, inner.before, inner.after, "reduct",
+        inner.detail, inner.head)
+    assert step.path_str() == "arg[0]" and step != inner
+    # a cell names the head its steps are over; an outer cell does not replace it
+    assert inner.under("cell", "r", CHAIN2).head == CHAIN2
+    assert inner.under("cell", "r", CHAIN2).under("cell", "s", CHAIN3).head == CHAIN2
+    for name in ("rule", "path", "head"):
+        with pytest.raises(AttributeError):
+            setattr(step, name, None)
+        with pytest.raises(AttributeError):
+            delattr(step, name)
+
+
 def test_normalize_strict_associativity(f_then_gh, fg_then_h):
     assert normalize(f_then_gh) == normalize(fg_then_h) == unbiased_coh(1, CHAIN3)
 

@@ -124,6 +124,22 @@ def test_context_equality_ignores_names():
     assert a != d
 
 
+def test_a_context_is_immutable():
+    ctx = tree_to_ctx(CHAIN2)
+    for name in ("entries", "names", "types", "_hash", "fresh"):
+        with pytest.raises(AttributeError):
+            setattr(ctx, name, ())
+        with pytest.raises(AttributeError):
+            delattr(ctx, name)
+    assert ctx.positions == {"x": 0, "y": 1, "f": 2, "z": 3, "g": 4}
+    # a cached name table leaves equality and the hash blind to names
+    renamed = Context(tuple(zip("abcde", ctx.types)))
+    assert renamed.positions != ctx.positions
+    assert renamed == ctx and hash(renamed) == hash(ctx)
+    assert pickle.loads(pickle.dumps(ctx)) == ctx
+    assert pickle.loads(pickle.dumps(ctx)).names == ctx.names
+
+
 def test_coh_rejects_wrong_arity():
     cell = unbiased_type(1, CHAIN1)
     before = len(_COHS)
