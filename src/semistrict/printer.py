@@ -9,7 +9,7 @@ to a definitionally equal term.
 from __future__ import annotations
 
 from .syntax import Arrow, Coh, KernelError, Star, Term, Type, Var
-from .trees import Tree, block_starts, point_positions, tree_to_ctx
+from .trees import Tree, point_positions, tree_to_ctx
 from .insertion import locally_maximal_positions
 
 
@@ -25,10 +25,10 @@ def _emit_ps(t: Tree, offset: int, names) -> str:
     if not t:
         return names[offset]
     pts = point_positions(t)
-    bs = block_starts(t)
     out = names[offset + pts[0]]
     for i, child in enumerate(t):
-        out += "(" + _emit_ps(child, offset + bs[i], names) + ")"
+        # the child's block starts one past the point that follows it
+        out += "(" + _emit_ps(child, offset + pts[i + 1] + 1, names) + ")"
         out += names[offset + pts[i + 1]]
     return out
 

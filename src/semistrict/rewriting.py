@@ -64,6 +64,9 @@ class StepBudgetExceeded(Exception):
     """The normalizer ran past its step budget: a kernel bug by theorem."""
 
 
+_EXHAUSTED = "step budget exhausted; reduction should always terminate"
+
+
 DEFAULT_BUDGET = 10 ** 6
 
 
@@ -189,26 +192,6 @@ def one_step_sub(s: Sub) -> List[ReductionStep]:
 
 # --- normalization -----------------------------------------------------------
 
-class _Budget:
-    __slots__ = ("left", "floor")
-
-    def __init__(self, n: int):
-        self.left = n
-        self.floor = 0  # what a normalization keeps back once it skips steps
-
-    def spend(self):
-        self.left -= 1
-        if self.left < self.floor:
-            if self.left < 0:
-                raise StepBudgetExceeded(
-                    "step budget exhausted; reduction should always terminate")
-            raise _Recount
-
-
-class _Recount(Exception):
-    """A run skipped more remembered steps than its budget has left."""
-
-
 TraceFn = Callable[[ReductionStep], None]
 
 # normal forms are context independent, so they cache globally: one memo
@@ -216,13 +199,13 @@ TraceFn = Callable[[ReductionStep], None]
 # term memo holds each term normalized, each head over normal parts and
 # each insertion reduct met on the way, and each normal form, as its own.
 # _NF_STEPS counts the head steps taken over these memos, so it bounds
-# the steps a cold normalization of anything they remember takes
+# the steps a shared run skips, and normalize keeps it back from the budget
 _NF_TERMS: dict = {"sua": {}}
 _NF_TYPES: dict = {"sua": {}}
 _NF_STEPS = 0
 # each insertion shape's reduct tree and cell, keyed by (S, A, P, T) in
-# apply_insertion: a function of syntax, not a normal form, so private
-# runs share it too
+# apply_insertion: a function of syntax, not a normal form, so cold runs
+# share it too
 _HEADS: dict = {}
 
 
@@ -235,7 +218,8 @@ def clear_caches():
 
 
 class Normalizer:
-    """One normalization, with a cold run's verdict on its step budget.
+    """One normalization of at most ``budget`` head steps, over the shared
+    memos or, cold, over memos of its own; ``normalize`` chooses which.
 
     Reduction is terminating and confluent, so a term's normal form
     depends only on the term.  After a term's arguments and cell are
@@ -243,35 +227,16 @@ class Normalizer:
     under other unnormalized syntax, or a normal form met again, takes
     no step and no redex scan.  A cold run, over empty memos, remembers
     heads the same way, so it takes each head's step once.
-
-    A run over the shared memos takes some of a cold run's steps and
-    skips the others, at remembered terms that are not normal; each
-    skipped step was taken by an earlier run and counted in
-    ``_NF_STEPS``.  So a run that overruns its budget is right, and one
-    that skipped is right while ``remembered``, that count when it
-    began, fits in what is left of the budget.  When it stops fitting,
-    at a skip or at a step after one (``_Budget.floor``), the run raises
-    ``_Recount`` and ``normalize`` redoes it over private memos, cold:
-    a budget below the remembered steps can cost a normalization twice.
     """
 
     def __init__(self, budget: int = DEFAULT_BUDGET,
-                 trace: Optional[TraceFn] = None, private: bool = False):
-        self.budget = _Budget(budget)
+                 trace: Optional[TraceFn] = None, shared: bool = False):
+        self.budget = budget
+        self.steps = 0
         self.trace = trace
-        # a traced run is cold, so its steps are a cold run's
-        self.private = private or trace is not None
-        self.term_memo = {} if self.private else _NF_TERMS["sua"]
-        self.type_memo = {} if self.private else _NF_TYPES["sua"]
-        self.remembered = 0 if self.private else _NF_STEPS
+        self.term_memo = _NF_TERMS["sua"] if shared else {}
+        self.type_memo = _NF_TYPES["sua"] if shared else {}
         self.head = None  # the head whose cell is being normalized, as in steps
-
-    def _skip(self):
-        # at a remembered term that is not normal
-        b = self.budget
-        b.floor = self.remembered
-        if b.left < b.floor:
-            raise _Recount
 
     def run(self, x):
         return self.term(x) if isinstance(x, (Var, Coh)) else self.type(x)
@@ -281,8 +246,6 @@ class Normalizer:
             return t
         nf = self.term_memo.get(t)
         if nf is not None:
-            if nf is not t:
-                self._skip()
             return nf
         out = self._term(t, path)
         self.term_memo[t] = out
@@ -307,8 +270,6 @@ class Normalizer:
             if cur is not nxt:
                 hit = self.term_memo.get(cur)
                 if hit is not None:
-                    if hit is not cur:
-                        self._skip()
                     cur = hit
                     break
                 done.append(cur)
@@ -318,7 +279,9 @@ class Normalizer:
             if step is None:
                 break
             rule, nxt, redexes = step
-            self.budget.spend()
+            self.steps += 1
+            if self.steps > self.budget:
+                raise StepBudgetExceeded(_EXHAUSTED)
             if self.trace is not None:
                 detail = "" if redexes is None else _insertion_detail(redexes[0])
                 self.trace(ReductionStep(rule, path, cur, nxt, nxt, detail, outer))
@@ -330,8 +293,6 @@ class Normalizer:
             # substitutions, so only its cell can be unnormalized
             hit = self.term_memo.get(nxt)
             if hit is not None:
-                if hit is not nxt:
-                    self._skip()
                 cur = hit
                 break
             done.append(nxt)
@@ -348,8 +309,6 @@ class Normalizer:
             return a
         nf = self.type_memo.get(a)
         if nf is not None:
-            if nf is not a:
-                self._skip()
             return nf
         out = Arrow(self.term(a.src, path + ("src",)),
                     self.type(a.base, path + ("base",)),
@@ -360,29 +319,38 @@ class Normalizer:
 
 def normalize(x, budget: int = DEFAULT_BUDGET,
               trace: Optional[TraceFn] = None):
+    """The normal form of ``x``, with a cold run's verdict on ``budget``.
+
+    A traced call, or one whose budget is below ``_NF_STEPS``, is one
+    cold run.  Any other runs over the shared memos with ``budget -
+    _NF_STEPS`` steps, and is redone cold if those run out: a shared run
+    that fits skipped at most ``_NF_STEPS`` steps, so a cold run fits too.
+    """
     global _NF_STEPS
     if not isinstance(x, (Var, Coh, Star, Arrow)):
         raise KernelError(f"not syntax: {x!r}")
-    nz = Normalizer(budget, trace)
+    if trace is not None or budget < _NF_STEPS:
+        return Normalizer(budget, trace).run(x)
+    nz = Normalizer(budget - _NF_STEPS, shared=True)
     try:
         return nz.run(x)
-    except _Recount:
-        # the memos skipped more steps than the budget has left
-        return Normalizer(budget, private=True).run(x)
+    except StepBudgetExceeded:
+        return Normalizer(budget).run(x)
     finally:
-        if not nz.private:
-            _NF_STEPS += budget - nz.budget.left
+        _NF_STEPS += nz.steps
 
 
 def normalize_first_step(x, budget: int = DEFAULT_BUDGET):
     """Outermost strategy: repeatedly take the first enumerated step."""
-    b = _Budget(budget)
+    steps = 0
     while True:
-        steps = one_step(x)
-        if not steps:
+        reducts = one_step(x)
+        if not reducts:
             return x
-        b.spend()
-        x = steps[0].result
+        steps += 1
+        if steps > budget:
+            raise StepBudgetExceeded(_EXHAUSTED)
+        x = reducts[0].result
 
 
 def def_eq(a, b) -> bool:
@@ -395,7 +363,7 @@ def def_eq(a, b) -> bool:
     (``_NF_TERMS``, ``_NF_TYPES``), keyed by identity, under the term
     and under each head over normal parts its normalization met; a
     normal form is remembered as its own, so normalizing one again is
-    one lookup.  The default budget is far above ``_NF_STEPS``, so no
-    conversion is redone over private memos (``Normalizer``).
+    one lookup.  The default budget is far above ``_NF_STEPS``, so every
+    conversion is one run over the shared memos (``normalize``).
     """
     return a == b or normalize(a) == normalize(b)

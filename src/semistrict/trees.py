@@ -75,15 +75,10 @@ def point_positions(t: Tree) -> tuple:
     return tuple(pts)
 
 
-@lru_cache(maxsize=None)
 def block_starts(t: Tree) -> tuple:
-    """Start position of each child's suspended variable block."""
-    bs = []
-    cur = 2
-    for i, c in enumerate(t):
-        bs.append(cur)
-        cur += ctx_len(c) + 1
-    return tuple(bs)
+    """Start position of each child's suspended variable block: one past
+    the point that follows it."""
+    return tuple(p + 1 for p in point_positions(t)[1:])
 
 
 # --- suspension -----------------------------------------------------------
@@ -166,7 +161,6 @@ def tree_bd(n: int, t: Tree) -> Tree:
     return tuple(tree_bd(n - 1, c) for c in t)
 
 
-@lru_cache(maxsize=None)
 def tree_inc(eps: str, n: int, t: Tree) -> Sub:
     """Inclusion of the n-boundary of t into tree_to_ctx(t).
 

@@ -21,13 +21,12 @@ from .trees import ctx_len, disc, is_linear, tree_bd, tree_dim, tree_inc
 def unbiased_type(n: int, t: Tree) -> Type:
     if n <= 0:
         return STAR
-    b = tree_bd(n - 1, t)
-    s = apply_sub_term(unbiased_term(n - 1, b), tree_inc("-", n - 1, t))
-    u = apply_sub_term(unbiased_term(n - 1, b), tree_inc("+", n - 1, t))
+    bd = unbiased_term(n - 1, tree_bd(n - 1, t))
+    s = apply_sub_term(bd, tree_inc("-", n - 1, t))
+    u = apply_sub_term(bd, tree_inc("+", n - 1, t))
     return Arrow(s, unbiased_type(n - 1, t), u)
 
 
-@lru_cache(maxsize=None)
 def unbiased_term(n: int, t: Tree) -> Term:
     if is_linear(t) and tree_dim(t) == n:
         return Var(ctx_len(t) - 1)  # the top variable of a disc

@@ -247,6 +247,37 @@ def test_tracing_the_corpus_takes_a_remembered_heads_steps_once(capsys):
     assert len(err.splitlines()) == 48
 
 
+_EH = CORPUS / "eckmann_hilton.catt"
+_EH_CTX = "(x : *) (a : id x => id x) (b : id x => id x)"
+
+
+def test_eckmann_hilton_composed_in_the_wrong_order_fails_to_infer(capsys, tmp_path):
+    # eh a b runs from vert a b to vert b a, so composing it after the
+    # identity on vert b a leaves no consistent middle 2-cell
+    path = tmp_path / "wrong.catt"
+    text = _EH.read_text()
+    line = text.count("\n") + 1
+    path.write_text(text + f"def wrong {_EH_CTX} := "
+                    "vert3 (id2 (vert b a)) (vert3 (eh a b) (id2 (vert a b)))\n")
+    code, out, err = _run(capsys, "check", str(path))
+    assert (code, out) == (1, "")
+    assert re.fullmatch(rf"{re.escape(str(path))}:{line}:\d+: InferenceFailure: .+\n", err), err
+
+
+def test_eckmann_hilton_takes_eighteen_cold_steps(capsys):
+    # 18 traced steps; the verdict is a cold run's whatever the memos hold
+    path = str(_EH)
+    line = next(i for i, s in enumerate(_EH.read_text().splitlines(), 1)
+                if s.startswith("normalize"))
+    untraced = _run(capsys, "normalize", path)
+    assert len(_run(capsys, "normalize", "--trace", path)[2].splitlines()) == 18
+    code, out, err = _run(capsys, "normalize", "--step-budget", "17", path)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"{path}:{line}:1: StepBudgetExceeded: ")
+    assert _run(capsys, "normalize", "--step-budget", "18", path) == untraced
+    assert untraced[0] == 0 and len(untraced[1]) == 698 + 1
+
+
 def test_a_step_inside_a_cell_is_printed_over_its_heads_context(capsys, tmp_path):
     # the coherence's head has five variables, the declaration's context three
     path = tmp_path / "cell.catt"

@@ -2,8 +2,9 @@
 
 Every import is used, ``harness`` (generators, oracles and metatheory
 helpers) stays out of the kernel, every top-level name in a kernel
-module has a use outside its own definition, and every kernel name the
-traced benchmark patches by string exists.
+module has a use outside its own definition, every kernel cache is
+listed with the reason it is kept, and every kernel name the traced
+benchmark patches by string exists.
 """
 
 import ast
@@ -31,6 +32,17 @@ UNUSED_ALLOWED = {
     # so a test can start from cold memos; the kernel keeps them for the
     # life of the process
     "clear_caches",
+}
+
+# every lru cache in the kernel, each with the reason it is kept
+KERNEL_CACHES = {
+    "ctx_len": "Coh's arity check sums a head tree for every coherence built",
+    "tree_dim": "the head rules and redex scans read each head's dimension, a max over the tree",
+    "point_positions": "insertion's splices and the printer read a tree's points at each head",
+    "tree_to_ctx": "checking, elaborating and printing a head build its context",
+    "branch_table": "find_redexes reads every branch row of each head it scans",
+    "unbiased_type": "disc removal, identity tests and redex scans compare cells with it",
+    "unbiased_coh": "endo-coherence removal builds every identity from it",
 }
 
 
@@ -188,6 +200,26 @@ def test_every_kernel_name_is_used_outside_its_definition():
                 continue
             unused.append(f"{path.stem}.{name}")
     assert not unused, f"defined but used only by tests or not at all: {', '.join(unused)}"
+
+
+def _lru_cached(path):
+    """Name of each function an ``lru_cache`` or ``cache`` decorates."""
+    for node in ast.walk(_parse(path)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for d in node.decorator_list:
+                f = d.func if isinstance(d, ast.Call) else d
+                if getattr(f, "id", getattr(f, "attr", None)) in ("lru_cache", "cache"):
+                    yield node.name
+
+
+def test_every_kernel_cache_is_listed_with_its_reason():
+    # a cache is kept only for a reason; a new one is listed with its own,
+    # and a listed one that is gone leaves the list
+    found = [name for path in KERNEL for name in _lru_cached(path)]
+    assert len(found) == len(set(found))
+    unlisted, gone = set(found) - set(KERNEL_CACHES), set(KERNEL_CACHES) - set(found)
+    assert not unlisted, f"kernel caches listed with no reason: {sorted(unlisted)}"
+    assert not gone, f"listed caches that are gone: {sorted(gone)}"
 
 
 def _object_new_calls(path):

@@ -309,9 +309,9 @@ def test_a_default_budget_never_normalizes_twice(monkeypatch):
     redone = []
 
     class Spy(rewriting.Normalizer):
-        def __init__(self, budget, trace=None, private=False):
-            redone.append(private)
-            super().__init__(budget, trace, private)
+        def __init__(self, budget, trace=None, shared=False):
+            redone.append(not shared)
+            super().__init__(budget, trace, shared)
 
     pop = gen_population(GenConfig(seed=11), 3000)[:3000]
     clear_caches()
@@ -320,6 +320,56 @@ def test_a_default_budget_never_normalizes_twice(monkeypatch):
         normalize(t)
     assert len(redone) == len(pop) and not any(redone)
     assert 0 < rewriting._NF_STEPS < rewriting.DEFAULT_BUDGET
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """(shared, normalizer) for each Normalizer that normalize builds."""
+    out = []
+
+    class Spy(rewriting.Normalizer):
+        def __init__(self, budget, trace=None, shared=False):
+            out.append((shared, self))
+            super().__init__(budget, trace, shared)
+
+    monkeypatch.setattr(rewriting, "Normalizer", Spy)
+    return out
+
+
+def _warm(steps):
+    """Empty memos that remember at least ``steps`` steps, none of _UNIT's."""
+    clear_caches()
+    n = 3
+    while rewriting._NF_STEPS < steps:
+        normalize(_comp_chain(n, "left", None)[1])
+        n += 1
+    return rewriting._NF_STEPS
+
+
+def test_a_budget_below_the_remembered_steps_is_one_cold_run(built):
+    # the term is remembered, so a shared run would skip both its steps
+    term = _endo_comp(_UNIT, _UNIT)
+    _warm(10)
+    nf = normalize(term)
+    before = rewriting._NF_STEPS
+    del built[:]
+    with pytest.raises(StepBudgetExceeded):
+        normalize(term, budget=1)
+    assert normalize(term, budget=2) == nf
+    assert [shared for shared, _ in built] == [False, False]
+    assert rewriting._NF_STEPS == before
+
+
+def test_a_shared_run_that_overruns_what_is_left_is_redone_cold(built):
+    # 2 cold steps; the shared run has 1 left and overruns, the cold one
+    # fits; the shared run's steps, the one that overran included, count
+    term = _endo_comp(_UNIT, _UNIT)
+    warm = _warm(1)
+    nf = normalize(term, trace=lambda s: None)
+    del built[:]
+    assert normalize(term, budget=warm + 1) == nf
+    assert [(shared, nz.budget) for shared, nz in built] == [(True, 1), (False, warm + 1)]
+    assert built[0][1].steps == 2 and rewriting._NF_STEPS == warm + 2
 
 
 def test_cell_steps_preserve_sc_non_cell_steps_decrease(f_then_gh):

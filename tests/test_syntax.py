@@ -19,7 +19,7 @@ from semistrict.parser import parse
 from semistrict.printer import fmt_term
 from semistrict import rewriting
 from semistrict.rewriting import _NF_TERMS, _NF_TYPES, clear_caches, normalize
-from semistrict.trees import disc, tree_inc, tree_to_ctx
+from semistrict.trees import disc, tree_to_ctx
 from semistrict.unbiased import identity_term, unbiased_coh, unbiased_type
 
 from conftest import CHAIN1, CHAIN2
@@ -234,7 +234,7 @@ def test_kernel_work_leaves_no_cyclic_garbage():
     gc.collect()
     gc.disable()
     try:
-        for cached in (tree_to_ctx, tree_inc, branch_table):
+        for cached in (tree_to_ctx, branch_table):
             cached.cache_clear()
         clear_caches()
         for ctx, t in pop:
