@@ -31,7 +31,7 @@ from .syntax import (
     STAR, Arrow, Coh, Context, KernelError, Star, Term, Type, Var,
     apply_sub_type, support,
 )
-from .trees import tree_dim, tree_inc, tree_to_ctx
+from .trees import tree_inc, tree_to_ctx
 from .rewriting import def_eq
 
 
@@ -145,7 +145,7 @@ def _check_support(tree, head_ctx: Context, cell: Arrow) -> None:
     everything = frozenset(range(len(head_ctx)))
     if src_supp == everything and tgt_supp == everything:
         return
-    d = tree_dim(tree)
+    d = tree.dim
     if d >= 1:
         want_src = boundary_support(tree, "-", d - 1)
         want_tgt = boundary_support(tree, "+", d - 1)

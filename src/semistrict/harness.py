@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .syntax import (
     Arrow, Coh, Context, KernelError, STAR, Star, Sub, Term, Tree, Type, Var,
-    compose, dim_type, id_sub,
+    compose, dim_type, id_sub, tree,
 )
 from .trees import (
     ctx_len, disc, is_linear, point_positions, tree_dim, tree_to_ctx,
@@ -121,26 +121,26 @@ class GenConfig:
 
 # --- trees ------------------------------------------------------------------
 
-def gen_tree(rng: random.Random, cfg: GenConfig) -> tuple:
-    def go(depth: int) -> tuple:
+def gen_tree(rng: random.Random, cfg: GenConfig) -> Tree:
+    def go(depth: int) -> Tree:
         if depth >= cfg.max_depth:
-            return ()
+            return tree(())
         width = rng.randint(0, cfg.max_width)
-        return tuple(go(depth + 1) for _ in range(width))
+        return tree(tuple([go(depth + 1) for _ in range(width)]))
 
     t = go(0)
-    return t if t else ((),)  # context generation wants at least one cell
+    return t if t else tree((t,))  # context generation wants at least one cell
 
 
-def gen_tree_of_dim(rng: random.Random, d: int, width: int = 2) -> tuple:
+def gen_tree_of_dim(rng: random.Random, d: int, width: int = 2) -> Tree:
     """A random tree of dimension exactly d."""
     if d == 0:
-        return ()
+        return tree(())
     kids = [gen_tree_of_dim(rng, d - 1, width)]
     for _ in range(rng.randint(0, width - 1)):
         kids.append(gen_tree_of_dim(rng, rng.randint(0, d - 1), width))
     rng.shuffle(kids)
-    return tuple(kids)
+    return tree(tuple(kids))
 
 
 @lru_cache(maxsize=None)
@@ -148,12 +148,12 @@ def trees_with_nodes(n: int) -> tuple:
     if n <= 0:
         return ()
     if n == 1:
-        return ((),)
+        return (tree(()),)
     out = []
 
     def go(remaining: int, acc: list):
         if remaining == 0:
-            out.append(tuple(acc))
+            out.append(tree(tuple(acc)))
             return
         for k in range(1, remaining + 1):
             for child in trees_with_nodes(k):
@@ -210,7 +210,7 @@ def ctx_to_tree(ctx: Context) -> Tree:
     if not isinstance(types[0], Star):
         raise NotPastingError(0, "first variable must be an object")
     if n == 1:
-        return ()
+        return tree(())
     if not isinstance(types[1], Star):
         raise NotPastingError(1, "second variable of a composite context must be an object")
     stars = [i for i, ty in enumerate(types) if isinstance(ty, Star)]
@@ -234,7 +234,7 @@ def ctx_to_tree(ctx: Context) -> Tree:
                 raise NotPastingError(p, "cell crosses its gluing points") from None
             entries.append((ctx.name_of(p), _strip_suspension(ty, p)))
         children.append(ctx_to_tree(Context(tuple(entries))))
-    return tuple(children)
+    return tree(tuple(children))
 
 
 def _renumber_type(ty: Type, renum: dict, pos: int) -> Type:
@@ -354,27 +354,27 @@ class TermGen:
                 return t, ty.tgt
         return identity_term(base, at), at
 
-    def gen_args(self, tree: tuple, base: Type, start: Term) -> list:
+    def gen_args(self, t: Tree, base: Type, start: Term) -> list:
         """Arguments for a pasting tree whose first point is `start`, in
         context layout order: each child's target point comes before its
         block, which is also the order they are drawn in."""
         out, point = [start], start
-        for child in tree:
+        for child in t:
             cell, nxt = self.pick_step(point, base)
             out.append(nxt)
             out += self.gen_args(child, Arrow(point, base, nxt), cell)
             point = nxt
         return out
 
-    def gen_sub(self, tree: tuple) -> Sub:
+    def gen_sub(self, t: Tree) -> Sub:
         """A random well-typed substitution out of a pasting tree."""
-        return tuple(self.gen_args(tree, STAR, self.pick_object()))
+        return tuple(self.gen_args(t, STAR, self.pick_object()))
 
-    def small_tree(self, max_dim: int) -> tuple:
+    def small_tree(self, max_dim: int) -> Tree:
         d = self.rng.randint(1, max_dim)
         return gen_tree_of_dim(self.rng, d, self.cfg.max_width)
 
-    def gen_bracketing(self, chain: tuple, lo: int, hi: int) -> Term:
+    def gen_bracketing(self, chain: Tree, lo: int, hi: int) -> Term:
         """Random bracketed composite of arrows lo..hi of a 1-dim chain."""
         pts = point_positions(chain)
         bs = [2 + 2 * i for i in range(len(chain))]
@@ -384,7 +384,8 @@ class TermGen:
         left = self.gen_bracketing(chain, lo, cut)
         right = self.gen_bracketing(chain, cut, hi)
         args = (Var(pts[lo]), Var(pts[cut]), left, Var(pts[hi]), right)
-        return Coh(((), ()), unbiased_type(1, ((), ())), args)
+        two = tree(chain[:2])
+        return Coh(two, unbiased_type(1, two), args)
 
     def grow(self) -> Optional[Term]:
         roll = self.rng.random()
@@ -396,12 +397,12 @@ class TermGen:
             self.add(out, nest + 1)
             return out
         if roll < 0.85:
-            tree = self.small_tree(self.cfg.max_dim)
-            n = tree_dim(tree)
+            head = self.small_tree(self.cfg.max_dim)
+            n = head.dim
             if self.rng.random() < 0.35 and n + 1 <= self.cfg.max_dim:
                 n += 1  # unbiased coherence one level up: endo shaped
-            sub = self.gen_sub(tree)
-            out = Coh(tree, unbiased_type(n, tree), sub)
+            sub = self.gen_sub(head)
+            out = Coh(head, unbiased_type(n, head), sub)
             nest = 1 + max((self._nesting(x) for x in sub), default=0)
             if nest > self.cfg.max_nesting:
                 return None
@@ -409,7 +410,7 @@ class TermGen:
             return out
         # rebracketing coherence between two bracketings of a chain
         k = self.rng.randint(2, max(2, self.cfg.max_width + 1))
-        chain = tuple(() for _ in range(k))
+        chain = tree((tree(()),) * k)
         a = self.gen_bracketing(chain, 0, k)
         b = self.gen_bracketing(chain, 0, k)
         pts = point_positions(chain)
@@ -470,7 +471,7 @@ def gen_redex(rng: random.Random, cfg: GenConfig) -> InsertionRedex:
         # composite argument: dimension exactly lh with enough trunk
         t = gen_tree_of_dim(rng, lh - bh, cfg.max_width)
         for _ in range(bh):
-            t = (t,)
+            t = tree((t,))
     r = inserted_tree(s, p, t)
     kappa = exterior_sub(s, p, t)
     iota = interior_sub(s, p, t)

@@ -43,10 +43,10 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .syntax import (
-    Coh, Sub, Term, Tree, Type, apply_sub_term, apply_sub_type, ctx_len,
-    dim_type, id_sub,
+    Coh, Sub, Term, Tree, Type, apply_sub_term, apply_sub_type, dim_type,
+    id_sub, tree,
 )
-from .trees import is_linear, point_positions, tree_dim, trunk_height
+from .trees import ctx_len, is_linear, point_positions, trunk_height
 from .unbiased import is_identity, unbiased_type
 
 
@@ -129,16 +129,27 @@ class InsertionRedex(NamedTuple):
 
 
 def _graft(s: Tree, p: Branch, t: Tree) -> Tree:
+    """The new tree, its dimension and size read off the splice.
+
+    At each level one child, the block on P's path, becomes the new
+    child or, innermost, t's children.  Unless that lowers the block,
+    as an identity's does, the new dimension is the larger of the old
+    one and the new block's.
+    """
     k = p[0]
+    old = s[k]
     if len(p) == 1:
-        return s[:k] + t + s[k + 1:]
+        dim = max(s.dim, t.dim) if t.dim > old.dim else None
+        return tree(s[:k] + t + s[k + 1:], dim, s.size + t.size - old.size - 2)
     # bh >= 1 forces t = (t0,)
-    return s[:k] + (_graft(s[k], p[1:], t[0]),) + s[k + 1:]
+    new = _graft(old, p[1:], t[0])
+    dim = max(s.dim, new.dim + 1) if new.dim >= old.dim else None
+    return tree(s[:k] + (new,) + s[k + 1:], dim, s.size - old.size + new.size)
 
 
 def inserted_tree(s: Tree, p: Branch, t: Tree) -> Tree:
     _require_trunk(s, p, t)
-    return _graft(s, p, t)
+    return _graft(Tree(s), p, Tree(t))
 
 
 def branch_at(s: Tree, p: Branch) -> tuple:
@@ -259,13 +270,12 @@ def inserted_sub(sigma: Sub, p: Branch, tau: Sub, s: Tree, t: Tree,
 def _inserts(arg: Coh, p: Branch, lh: int) -> bool:
     """Whether the coherence at branch p, of leaf height lh, makes an
     insertion redex there."""
-    # the cell's dimension first: matching the unbiased type hashes arg's tree
     if dim_type(arg.cell) != lh:
         return False
     t = arg.head
     if arg.cell != unbiased_type(lh, t):
         return False
-    d = tree_dim(t)
+    d = t.dim
     # only unbiased composites and identities insert
     if not (lh == d or (lh == d + 1 and is_linear(t))):
         return False
@@ -301,7 +311,7 @@ def _left_behind(s: Tree, p: Branch, at: tuple, inner: Tree, delta: int):
         node = node[k]
         if is_linear(node):
             # the same block p[i], now linear, ends in the sibling's variable
-            return p[:i + 1], at[:2 * i + 2] + (at[2 * i + 1] + ctx_len(node),)
+            return p[:i + 1], at[:2 * i + 2] + (at[2 * i + 1] + node.size,)
     return None
 
 

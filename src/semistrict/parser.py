@@ -30,7 +30,7 @@ from __future__ import annotations
 import re
 from typing import List, Tuple
 
-from .syntax import Record
+from .syntax import Record, tree
 from .trees import tree_to_ctx
 
 
@@ -273,12 +273,12 @@ class Parser:
         trees = []
         while self.toks[self.i][1] == "(":
             self.i += 1
-            tree, inner = self.parse_ps_level()
+            sub, inner = self.parse_ps_level()
             self.expect(")")
             names.append(self.expect_name())
             names.extend(inner)
-            trees.append(tree)
-        return tuple(trees), tuple(names)
+            trees.append(sub)
+        return tree(tuple(trees)), tuple(names)
 
     def parse_tree(self) -> tuple:
         """tree := "[" (tree | ",")* "]"; the commas are optional."""
@@ -288,7 +288,7 @@ class Parser:
             _, text, line, col = self.peek()
             if text == "]":
                 self.i += 1
-                return tuple(children)
+                return tree(tuple(children))
             if text == "[":
                 children.append(self.parse_tree())
             elif text == ",":

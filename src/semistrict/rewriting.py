@@ -16,7 +16,7 @@ from .syntax import (
     Arrow, Coh, Immutable, KernelError, Record, Star, Sub, Term, Type, Var,
     apply_sub_term, apply_sub_type,
 )
-from .trees import bracket, is_linear, tree_dim
+from .trees import bracket, is_linear
 from .unbiased import identity_term, is_identity, unbiased_type
 from .insertion import (
     InsertionRedex, carry_redexes, exterior_sub, find_redexes, inserted_sub,
@@ -76,7 +76,7 @@ def disc_removal(t: Term) -> Optional[Term]:
     """Collapse a unary composite over a disc to its top argument."""
     if not isinstance(t, Coh) or not is_linear(t.head):
         return None
-    n = tree_dim(t.head)
+    n = t.head.dim
     if n < 1:
         return None
     if t.cell != unbiased_type(n, t.head):

@@ -11,9 +11,14 @@ syntactic equality up to renaming is identity, and ``==`` and ``hash``
 are those of ``object``.  The intern tables are plain dicts that live
 as long as the process: the kernel's memos hold their terms anyway, and
 a plain lookup is the cheapest construction.  Building a term hashes and
-compares its components, which are themselves interned, by identity;
-only the head tree is a plain tuple that is hashed and compared by
-value.
+compares its components, which are themselves interned, by identity.
+
+Pasting trees are interned too (``Tree``): a tree is the one live tuple
+of its interned subtrees, hashed by identity, and it carries its
+dimension and context length, set once when it is made.  A tree is
+still a tuple and equals the plain tuple of the same shape, so ``Coh``
+and the tree functions that take a tree from outside the kernel intern
+a plain tuple they are given.
 
 Since interned syntax is never freed, importing this module raises the
 cycle collector's young-generation threshold from 700 to 20,000
@@ -30,21 +35,12 @@ substitution into the ambient context.
 from __future__ import annotations
 
 import gc
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Optional, Union
-
-# A planar rooted tree is a tuple of planar rooted trees (trees.py).
-Tree = tuple
 
 
 class KernelError(Exception):
     """Structural invariant broken inside the kernel: a bug, not user error."""
-
-
-@lru_cache(maxsize=None)
-def ctx_len(t: Tree) -> int:
-    """Number of variables in the context a tree generates."""
-    return len(t) + 1 + sum(map(ctx_len, t))
 
 
 class Term:
@@ -82,6 +78,49 @@ class Record:
     def __repr__(self):
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
         return f"{type(self).__name__}({fields})"
+
+
+class Tree(Immutable, tuple):
+    """A planar rooted tree (trees.py): the interned tuple of its subtrees,
+    of dimension ``dim``, generating a context of ``size`` variables.
+
+    ``Tree(x)`` is the live tree equal to ``x``, nested plain tuples or a
+    tree; ``tree`` makes one from trees.  Unpickling rebuilds through it.
+    """
+
+    __hash__ = object.__hash__  # one live tree per shape
+
+    def __new__(cls, x: tuple = ()):
+        return x if x.__class__ is Tree else tree(tuple(map(Tree, x)))
+
+    def __reduce__(self):
+        return Tree, (tuple(self),)
+
+
+# every tree made in this process, keyed by the hash of its subtrees'
+# tuple, so no key copies a tree; a tree whose hash another tree holds
+# is keyed by the tuple itself
+_TREES: dict = {}
+
+
+def tree(kids: tuple, dim: Optional[int] = None, size: Optional[int] = None) -> Tree:
+    """The tree whose subtrees are ``kids``, a plain tuple of trees; its
+    dimension and size are counted from them unless the caller knows them,
+    as insertion does from its splice."""
+    key = hash(kids)
+    t = _TREES.get(key)
+    if t is not None and t != kids:
+        key = kids
+        t = _TREES.get(key)
+    if t is None:
+        t = tuple.__new__(Tree, kids)
+        if dim is None:
+            dim = 1 + max([c.dim for c in kids]) if kids else 0
+        if size is None:
+            size = len(kids) + 1 + sum([c.size for c in kids])
+        t.__dict__.update(dim=dim, size=size)
+        _TREES[key] = t
+    return t
 
 
 class _Interned(Immutable):
@@ -133,7 +172,8 @@ class Coh(Term, _Interned):
     """Coherence ``head`` with cell type ``cell``, applied to ``args``.
 
     The arity check runs only when a new object is made: a live one has
-    passed it.
+    passed it.  A plain tuple ``head`` is interned then too: the keys
+    hold trees, hashed by identity, so its lookup misses.
     """
 
     _fields = ("head", "cell", "args")
@@ -143,8 +183,10 @@ class Coh(Term, _Interned):
         key = (head, cell, args)
         t = _COHS.get(key)
         if t is None:
-            if len(args) != ctx_len(head):
-                raise KernelError(f"coherence over {head} needs {ctx_len(head)} "
+            if head.__class__ is not Tree:
+                return Coh(Tree(head), cell, args)
+            if len(args) != head.size:
+                raise KernelError(f"coherence over {head} needs {head.size} "
                                   f"arguments, got {len(args)}")
             t = object.__new__(Coh)
             object.__setattr__(t, "head", head)

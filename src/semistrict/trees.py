@@ -1,7 +1,13 @@
 """Planar rooted trees as pasting contexts.
 
-A tree is a plain tuple of subtrees; ``()`` generates the singleton
-context.  The context of ``T = (T0, .., Tn-1)`` has the layout
+A tree is the interned tuple of its subtrees (``syntax.Tree``); ``()``
+generates the singleton context.  Each tree carries its dimension
+``dim`` and context length ``size``, so ``tree_dim`` and ``ctx_len``
+are attribute reads, and the caches here hash a tree by identity.  A
+function here that takes a tree from outside the kernel interns a
+plain tuple it is given; a cached one does so on a miss, and keeps the
+tuple as a key of its own.  The context of ``T = (T0, .., Tn-1)`` has
+the layout
 
     p0  p1  B0  p2  B1  ...  pn  Bn-1
 
@@ -29,15 +35,17 @@ from functools import lru_cache
 
 from .syntax import (
     STAR, Arrow, Coh, Context, KernelError, Star, Sub, Term, Tree, Type, Var,
-    ctx_len, dim_type,
+    dim_type, tree,
 )
 
 
-@lru_cache(maxsize=None)
-def tree_dim(t: Tree) -> int:
-    if not t:
-        return 0
-    return 1 + max(map(tree_dim, t))
+def tree_dim(t: tuple) -> int:
+    return Tree(t).dim
+
+
+def ctx_len(t: tuple) -> int:
+    """Number of variables in the context a tree generates."""
+    return Tree(t).size
 
 
 def trunk_height(t: Tree) -> int:
@@ -54,9 +62,9 @@ def is_linear(t: Tree) -> bool:
 
 
 def disc(n: int) -> Tree:
-    t: Tree = ()
+    t = tree(())
     for _ in range(n):
-        t = (t,)
+        t = tree((t,))
     return t
 
 
@@ -67,8 +75,8 @@ def point_positions(t: Tree) -> tuple:
         return (0,)
     pts = [0, 1]
     cur = 2
-    for i, c in enumerate(t):
-        cur += ctx_len(c)
+    for i, c in enumerate(Tree(t)):
+        cur += c.size
         if i < len(t) - 1:
             pts.append(cur)
             cur += 1
@@ -84,7 +92,7 @@ def block_starts(t: Tree) -> tuple:
 # --- suspension -----------------------------------------------------------
 
 def suspend_tree(t: Tree) -> Tree:
-    return (t,)
+    return tree((Tree(t),))
 
 
 def suspend_type(a: Type) -> Type:
@@ -156,9 +164,9 @@ def _layout_types(node: Tree, base: Type, types: list) -> None:
 
 def tree_bd(n: int, t: Tree) -> Tree:
     """Truncate t at depth n."""
-    if n <= 0 or not t:
-        return () if n <= 0 else t
-    return tuple(tree_bd(n - 1, c) for c in t)
+    if n <= 0:
+        return tree(())
+    return tree(tuple([tree_bd(n - 1, c) for c in t]))
 
 
 def tree_inc(eps: str, n: int, t: Tree) -> Sub:
@@ -171,7 +179,7 @@ def tree_inc(eps: str, n: int, t: Tree) -> Sub:
     if eps not in ("-", "+"):
         raise KernelError(f"bad direction {eps!r}")
     out = []
-    _inc_walk(eps, t, n, 0, out)
+    _inc_walk(eps, Tree(t), n, 0, out)
     return tuple(out)
 
 
@@ -179,7 +187,7 @@ def _inc_walk(eps: str, node: Tree, m: int, pos: int, out: list) -> None:
     # pos is the position of node's first point in t's layout
     if m <= 0 or not node:
         # the last point comes just before the last child's block
-        last = ctx_len(node) - 1 - ctx_len(node[-1]) if node else 0
+        last = node.size - 1 - node[-1].size if node else 0
         out.append(Var(pos if eps == "-" else pos + last))
         return
     out.append(Var(pos))
@@ -187,7 +195,7 @@ def _inc_walk(eps: str, node: Tree, m: int, pos: int, out: list) -> None:
         pos += 1
         out.append(Var(pos))
         _inc_walk(eps, c, m - 1, pos + 1, out)
-        pos += ctx_len(c)
+        pos += c.size
 
 
 # --- rendering ------------------------------------------------------------

@@ -14,13 +14,14 @@ from .syntax import (
     Arrow, Coh, STAR, Sub, Term, Tree, Type, Var, apply_sub_term, dim_type,
     id_sub,
 )
-from .trees import ctx_len, disc, is_linear, tree_bd, tree_dim, tree_inc
+from .trees import disc, is_linear, tree_bd, tree_inc
 
 
 @lru_cache(maxsize=None)
 def unbiased_type(n: int, t: Tree) -> Type:
     if n <= 0:
         return STAR
+    t = Tree(t)
     bd = unbiased_term(n - 1, tree_bd(n - 1, t))
     s = apply_sub_term(bd, tree_inc("-", n - 1, t))
     u = apply_sub_term(bd, tree_inc("+", n - 1, t))
@@ -28,14 +29,15 @@ def unbiased_type(n: int, t: Tree) -> Type:
 
 
 def unbiased_term(n: int, t: Tree) -> Term:
-    if is_linear(t) and tree_dim(t) == n:
-        return Var(ctx_len(t) - 1)  # the top variable of a disc
+    if is_linear(t) and t.dim == n:
+        return Var(t.size - 1)  # the top variable of a disc
     return unbiased_coh(n, t)
 
 
 @lru_cache(maxsize=None)
 def unbiased_coh(n: int, t: Tree) -> Term:
-    return Coh(t, unbiased_type(n, t), id_sub(ctx_len(t)))
+    t = Tree(t)
+    return Coh(t, unbiased_type(n, t), id_sub(t.size))
 
 
 def disc_sub(a: Type, t: Term) -> Sub:
@@ -63,4 +65,4 @@ def is_identity(t: Term) -> bool:
         return False
     if not is_linear(t.head):
         return False
-    return t.cell == unbiased_type(tree_dim(t.head) + 1, t.head)
+    return t.cell == unbiased_type(t.head.dim + 1, t.head)

@@ -1,12 +1,12 @@
 import pytest
 
-from semistrict.syntax import STAR, Arrow, Coh, Context, Var, id_sub
+from semistrict.syntax import STAR, Arrow, Coh, Context, Tree, Var, id_sub
 from semistrict.trees import tree_to_ctx
 from semistrict.unbiased import identity_term, unbiased_coh, unbiased_type
 
-CHAIN1 = ((),)
-CHAIN2 = ((), ())
-CHAIN3 = ((), (), ())
+CHAIN1 = Tree(((),))
+CHAIN2 = Tree(((), ()))
+CHAIN3 = Tree(((), (), ()))
 
 
 @pytest.fixture

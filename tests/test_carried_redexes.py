@@ -13,11 +13,11 @@ import pytest
 from semistrict import insertion, rewriting
 from semistrict.check import infer_term
 from semistrict.syntax import (
-    STAR, Arrow, Coh, Var, apply_sub_term, compose, ctx_len, id_sub,
+    STAR, Arrow, Coh, Var, apply_sub_term, compose, id_sub,
 )
 from semistrict.trees import (
-    block_starts, disc, point_positions, suspend_term, suspend_tree, tree_dim,
-    tree_to_ctx, trunk_height,
+    block_starts, ctx_len, disc, point_positions, suspend_term, suspend_tree,
+    tree_dim, tree_to_ctx, trunk_height,
 )
 from semistrict.unbiased import identity_term, unbiased_coh, unbiased_type
 from semistrict.insertion import (

@@ -1,5 +1,6 @@
 import pickle
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -211,6 +212,43 @@ def test_400_deep_chains_decide_at_the_default_recursion_limit(shape):
     _clear_memos()
     assert infer_term(tree_to_ctx(tree), t) == unbiased_type(1, tree)
     assert normalize(t) == unbiased_coh(1, tree)
+
+
+def _in_deep_thread(fn):
+    """fn's result, computed in a thread with a 64 MiB stack under a
+    recursion limit of 20,000; what fn raises is raised here."""
+    out = []
+
+    def run():
+        try:
+            out.append(fn())
+        except BaseException as e:  # handed back to the caller's thread
+            out.append(e)
+
+    limit, stack = sys.getrecursionlimit(), threading.stack_size(64 * 1024 * 1024)
+    sys.setrecursionlimit(20_000)
+    try:
+        th = threading.Thread(target=run)
+        th.start()
+        th.join(timeout=120)
+    finally:
+        sys.setrecursionlimit(limit)
+        threading.stack_size(stack)
+    assert not th.is_alive() and len(out) == 1
+    if isinstance(out[0], BaseException):
+        raise out[0]
+    return out[0]
+
+
+@pytest.mark.parametrize("shape", ["left", "right"])
+def test_640_deep_chains_normalize_to_the_unbiased_composite(shape):
+    # every step of a long chain makes a new head tree, whose dimension
+    # and size insertion reads off the splice
+    tree, t = _deep_chain(640, shape)
+    _clear_memos()
+    ty, nf = _in_deep_thread(lambda: (infer_term(tree_to_ctx(tree), t), normalize(t)))
+    assert ty is unbiased_type(1, tree)
+    assert nf is unbiased_coh(1, tree)
 
 
 def test_a_typing_error_keeps_its_kind_and_detail():

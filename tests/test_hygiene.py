@@ -8,6 +8,7 @@ benchmark patches by string exists.
 """
 
 import ast
+import gc
 import importlib
 import importlib.util
 import os
@@ -18,7 +19,12 @@ from pathlib import Path
 
 import pytest
 
-from semistrict.syntax import Arrow, Coh
+from semistrict import check, insertion, rewriting, syntax, trees, unbiased
+from semistrict.cli import main
+from semistrict.harness import GenConfig, gen_population
+from semistrict.syntax import Arrow, Coh, Tree
+
+from test_check import _clear_memos, _deep_chain
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "semistrict"
@@ -36,8 +42,6 @@ UNUSED_ALLOWED = {
 
 # every lru cache in the kernel, each with the reason it is kept
 KERNEL_CACHES = {
-    "ctx_len": "Coh's arity check sums a head tree for every coherence built",
-    "tree_dim": "the head rules and redex scans read each head's dimension, a max over the tree",
     "point_positions": "insertion's splices and the printer read a tree's points at each head",
     "tree_to_ctx": "checking, elaborating and printing a head build its context",
     "branch_table": "find_redexes reads every branch row of each head it scans",
@@ -223,7 +227,8 @@ def test_every_kernel_cache_is_listed_with_its_reason():
 
 
 def _object_new_calls(path):
-    """(class name, enclosing function) of each ``object.__new__(X)`` call."""
+    """(class name, enclosing function) of each ``object.__new__(X)`` or
+    ``tuple.__new__(X, ...)`` call."""
     out = []
 
     def visit(node, fn):
@@ -231,7 +236,8 @@ def _object_new_calls(path):
             inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else fn
             if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
                     and child.func.attr == "__new__"
-                    and isinstance(child.func.value, ast.Name) and child.func.value.id == "object"
+                    and isinstance(child.func.value, ast.Name)
+                    and child.func.value.id in ("object", "tuple")
                     and child.args):
                 arg = child.args[0]
                 out.append((arg.attr if isinstance(arg, ast.Attribute) else getattr(arg, "id", None),
@@ -243,15 +249,56 @@ def _object_new_calls(path):
 
 
 def test_interned_terms_are_made_only_by_their_constructors():
-    # a Coh or Arrow made any other way would bypass the intern table,
-    # and identity would no longer be syntactic equality
+    # a Coh, Arrow or Tree made any other way would bypass the intern
+    # table, and identity would no longer be syntactic equality
     files = MODULES + BENCH + sorted((ROOT / "tests").glob("*.py"))
     made = [(p.name, cls, fn) for p in files for cls, fn in _object_new_calls(p)
-            if cls in ("Coh", "Arrow")]
-    assert sorted(made) == [("syntax.py", "Arrow", "__new__"), ("syntax.py", "Coh", "__new__")]
+            if cls in ("Coh", "Arrow", "Tree")]
+    assert sorted(made) == [("syntax.py", "Arrow", "__new__"), ("syntax.py", "Coh", "__new__"),
+                            ("syntax.py", "Tree", "tree")]
     # neither class, nor a base, defines __eq__ or __hash__
     for cls in (Coh, Arrow):
         assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
+    # a tree is hashed by identity and equals the plain tuple of its shape
+    assert Tree.__eq__ is tuple.__eq__ and Tree.__hash__ is object.__hash__
+
+
+def _cached_args(fn):
+    """The argument tuples an lru cache holds: the keys of its cache dict."""
+    (cache,) = [r for r in gc.get_referents(fn) if type(r) is dict and r is not fn.__dict__]
+    return list(cache)
+
+
+def test_the_kernel_keeps_only_interned_trees(capsys):
+    # the benchmark's children decode their inputs into interned syntax,
+    # so from there on the kernel must make and pass interned trees only:
+    # a plain tuple would hash by value in these tables, and miss
+    chains = [_deep_chain(n, shape) for n in (2, 40, 160) for shape in ("left", "right")]
+    chains = [(trees.tree_to_ctx(tr), t) for tr, t in chains]
+    pop = gen_population(GenConfig(seed=11), 300)
+    _clear_memos()
+    cached = {name: getattr(module, name) for name in KERNEL_CACHES
+              for module in (trees, insertion, unbiased) if hasattr(module, name)}
+    assert len(cached) == len(KERNEL_CACHES)
+    for fn in cached.values():
+        fn.cache_clear()
+    for ctx, t in chains + pop:
+        check.infer_term(ctx, t)
+        rewriting.normalize(t)
+    corpus = sorted(str(p) for p in (ROOT / "corpus").glob("*.catt"))
+    for mode in ("check", "normalize", "eq"):
+        assert main([mode, *corpus]) == 0
+    capsys.readouterr()
+    found = [key[0] for key in syntax._COHS]
+    found += [x for key, head in rewriting._HEADS.items() for x in (key[0], key[3], head[0])]
+    found += [head for head, _ in check._GOOD_HEADS]
+    assert rewriting._HEADS and check._GOOD_HEADS
+    for fn in cached.values():
+        args = _cached_args(fn)
+        assert args, fn.__name__
+        found += [x for key in args for x in key if isinstance(x, tuple)]
+    plain = [x for x in found if type(x) is not Tree]
+    assert not plain, f"plain tuples where trees belong: {plain[:5]}"
 
 
 def test_every_name_the_traced_benchmark_patches_resolves(monkeypatch):

@@ -3,8 +3,10 @@ from typing import NamedTuple
 
 import pytest
 
+from semistrict import insertion
 from semistrict.syntax import (
     STAR, Arrow, Coh, Var, apply_sub_term, apply_sub_type, compose, free_vars, id_sub,
+    tree,
 )
 from semistrict.trees import (
     block_starts, ctx_len, disc, is_linear, point_positions,
@@ -20,8 +22,8 @@ from semistrict.unbiased import disc_sub, identity_term, unbiased_coh, unbiased_
 from semistrict.rewriting import def_eq
 from semistrict.harness import (
     GenConfig, branch_var, canonical_branches, enumerate_insertion_points,
-    enumerate_trees, eq_max_def, eq_max_syntactic, gen_redex, is_branch,
-    leaf_height, subtree,
+    enumerate_trees, eq_max_def, eq_max_syntactic, gen_redex, gen_tree_of_dim,
+    is_branch, leaf_height, subtree,
 )
 
 from conftest import CHAIN2, CHAIN3
@@ -231,6 +233,72 @@ def test_inserted_sub_matches_label_splice():
         assert inserted_sub(sigma, p, tau, s, t) == _label_to_sub(ref), (s, p, t)
         cases += 1
     assert cases == 7865
+
+
+def _high_insertion_points(rng, dim, count):
+    """``count`` seeded (S, P, T) whose S has dimension ``dim`` and 7 to 10
+    edges; T inserts at P, an identity or a composite of P's leaf height."""
+    out = []
+    while len(out) < count:
+        s = gen_tree_of_dim(rng, dim)
+        if not 7 <= (ctx_len(s) - 1) // 2 <= 10:
+            continue
+        p = rng.choice(canonical_branches(s))
+        lh, bh = leaf_height(s, p), branch_height(p)
+        if rng.random() < 0.3:
+            t = disc(lh - 1)
+        else:
+            t = gen_tree_of_dim(rng, lh - bh)
+            for _ in range(bh):
+                t = (t,)
+        out.append((s, p, t))
+    return out
+
+
+def _recount(t):
+    """(dimension, context length) of a tree, recounted over its nodes."""
+    if not t:
+        return 0, 1
+    kids = [_recount(c) for c in t]
+    return 1 + max(d for d, _ in kids), len(t) + 1 + sum(n for _, n in kids)
+
+
+def test_an_inserted_tree_carries_its_recounted_dimension_and_size(monkeypatch):
+    # inserted_tree reads both off the splice at every level, and counts
+    # the dimension over the children only where the graft lowers its
+    # block; the tree is often made already, so check what it passes
+    made = []
+
+    def recorded(kids, dim=None, size=None):
+        made.append((kids, dim, size))
+        return tree(kids, dim, size)
+
+    monkeypatch.setattr(insertion, "tree", recorded)
+    rng = random.Random(11)
+    points = list(enumerate_insertion_points(6))  # trees of at most 5 edges
+    points += _high_insertion_points(rng, 4, 150) + _high_insertion_points(rng, 5, 150)
+    for s, p, t in points:
+        r = inserted_tree(s, p, t)
+        assert (r.dim, r.size) == _recount(r), (s, p, t)
+    counted = 0
+    for kids, dim, size in made:
+        want = _recount(kids)
+        assert size == want[1], kids
+        if dim is None:
+            counted += 1
+        else:
+            assert dim == want[0], kids
+    assert len(made) >= len(points) and counted > 0
+
+
+def test_high_dimensional_inserted_subs_match_label_splice():
+    rng = random.Random(7)
+    for dim in (4, 5):
+        for s, p, t in _high_insertion_points(rng, dim, 150):
+            sigma = tuple(Var(i) for i in range(ctx_len(s)))
+            tau = tuple(Var(1000 + i) for i in range(ctx_len(t)))
+            ref = _label_insert(_sub_to_label(s, sigma), p, _sub_to_label(t, tau))
+            assert inserted_sub(sigma, p, tau, s, t) == _label_to_sub(ref), (s, p, t)
 
 
 def _window_incl_by_loop(r, a, u):

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from semistrict.syntax import (
-    _ARROWS, _COHS, STAR, Arrow, Coh, Context, KernelError, Var,
-    apply_sub_term, compose, dim_type, free_vars, id_sub, support,
+    _ARROWS, _COHS, _TREES, STAR, Arrow, Coh, Context, KernelError, Tree, Var,
+    apply_sub_term, compose, dim_type, free_vars, id_sub, support, tree,
 )
 from semistrict.check import _GOOD_HEADS, _INFER_CACHE, infer_term
 from semistrict.cli import main
@@ -188,10 +188,40 @@ def test_deep_terms_built_twice_are_one_object():
 
 def test_pickled_terms_unpickle_to_the_live_object(comp_fg):
     arrow = Arrow(comp_fg, Arrow(Var(0), STAR, Var(3)), comp_fg)
-    for x in (comp_fg, arrow, _deep_chain(50), STAR):
+    for x in (comp_fg, arrow, _deep_chain(50), STAR, comp_fg.head, disc(3)):
         assert pickle.loads(pickle.dumps(x)) is x
     assert copy.deepcopy(arrow) is arrow
     assert copy.deepcopy(STAR) is STAR
+    # a term's head tree comes back as the live tree, not a copy
+    assert pickle.loads(pickle.dumps(comp_fg)).head is CHAIN2
+    for x in (comp_fg.head, disc(3)):
+        assert copy.deepcopy(x) is x and copy.copy(x) is x
+
+
+def test_a_tree_is_one_object_per_shape(comp_fg):
+    t = Tree((((),), ()))
+    assert Tree((((),), ())) is t and Tree(t) is t and tree((t[0], t[1])) is t
+    assert t == (((),), ()) and t[0] is Tree(((),)) and type(t[1]) is Tree
+    assert (t.dim, t.size) == (2, 7) and (Tree().dim, Tree().size) == (0, 1)
+    assert hash(t) == object.__hash__(t)
+    assert repr(t) == "(((),), ())"
+    with pytest.raises(AttributeError):
+        t.dim = 3
+    # a coherence interns a plain head tuple it is given
+    assert Coh(((), ()), comp_fg.cell, comp_fg.args) is comp_fg
+
+
+def test_a_tree_whose_hash_another_tree_holds_is_interned_by_its_children():
+    kids = (disc(9), disc(8), disc(7), disc(6))
+    key = hash(kids)
+    assert key not in _TREES and kids not in _TREES
+    _TREES[key] = CHAIN2  # as if CHAIN2's children hashed the same
+    try:
+        t = tree(kids)
+        assert t == kids and t is not CHAIN2 and tree(kids) is t
+        assert _TREES[kids] is t and _TREES[key] is CHAIN2
+    finally:
+        del _TREES[key], _TREES[kids]
 
 
 def test_terms_are_immutable(comp_fg):
@@ -214,7 +244,8 @@ def test_a_second_corpus_run_interns_and_remembers_nothing_new(capsys):
         capsys.readouterr()
 
     def sizes():
-        return (len(_COHS), len(_ARROWS), len(_NF_TERMS["sua"]), len(_NF_TYPES["sua"]),
+        return (len(_TREES), len(_COHS), len(_ARROWS), len(_NF_TERMS["sua"]),
+                len(_NF_TYPES["sua"]),
                 rewriting._NF_STEPS, len(rewriting._HEADS), len(_INFER_CACHE),
                 len(_GOOD_HEADS))
 
