@@ -20,10 +20,7 @@ from . import parser as P
 from .check import TypingError
 from .elaborate import ElabError, new_env, process_decl
 from .printer import fmt_term
-from .rewriting import (
-    DEFAULT_BUDGET, ReductionStep, StepBudgetExceeded,
-    normalize,
-)
+from .rewriting import ReductionStep, StepBudgetExceeded, normalize
 from .trees import tree_to_ctx
 
 TOO_DEEP = "ResourceLimit: term nests too deeply"
@@ -69,8 +66,10 @@ def build_argparser() -> argparse.ArgumentParser:
         # count steps; the conversions run while checking do neither
         p.add_argument("--trace", action="store_true",
                        help="log one-step reductions to stderr")
-        p.add_argument("--step-budget", type=non_negative, default=DEFAULT_BUDGET,
-                       metavar="N", help="normalizer step budget")
+        p.add_argument("--step-budget", type=non_negative, metavar="N",
+                       help="normalizer step budget (default none); a stated "
+                            "budget makes each normalization printed or "
+                            "decided a cold run")
     rep = sub.add_parser("report", help="harness summary statistics as TSV")
     rep.add_argument("--seed", type=int, default=0)
     rep.add_argument("--count", type=non_negative, default=200, metavar="N",

@@ -326,8 +326,8 @@ def carry_redexes(redexes: list, term: Coh) -> list:
     r = redexes[0]
     p, at, t = r.P, r.at, r.T
     a, v = at[-2], at[-1]
-    # an identity: a linear tree one dimension below the leaf height
-    identity = is_linear(t) and len(p) + (v - a - 1) // 2 == trunk_height(t) + 1
+    # an identity: one dimension below the leaf height, as the redex inserts
+    identity = len(p) + (v - a - 1) // 2 == t.dim + 1
     rest = redexes[1:]
     if not (identity or rest) or is_identity(term):
         return []
@@ -337,8 +337,9 @@ def carry_redexes(redexes: list, term: Coh) -> list:
     delta = len(args) - len(r.outer)
     out = []
     if rest:
-        # where the block's target point, the next block's source, lands
-        moved = a - 1 + point_positions(inner)[-1] if inner else at[-3]
+        # where the block's target point, the next block's source, lands:
+        # inner's last point, just before its last child's block
+        moved = a - 1 + inner.size - inner[-1].size - 1 if inner else at[-3]
         for q in rest:
             qp = q.P
             if qp[:h] == p[:h]:  # the next block at p's level: shift past the window

@@ -4,8 +4,9 @@
 term, type or substitution.  ``normalize`` applies an innermost-first
 strategy, taking at each head the first step ``head_steps`` gives;
 strong termination and confluence make the strategy choice
-unobservable in results.  The termination measure, syntactic
-complexity, is in ``harness``.
+unobservable in results.  A normalization given a step budget or a
+trace runs cold; any other shares the process's normal forms.  The
+termination measure, syntactic complexity, is in ``harness``.
 """
 
 from __future__ import annotations
@@ -198,11 +199,9 @@ TraceFn = Callable[[ReductionStep], None]
 # per table, held in a dict whose values bench/tracing.py sums over.  The
 # term memo holds each term normalized, each head over normal parts and
 # each insertion reduct met on the way, and each normal form, as its own.
-# _NF_STEPS counts the head steps taken over these memos, so it bounds
-# the steps a shared run skips, and normalize keeps it back from the budget
+# Only a normalization given neither a budget nor a trace uses them
 _NF_TERMS: dict = {"sua": {}}
 _NF_TYPES: dict = {"sua": {}}
-_NF_STEPS = 0
 # each insertion shape's reduct tree and cell, keyed by (S, A, P, T) in
 # apply_insertion: a function of syntax, not a normal form, so cold runs
 # share it too
@@ -210,16 +209,17 @@ _HEADS: dict = {}
 
 
 def clear_caches():
-    global _NF_STEPS
     _NF_TERMS["sua"].clear()
     _NF_TYPES["sua"].clear()
-    _NF_STEPS = 0
     _HEADS.clear()
 
 
 class Normalizer:
-    """One normalization of at most ``budget`` head steps, over the shared
-    memos or, cold, over memos of its own; ``normalize`` chooses which.
+    """One normalization.  Given a ``budget`` or a ``trace``, it runs
+    cold, over memos of its own, so its steps and its verdict on the
+    budget depend on the term alone.  Given neither, it runs over the
+    shared memos, its own steps held to ``DEFAULT_BUDGET``, which only a
+    kernel bug reaches, since reduction terminates.
 
     Reduction is terminating and confluent, so a term's normal form
     depends only on the term.  After a term's arguments and cell are
@@ -229,13 +229,14 @@ class Normalizer:
     heads the same way, so it takes each head's step once.
     """
 
-    def __init__(self, budget: int = DEFAULT_BUDGET,
-                 trace: Optional[TraceFn] = None, shared: bool = False):
-        self.budget = budget
+    def __init__(self, budget: Optional[int] = None,
+                 trace: Optional[TraceFn] = None):
+        cold = budget is not None or trace is not None
+        self.budget = DEFAULT_BUDGET if budget is None else budget
         self.steps = 0
         self.trace = trace
-        self.term_memo = _NF_TERMS["sua"] if shared else {}
-        self.type_memo = _NF_TYPES["sua"] if shared else {}
+        self.term_memo = {} if cold else _NF_TERMS["sua"]
+        self.type_memo = {} if cold else _NF_TYPES["sua"]
         self.head = None  # the head whose cell is being normalized, as in steps
 
     def run(self, x):
@@ -317,27 +318,12 @@ class Normalizer:
         return out
 
 
-def normalize(x, budget: int = DEFAULT_BUDGET,
+def normalize(x, budget: Optional[int] = None,
               trace: Optional[TraceFn] = None):
-    """The normal form of ``x``, with a cold run's verdict on ``budget``.
-
-    A traced call, or one whose budget is below ``_NF_STEPS``, is one
-    cold run.  Any other runs over the shared memos with ``budget -
-    _NF_STEPS`` steps, and is redone cold if those run out: a shared run
-    that fits skipped at most ``_NF_STEPS`` steps, so a cold run fits too.
-    """
-    global _NF_STEPS
+    """The normal form of ``x``, cold given a budget or a trace (``Normalizer``)."""
     if not isinstance(x, (Var, Coh, Star, Arrow)):
         raise KernelError(f"not syntax: {x!r}")
-    if trace is not None or budget < _NF_STEPS:
-        return Normalizer(budget, trace).run(x)
-    nz = Normalizer(budget - _NF_STEPS, shared=True)
-    try:
-        return nz.run(x)
-    except StepBudgetExceeded:
-        return Normalizer(budget).run(x)
-    finally:
-        _NF_STEPS += nz.steps
+    return Normalizer(budget, trace).run(x)
 
 
 def normalize_first_step(x, budget: int = DEFAULT_BUDGET):
@@ -358,12 +344,10 @@ def def_eq(a, b) -> bool:
 
     Terms and types are interned (syntax.py), so for them each ``==``
     here is one identity test.  Equal syntax is convertible without
-    normalizing either side, since ``normalize`` is a function.  Normal
-    forms themselves are remembered for the life of the process
-    (``_NF_TERMS``, ``_NF_TYPES``), keyed by identity, under the term
-    and under each head over normal parts its normalization met; a
-    normal form is remembered as its own, so normalizing one again is
-    one lookup.  The default budget is far above ``_NF_STEPS``, so every
-    conversion is one run over the shared memos (``normalize``).
+    normalizing either side, since ``normalize`` is a function.  Each
+    side is one run over the shared memos (``_NF_TERMS``, ``_NF_TYPES``),
+    which keep each normal form for the life of the process, keyed by
+    identity, under the term, under each head over normal parts met on
+    the way and as its own, so normalizing one again is one lookup.
     """
     return a == b or normalize(a) == normalize(b)

@@ -68,7 +68,6 @@ def disc(n: int) -> Tree:
     return t
 
 
-@lru_cache(maxsize=None)
 def point_positions(t: Tree) -> tuple:
     """Positions of the 0-level gluing points in tree_to_ctx(t)."""
     if not t:

@@ -34,7 +34,6 @@ def unbiased_term(n: int, t: Tree) -> Term:
     return unbiased_coh(n, t)
 
 
-@lru_cache(maxsize=None)
 def unbiased_coh(n: int, t: Tree) -> Term:
     t = Tree(t)
     return Coh(t, unbiased_type(n, t), id_sub(t.size))

@@ -80,7 +80,7 @@ def test_def_eq_of_equal_syntax_normalizes_nothing(monkeypatch, f_then_gh, fg_th
     calls = []
     normalize = rewriting.normalize
 
-    def counting(x, budget=rewriting.DEFAULT_BUDGET):
+    def counting(x, budget=None):
         calls.append(x)
         return normalize(x, budget)
 

@@ -153,8 +153,8 @@ _UNIT = "normalize (x(f)y) | comp f (id y)\n"
 
 @pytest.mark.parametrize("budget", ["0", "1", "2"])
 def test_a_step_budget_verdict_does_not_depend_on_earlier_declarations(capsys, tmp_path, budget):
-    # a remembered normal form spends the steps it took, so each
-    # declaration's verdict is the same in either order
+    # a stated budget normalizes cold, so each declaration's verdict is
+    # the same in either order
     verdicts = []
     for name, decls in (("vu.catt", [_VERT, _UNIT]), ("uv.catt", [_UNIT, _VERT])):
         path = tmp_path / name
@@ -188,9 +188,9 @@ _DOUBLING = (["def d0 (x : *) := id x\n"]
     (_DOUBLING, 2),
 ], ids=["repeated", "overlapping", "doubling"])
 def test_a_step_budget_spends_the_steps_of_a_cold_normalization(capsys, tmp_path, decls, steps):
-    # --trace normalizes with a memo of its own, so its steps are a cold
-    # run's; without it, the last declaration meets normal forms the
-    # earlier ones remembered, and fits a budget just when a cold run does
+    # --trace and --step-budget each normalize with a memo of their own,
+    # so the last declaration fits a budget just when its traced steps do,
+    # whatever the earlier ones remembered
     path, before = tmp_path / "all.catt", tmp_path / "before.catt"
     path.write_text("".join(decls))
     before.write_text("".join(decls[:-1]))
@@ -203,6 +203,15 @@ def test_a_step_budget_spends_the_steps_of_a_cold_normalization(capsys, tmp_path
     assert last in err
     _, out, err = _run(capsys, "normalize", "--step-budget", str(steps), str(path))
     assert last not in err and out.splitlines()[-1] == nf
+
+
+@pytest.mark.parametrize("mode", ["normalize", "eq"])
+def test_a_stated_default_sized_budget_prints_what_no_budget_does(capsys, mode):
+    # a stated budget runs cold and no budget runs over the shared memos;
+    # the normal forms and verdicts are the same
+    for path in sorted([*CORPUS.glob("*.catt"), *DATA.glob("*.catt")]):
+        plain = _run(capsys, mode, str(path))
+        assert _run(capsys, mode, "--step-budget", "1000000", str(path)) == plain
 
 
 def test_equal_deep_chains_in_one_run_normalize(capsys, tmp_path):

@@ -42,11 +42,9 @@ UNUSED_ALLOWED = {
 
 # every lru cache in the kernel, each with the reason it is kept
 KERNEL_CACHES = {
-    "point_positions": "insertion's splices and the printer read a tree's points at each head",
     "tree_to_ctx": "checking, elaborating and printing a head build its context",
     "branch_table": "find_redexes reads every branch row of each head it scans",
     "unbiased_type": "disc removal, identity tests and redex scans compare cells with it",
-    "unbiased_coh": "endo-coherence removal builds every identity from it",
 }
 
 

@@ -303,73 +303,75 @@ def test_a_normalization_spends_each_step_once(warm, term, steps):
     assert len(log) == steps
 
 
-def test_a_default_budget_never_normalizes_twice(monkeypatch):
-    # a benchmark population remembers far fewer steps than the default
-    # budget, so no normalization is redone over private memos
-    redone = []
-
-    class Spy(rewriting.Normalizer):
-        def __init__(self, budget, trace=None, shared=False):
-            redone.append(not shared)
-            super().__init__(budget, trace, shared)
-
-    pop = gen_population(GenConfig(seed=11), 3000)[:3000]
-    clear_caches()
-    monkeypatch.setattr(rewriting, "Normalizer", Spy)
-    for _, t in pop:
-        normalize(t)
-    assert len(redone) == len(pop) and not any(redone)
-    assert 0 < rewriting._NF_STEPS < rewriting.DEFAULT_BUDGET
-
-
 @pytest.fixture
 def built(monkeypatch):
-    """(shared, normalizer) for each Normalizer that normalize builds."""
+    """(cold, normalizer) for each Normalizer that normalize builds."""
     out = []
 
     class Spy(rewriting.Normalizer):
-        def __init__(self, budget, trace=None, shared=False):
-            out.append((shared, self))
-            super().__init__(budget, trace, shared)
+        def __init__(self, budget=None, trace=None):
+            super().__init__(budget, trace)
+            out.append((self.term_memo is not rewriting._NF_TERMS["sua"], self))
 
     monkeypatch.setattr(rewriting, "Normalizer", Spy)
     return out
 
 
-def _warm(steps):
-    """Empty memos that remember at least ``steps`` steps, none of _UNIT's."""
+def test_a_default_budget_never_normalizes_twice(built):
+    # a benchmark population takes far fewer steps than the default
+    # budget, and each of its normalizations is one run over the shared memos
+    pop = gen_population(GenConfig(seed=11), 3000)[:3000]
     clear_caches()
-    n = 3
-    while rewriting._NF_STEPS < steps:
-        normalize(_comp_chain(n, "left", None)[1])
-        n += 1
-    return rewriting._NF_STEPS
+    del built[:]
+    for _, t in pop:
+        normalize(t)
+    assert len(built) == len(pop) and not any(cold for cold, _ in built)
+    assert 0 < sum(nz.steps for _, nz in built) < rewriting.DEFAULT_BUDGET
 
 
 def test_a_budget_below_the_remembered_steps_is_one_cold_run(built):
-    # the term is remembered, so a shared run would skip both its steps
+    # a stated budget is one cold run, whatever the memos hold: here they
+    # hold the term, so a shared run would skip both its steps
     term = _endo_comp(_UNIT, _UNIT)
-    _warm(10)
+    clear_caches()
+    for n in range(3, 7):
+        normalize(_comp_chain(n, "left", None)[1])
     nf = normalize(term)
-    before = rewriting._NF_STEPS
+    memo = dict(rewriting._NF_TERMS["sua"])
     del built[:]
     with pytest.raises(StepBudgetExceeded):
         normalize(term, budget=1)
     assert normalize(term, budget=2) == nf
-    assert [shared for shared, _ in built] == [False, False]
-    assert rewriting._NF_STEPS == before
+    assert [cold for cold, _ in built] == [True, True]
+    assert [nz.steps for _, nz in built] == [2, 2]
+    assert rewriting._NF_TERMS["sua"] == memo
 
 
-def test_a_shared_run_that_overruns_what_is_left_is_redone_cold(built):
-    # 2 cold steps; the shared run has 1 left and overruns, the cold one
-    # fits; the shared run's steps, the one that overran included, count
-    term = _endo_comp(_UNIT, _UNIT)
-    warm = _warm(1)
-    nf = normalize(term, trace=lambda s: None)
+def test_a_default_call_is_one_shared_run_however_many_steps_came_before(built, monkeypatch):
+    # default calls whose steps together pass the default budget: each is
+    # held to it on its own, runs over the shared memos and adds to them
+    # (each left-nested chain meets the one before it and takes one step)
+    monkeypatch.setattr(rewriting, "DEFAULT_BUDGET", 3)
+    clear_caches()
+    sizes = []
+    for n in range(3, 11):
+        normalize(_comp_chain(n, "left", None)[1])
+        sizes.append(len(rewriting._NF_TERMS["sua"]))
+    assert sum(nz.steps for _, nz in built) > rewriting.DEFAULT_BUDGET
+    assert len(built) == len(sizes) and not any(cold for cold, _ in built)
+    assert all(a < b for a, b in zip(sizes, sizes[1:]))
+
+
+def test_a_default_call_whose_own_steps_pass_the_default_budget_raises(built, monkeypatch):
+    _, chain = _comp_chain(6, "left", None)
+    log = []
+    normalize(chain, trace=log.append)
+    monkeypatch.setattr(rewriting, "DEFAULT_BUDGET", len(log) - 1)
+    clear_caches()
     del built[:]
-    assert normalize(term, budget=warm + 1) == nf
-    assert [(shared, nz.budget) for shared, nz in built] == [(True, 1), (False, warm + 1)]
-    assert built[0][1].steps == 2 and rewriting._NF_STEPS == warm + 2
+    with pytest.raises(StepBudgetExceeded):
+        normalize(chain)
+    assert [(cold, nz.steps) for cold, nz in built] == [(False, len(log))]
 
 
 def test_cell_steps_preserve_sc_non_cell_steps_decrease(f_then_gh):

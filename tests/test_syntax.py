@@ -233,10 +233,16 @@ def test_terms_are_immutable(comp_fg):
             delattr(x, name)
 
 
-def test_a_second_corpus_run_interns_and_remembers_nothing_new(capsys):
+def test_a_second_corpus_run_interns_and_remembers_nothing_new(capsys, monkeypatch):
     # the intern tables and memos live as long as the process, so they are
     # bounded by the distinct syntax a run meets, not by how often it runs
     corpus = sorted(str(p) for p in CORPUS.glob("*.catt"))
+    built = []
+
+    class Spy(rewriting.Normalizer):
+        def __init__(self, budget=None, trace=None):
+            super().__init__(budget, trace)
+            built.append(self)
 
     def run():
         for mode in ("check", "normalize", "eq"):
@@ -245,14 +251,16 @@ def test_a_second_corpus_run_interns_and_remembers_nothing_new(capsys):
 
     def sizes():
         return (len(_TREES), len(_COHS), len(_ARROWS), len(_NF_TERMS["sua"]),
-                len(_NF_TYPES["sua"]),
-                rewriting._NF_STEPS, len(rewriting._HEADS), len(_INFER_CACHE),
+                len(_NF_TYPES["sua"]), len(rewriting._HEADS), len(_INFER_CACHE),
                 len(_GOOD_HEADS))
 
     run()
     first = sizes()
+    monkeypatch.setattr(rewriting, "Normalizer", Spy)
     run()
     assert sizes() == first
+    # and it takes no step: every normalization is one lookup
+    assert built and sum(nz.steps for nz in built) == 0
 
 
 def test_kernel_work_leaves_no_cyclic_garbage():
