@@ -5,11 +5,12 @@ Nothing in the kernel imports this module: the CLI loads it only for
 deliberately separate code paths from the kernel: the pasting oracle
 replays the original derivation rules for pasting contexts on raw
 contexts, and the boundary support oracle reads boundary membership off
-variable occurrences instead of the tree inclusions.  The metatheory
-helpers are the ordinal measure behind termination (syntactic
-complexity), the inverse of ``tree_to_ctx``, recognizers for unbiased
-coherences and the branch bookkeeping of insertion points.  Generators
-are seeded and deterministic.
+variable occurrences instead of the tree inclusions; ``one_step``, which
+``reduction_graph`` closes terms under, enumerates every step under
+congruence.  The metatheory helpers are the ordinal measure behind
+termination (syntactic complexity), the inverse of ``tree_to_ctx``,
+recognizers for unbiased coherences and the branch bookkeeping of
+insertion points.  Generators are seeded and deterministic.
 """
 
 from __future__ import annotations
@@ -28,11 +29,11 @@ from .trees import (
     trunk_height,
 )
 from .insertion import (
-    Branch, InsertionRedex, branch_height, branch_table, exterior_sub,
-    interior_sub, inserted_tree, locally_maximal_positions,
+    Branch, InsertionRedex, branch_at, branch_height, branch_table,
+    exterior_sub, interior_sub, inserted_tree, locally_maximal_positions,
 )
 from .unbiased import identity_term, is_identity, unbiased_type
-from .rewriting import def_eq, normalize, one_step
+from .rewriting import ReductionStep, _insertion_detail, def_eq, head_steps, normalize
 from .check import infer_term
 
 
@@ -473,8 +474,8 @@ def gen_redex(rng: random.Random, cfg: GenConfig) -> InsertionRedex:
         for _ in range(bh):
             t = tree((t,))
     r = inserted_tree(s, p, t)
-    kappa = exterior_sub(s, p, t)
-    iota = interior_sub(s, p, t)
+    at = branch_at(s, p, t)
+    kappa, iota = exterior_sub(s, p, t, at), interior_sub(p, t, at)
     if rng.random() < 0.5:
         mu = id_sub(ctx_len(r))
         gamma = tree_to_ctx(r)
@@ -484,7 +485,7 @@ def gen_redex(rng: random.Random, cfg: GenConfig) -> InsertionRedex:
         for _ in range(rng.randint(0, 6)):
             gen.grow()
         mu = gen.gen_sub(r)
-    return InsertionRedex(s, p, t, compose(kappa, mu), compose(iota, mu))
+    return InsertionRedex(s, p, t, compose(kappa, mu), compose(iota, mu), at)
 
 
 def enumerate_insertion_points(max_nodes: int):
@@ -564,7 +565,39 @@ def bd_support_oracle(ctx: Context, n: int, eps: str) -> frozenset:
     return frozenset(out)
 
 
-# --- reduction graphs ---------------------------------------------------------------
+# --- one-step reduction and reduction graphs -----------------------------------------
+
+def under(step: ReductionStep, part, result, head: Optional[tuple] = None) -> ReductionStep:
+    """``step`` seen one level up, inside ``part`` of syntax whose reduct
+    is ``result``; ``head`` is the head whose cell ``part`` is."""
+    return ReductionStep(step.rule, (part,) + step.path, step.before, step.after,
+                         result, step.detail, head if step.head is None else step.head)
+
+
+def one_step(x) -> List[ReductionStep]:
+    """Every step of a term, type or substitution under congruence, outermost
+    and leftmost first: a coherence's head steps, then its cell's, then its arguments'."""
+    steps, parts = [], ()
+    if isinstance(x, Coh):
+        steps = [ReductionStep(rule, (), x, r, r, _insertion_detail(rdxs[0]) if rdxs else "")
+                 for rule, r, rdxs in head_steps(x)]
+        parts, label = (x.cell,) + x.args, lambda i: ("arg", i - 1) if i else "cell"
+    elif isinstance(x, Arrow):
+        parts, label = (x.src, x.base, x.tgt), ("src", "base", "tgt").__getitem__
+    elif isinstance(x, tuple):
+        parts, label = x, lambda i: ("entry", i)
+    elif not isinstance(x, (Var, Star)):
+        raise KernelError(f"not syntax: {x!r}")
+    for i, part in enumerate(parts):
+        if isinstance(part, (Var, Star)):
+            continue  # atoms take no step
+        for st in one_step(part):
+            ps = parts[:i] + (st.result,) + parts[i + 1:]
+            result = (Coh(x.head, ps[0], ps[1:]) if isinstance(x, Coh)
+                      else Arrow(*ps) if isinstance(x, Arrow) else ps)
+            steps.append(under(st, label(i), result, x.head if label(i) == "cell" else None))
+    return steps
+
 
 class BudgetExceeded(Exception):
     pass

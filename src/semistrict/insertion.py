@@ -13,12 +13,12 @@ onto T's innermost tree.  Every variable before that block keeps its
 position and every variable after it keeps its distance from the end.
 So the interior and exterior substitutions are flat splices of runs of
 variables around that block, at every branch height, and all three
-splices need only P's positions in S's context (``branch_at``, or a
-``branch_table`` row for a canonical branch): the poles of P's blocks,
-the innermost block's target point and the branch variable.  The paper
-defines the substitutions by induction on branch height through
-suspension; the splices agree with it because suspension commutes with
-unbiased types,
+splices take P's positions in S's context (a ``branch_table`` row for a
+canonical branch, or ``branch_at``, which checks T's trunk): the poles
+of P's blocks, the innermost block's target point and the branch
+variable.  The paper defines the substitutions by induction on branch
+height through suspension; the splices agree with it because
+suspension commutes with unbiased types,
 ``suspend_type(unbiased_type(n, t)) == unbiased_type(n + 1, (t,))``.
 
 A head's redexes are found by one scan (``find_redexes``) and then
@@ -117,7 +117,7 @@ class InsertionRedex(NamedTuple):
 
     ``outer`` are the head's arguments and ``inner`` the inserted
     argument's.  ``at`` are P's positions in S's context as
-    ``branch_at`` gives them, or None for each splice to find them.
+    ``branch_at`` gives them.
     """
 
     S: Tree
@@ -125,7 +125,7 @@ class InsertionRedex(NamedTuple):
     T: Tree
     outer: Sub
     inner: Sub
-    at: Optional[tuple] = None
+    at: tuple
 
 
 def _graft(s: Tree, p: Branch, t: Tree) -> Tree:
@@ -152,15 +152,17 @@ def inserted_tree(s: Tree, p: Branch, t: Tree) -> Tree:
     return _graft(Tree(s), p, Tree(t))
 
 
-def branch_at(s: Tree, p: Branch) -> tuple:
-    """P's positions in S's context: the source and target points of
-    block p[i] at each level i, then the branch variable.
+def branch_at(s: Tree, p: Branch, t: Tree) -> tuple:
+    """P's positions in S's context, for inserting T there: the source and
+    target points of block p[i] at each level i, then the branch variable.
 
     The innermost block is linear, a disc of 2d+1 variables between its
     target point and the branch variable.  A redex has its canonical
-    branch's positions from its head's ``branch_table`` row; this walk
-    serves any branch, for the splices called without them.
+    branch's positions from its head's ``branch_table`` row, its trunk
+    checked when it was found; this walk serves any branch, and raises
+    ``HeightMismatch`` when T's trunk is too short for P.
     """
+    _require_trunk(s, p, t)
     out, off = [], 0
     for k in p:
         pts = point_positions(s)
@@ -169,15 +171,6 @@ def branch_at(s: Tree, p: Branch) -> tuple:
         s = s[k]
     out.append(off + ctx_len(s) - 1)
     return tuple(out)
-
-
-def _checked_at(s: Tree, p: Branch, t: Tree, at: Optional[tuple]) -> tuple:
-    """``at`` if given (a redex's positions, whose trunk was checked
-    when it was found), else P's positions after the trunk check."""
-    if at is not None:
-        return at
-    _require_trunk(s, p, t)
-    return branch_at(s, p)
 
 
 def _innermost(p: Branch, t: Tree) -> Tree:
@@ -194,8 +187,8 @@ def _window(at: tuple, inner: Tree) -> Sub:
     return tuple([vs[x] for x in at[:-2]]) + vs[a:]
 
 
-def interior_sub(s: Tree, p: Branch, t: Tree) -> Sub:
-    """T's context into the inserted tree's.
+def interior_sub(p: Branch, t: Tree, at: tuple) -> Sub:
+    """T's context into the inserted tree's, P at positions ``at``.
 
     The poles of block p[i] at each level i above the innermost, then
     T's innermost tree as a window: the innermost block's source point,
@@ -203,12 +196,13 @@ def interior_sub(s: Tree, p: Branch, t: Tree) -> Sub:
     induction on branch height, which suspends the interior
     substitution one level down and includes it as child p[0].
     """
-    return _window(_checked_at(s, p, t, None), _innermost(p, t))
+    return _window(at, _innermost(p, t))
 
 
-def exterior_sub(s: Tree, p: Branch, t: Tree, at: Optional[tuple] = None,
+def exterior_sub(s: Tree, p: Branch, t: Tree, at: tuple,
                  cell: Optional[Type] = None):
-    """S's context into the inserted tree's, by splicing three runs.
+    """S's context into the inserted tree's, P at positions ``at``, by
+    splicing three runs.
 
     Before the innermost block's target point every variable keeps its
     position and after the block every variable keeps its distance from
@@ -229,7 +223,6 @@ def exterior_sub(s: Tree, p: Branch, t: Tree, at: Optional[tuple] = None,
     commutes with unbiased types:
     ``suspend_type(unbiased_type(n, t)) == unbiased_type(n + 1, (t,))``.
     """
-    at = _checked_at(s, p, t, at)
     inner = _innermost(p, t)
     iota = _window(at, inner)
     a, v = at[-2], at[-1]
@@ -251,16 +244,14 @@ def exterior_sub(s: Tree, p: Branch, t: Tree, at: Optional[tuple] = None,
     return kappa if cell is None else apply_sub_type(cell, kappa)
 
 
-def inserted_sub(sigma: Sub, p: Branch, tau: Sub, s: Tree, t: Tree,
-                 at: Optional[tuple] = None) -> Sub:
-    """Splice tau's entries over sigma's at branch p.
+def inserted_sub(sigma: Sub, tau: Sub, at: tuple) -> Sub:
+    """Splice tau's entries over sigma's at the branch at positions ``at``.
 
     tau's poles replace sigma's at each level and the rest of tau
     replaces the innermost block with its target point: at branch
     height 0 tau's blocks replace block k, above that its one block is
     spliced into block k.
     """
-    at = _checked_at(s, p, t, at)
     out = list(sigma[:at[-2]])
     for i, x in enumerate(at[:-2]):
         out[x] = tau[i]

@@ -1,20 +1,22 @@
 """Reduction: disc removal, endo-coherence removal, insertion.
 
-``one_step`` enumerates the congruence-closed single-step reducts of a
-term, type or substitution.  ``normalize`` applies an innermost-first
-strategy, taking at each head the first step ``head_steps`` gives;
-strong termination and confluence make the strategy choice
-unobservable in results.  A normalization given a step budget or a
-trace runs cold; any other shares the process's normal forms.  The
-termination measure, syntactic complexity, is in ``harness``.
+``head_steps`` states the rules and their priority at a head.
+``normalize`` applies an innermost-first strategy, taking at each head
+the first step ``head_steps`` gives; strong termination and confluence
+make the strategy choice unobservable in results.  A normalization
+given a step budget or a trace runs cold; any other shares the
+process's normal forms.  ``normalize_first_step`` is the outermost
+strategy, kept as the benchmark's answer oracle.  The enumeration of
+every congruence-closed step (``one_step``) and the termination
+measure, syntactic complexity, are in ``harness``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, Optional, Tuple
 
 from .syntax import (
-    Arrow, Coh, Immutable, KernelError, Record, Star, Sub, Term, Type, Var,
+    Arrow, Coh, Immutable, KernelError, Record, Star, Term, Type, Var,
     apply_sub_term, apply_sub_type,
 )
 from .trees import bracket, is_linear
@@ -29,9 +31,10 @@ from .insertion import (
 
 class ReductionStep(Immutable, Record):
     """``rule`` took ``before`` to ``after`` at ``path``; ``result`` is the
-    full reduct at the level ``one_step`` was called on.  ``before`` and
-    ``after`` are over the context of ``head``: the head of the innermost
-    coherence whose cell holds the step, None outside every cell."""
+    whole reduct of what the step was found in, ``after`` in a trace.
+    ``before`` and ``after`` are over the context of ``head``: the head of
+    the innermost coherence whose cell holds the step, None outside every
+    cell."""
 
     __slots__ = ("rule", "path", "before", "after", "result", "detail", "head")
 
@@ -42,12 +45,6 @@ class ReductionStep(Immutable, Record):
 
     def __hash__(self):
         return hash(tuple(getattr(self, f) for f in self.__slots__))
-
-    def under(self, part, result, head: Optional[tuple] = None) -> "ReductionStep":
-        """This step seen one level up, inside ``part`` of syntax whose
-        reduct is ``result``; ``head`` is the head whose cell ``part`` is."""
-        return ReductionStep(self.rule, (part,) + self.path, self.before, self.after,
-                             result, self.detail, head if self.head is None else self.head)
 
     def path_str(self) -> str:
         if not self.path:
@@ -62,13 +59,17 @@ class ReductionStep(Immutable, Record):
 
 
 class StepBudgetExceeded(Exception):
-    """The normalizer ran past its step budget: a kernel bug by theorem."""
-
-
-_EXHAUSTED = "step budget exhausted; reduction should always terminate"
+    """A normalization ran past its step budget: a stated one, or the
+    default one, which no term needs since reduction terminates."""
 
 
 DEFAULT_BUDGET = 10 ** 6
+
+
+def _exhausted(budget: Optional[int]) -> str:
+    # only an overrun of the default budget (None) is a kernel bug
+    return (f"step budget of {budget} exhausted" if budget is not None
+            else "step budget exhausted; reduction should always terminate")
 
 
 # --- the sua head rules -----------------------------------------------------
@@ -101,15 +102,14 @@ def endo_coherence_removal(t: Term) -> Optional[Term]:
 
 def apply_insertion(t: Coh, r: InsertionRedex) -> Term:
     # the reduct's tree and cell depend on (S, A, P, T) alone (r.at on S
-    # and P), so each shape builds them once; with a found redex's
-    # positions the splices skip the trunk check, so it runs once per
-    # shape, in inserted_tree
+    # and P), so each shape builds them once; a found redex's positions
+    # need no trunk check, so it runs once per shape, in inserted_tree
     key = (r.S, t.cell, r.P, r.T)
     head = _HEADS.get(key)
     if head is None:
         head = _HEADS[key] = (inserted_tree(r.S, r.P, r.T),
                               exterior_sub(r.S, r.P, r.T, r.at, t.cell))
-    return Coh(*head, inserted_sub(r.outer, r.P, r.inner, r.S, r.T, r.at))
+    return Coh(*head, inserted_sub(r.outer, r.inner, r.at))
 
 
 def _insertion_detail(r: InsertionRedex) -> str:
@@ -141,54 +141,6 @@ def head_steps(t: Term, redexes: Optional[list] = None
         redexes = find_redexes(t)
     for i, rdx in enumerate(redexes):
         yield "insertion", apply_insertion(t, rdx), redexes[i:]
-
-
-# --- one-step reduction ------------------------------------------------------
-
-def one_step(x) -> List[ReductionStep]:
-    if isinstance(x, (Var, Coh)):
-        return one_step_term(x)
-    if isinstance(x, (Star, Arrow)):
-        return one_step_type(x)
-    if isinstance(x, tuple):
-        return one_step_sub(x)
-    raise KernelError(f"not syntax: {x!r}")
-
-
-def one_step_term(t: Term) -> List[ReductionStep]:
-    if not isinstance(t, Coh):
-        return []
-    steps = [ReductionStep(rule, (), t, r, r,
-                           "" if rdxs is None else _insertion_detail(rdxs[0]))
-             for rule, r, rdxs in head_steps(t)]
-    for st in one_step_type(t.cell):
-        steps.append(st.under("cell", Coh(t.head, st.result, t.args), t.head))
-    for i, a in enumerate(t.args):
-        for st in one_step_term(a):
-            new_args = t.args[:i] + (st.result,) + t.args[i + 1:]
-            steps.append(st.under(("arg", i), Coh(t.head, t.cell, new_args)))
-    return steps
-
-
-def one_step_type(a: Type) -> List[ReductionStep]:
-    steps: List[ReductionStep] = []
-    if not isinstance(a, Arrow):
-        return steps
-    for st in one_step_term(a.src):
-        steps.append(st.under("src", Arrow(st.result, a.base, a.tgt)))
-    for st in one_step_type(a.base):
-        steps.append(st.under("base", Arrow(a.src, st.result, a.tgt)))
-    for st in one_step_term(a.tgt):
-        steps.append(st.under("tgt", Arrow(a.src, a.base, st.result)))
-    return steps
-
-
-def one_step_sub(s: Sub) -> List[ReductionStep]:
-    steps: List[ReductionStep] = []
-    for i, t in enumerate(s):
-        for st in one_step_term(t):
-            steps.append(st.under(("entry", i), s[:i] + (st.result,) + s[i + 1:]))
-    return steps
 
 
 # --- normalization -----------------------------------------------------------
@@ -233,6 +185,7 @@ class Normalizer:
                  trace: Optional[TraceFn] = None):
         cold = budget is not None or trace is not None
         self.budget = DEFAULT_BUDGET if budget is None else budget
+        self.stated = budget
         self.steps = 0
         self.trace = trace
         self.term_memo = {} if cold else _NF_TERMS["sua"]
@@ -282,7 +235,7 @@ class Normalizer:
             rule, nxt, redexes = step
             self.steps += 1
             if self.steps > self.budget:
-                raise StepBudgetExceeded(_EXHAUSTED)
+                raise StepBudgetExceeded(_exhausted(self.stated))
             if self.trace is not None:
                 detail = "" if redexes is None else _insertion_detail(redexes[0])
                 self.trace(ReductionStep(rule, path, cur, nxt, nxt, detail, outer))
@@ -326,17 +279,38 @@ def normalize(x, budget: Optional[int] = None,
     return Normalizer(budget, trace).run(x)
 
 
-def normalize_first_step(x, budget: int = DEFAULT_BUDGET):
-    """Outermost strategy: repeatedly take the first enumerated step."""
-    steps = 0
-    while True:
-        reducts = one_step(x)
-        if not reducts:
-            return x
+def normalize_first_step(x, budget: Optional[int] = None):
+    """Outermost-leftmost strategy: take the first step ``harness.one_step``
+    enumerates until none is left, at most ``budget`` (default
+    ``DEFAULT_BUDGET``) of them."""
+    limit = DEFAULT_BUDGET if budget is None else budget
+    steps, nxt = 0, _first_step(x)
+    while nxt is not None:
         steps += 1
-        if steps > budget:
-            raise StepBudgetExceeded(_EXHAUSTED)
-        x = reducts[0].result
+        if steps > limit:
+            raise StepBudgetExceeded(_exhausted(budget))
+        x, nxt = nxt, _first_step(nxt)
+    return x
+
+
+def _first_step(x):
+    """``x`` after its first step, or None if it is normal: at a coherence
+    the first head step, else the first in its cell, then its arguments
+    from the left; at an arrow the first in its source, base, target."""
+    if isinstance(x, Coh):
+        for _, reduct, _ in head_steps(x):
+            return reduct
+        parts = (x.cell,) + x.args
+    elif isinstance(x, Arrow):
+        parts = (x.src, x.base, x.tgt)
+    else:
+        return None
+    for i, part in enumerate(parts):
+        nxt = _first_step(part)
+        if nxt is not None:
+            parts = parts[:i] + (nxt,) + parts[i + 1:]
+            return Coh(x.head, parts[0], parts[1:]) if isinstance(x, Coh) else Arrow(*parts)
+    return None
 
 
 def def_eq(a, b) -> bool:

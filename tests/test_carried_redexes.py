@@ -64,9 +64,9 @@ def _inserts_at(s, p, t):
 
 
 def test_branch_positions_end_in_the_branch_variable():
-    for s, p, _ in enumerate_insertion_points(5):
+    for s, p, t in enumerate_insertion_points(5):
         v, at = [(v, at) for q, v, _, at in branch_table(s) if q == p][0]
-        assert at == branch_at(s, p)
+        assert at == branch_at(s, p, t)
         assert at[-1] == v and len(at) == 2 * len(p) + 1
 
 
@@ -76,7 +76,8 @@ def _one_insertion_squares():
     variable."""
     for s, p, t in enumerate_insertion_points(6):
         if _inserts_at(s, p, t):
-            yield (Coh(s, unbiased_type(tree_dim(s), s), exterior_sub(s, p, t)),
+            at = branch_at(s, p, t)
+            yield (Coh(s, unbiased_type(tree_dim(s), s), exterior_sub(s, p, t, at)),
                    inserted_tree(s, p, t))
 
 
@@ -93,11 +94,11 @@ def _two_insertion_squares():
                     if not _inserts_at(s, pb, tb):
                         continue
                     r = inserted_tree(s, pb, tb)
-                    kb = exterior_sub(s, pb, tb)
+                    kb = exterior_sub(s, pb, tb, branch_at(s, pb, tb))
                     for ta in trees:
                         if _inserts_at(s, pa, ta):
                             yield (Coh(s, unbiased_type(tree_dim(s), s),
-                                       compose(kb, exterior_sub(r, pa, ta))),
+                                       compose(kb, exterior_sub(r, pa, ta, branch_at(r, pa, ta)))),
                                    inserted_tree(r, pa, ta))
 
 
@@ -121,8 +122,9 @@ def test_carried_redexes_with_two_insertion_points(carried):
 
 def _direct_insertion(t, r):
     """The reduct as the paper writes it, with P's positions found afresh."""
-    return Coh(inserted_tree(r.S, r.P, r.T), exterior_sub(r.S, r.P, r.T, None, t.cell),
-               inserted_sub(r.outer, r.P, r.inner, r.S, r.T))
+    at = branch_at(r.S, r.P, r.T)
+    return Coh(inserted_tree(r.S, r.P, r.T), exterior_sub(r.S, r.P, r.T, at, t.cell),
+               inserted_sub(r.outer, r.inner, at))
 
 
 def _found(t):

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from semistrict import rewriting
 from semistrict.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -144,6 +145,27 @@ def test_a_step_budget_counts_every_step(capsys, tmp_path):
     assert err.startswith(f"{path}:1:1: StepBudgetExceeded: ")
     # an insertion, then a disc removal
     assert _run(capsys, "normalize", "--step-budget", "2", str(path)) == (0, "f\n", "")
+
+
+def test_a_stated_budget_overrun_names_the_budget(capsys, tmp_path):
+    path = tmp_path / "unit.catt"
+    path.write_text("normalize (x(f)y) | comp f (id y)\n")
+    assert _run(capsys, "normalize", "--step-budget", "1", str(path)) == (
+        1, "", f"{path}:1:1: StepBudgetExceeded: step budget of 1 exhausted\n")
+
+
+@pytest.mark.parametrize("trace", [[], ["--trace"]], ids=["shared", "traced"])
+def test_only_a_default_budget_overrun_reads_as_a_kernel_bug(capsys, tmp_path, monkeypatch, trace):
+    # reduction terminates, so no term needs the default budget; shrink
+    # it to see what its overrun prints, with no memo to take steps from
+    monkeypatch.setattr(rewriting, "DEFAULT_BUDGET", 1)
+    rewriting.clear_caches()
+    path = tmp_path / "unit.catt"
+    path.write_text("normalize (x(f)y) | comp f (id y)\n")
+    code, out, err = _run(capsys, "normalize", *trace, str(path))
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == (f"{path}:1:1: StepBudgetExceeded: "
+                                    "step budget exhausted; reduction should always terminate")
 
 
 # whose elaboration normalizes comp f (id y) to bind vert's middle arrow

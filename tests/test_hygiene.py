@@ -3,8 +3,9 @@
 Every import is used, ``harness`` (generators, oracles and metatheory
 helpers) stays out of the kernel, every top-level name in a kernel
 module has a use outside its own definition, every kernel cache is
-listed with the reason it is kept, and every kernel name the traced
-benchmark patches by string exists.
+listed with the reason it is kept, the step enumerators stay in
+``harness``, and every kernel name the benchmark imports or patches by
+string exists.
 """
 
 import ast
@@ -316,3 +317,34 @@ def test_every_name_the_traced_benchmark_patches_resolves(monkeypatch):
     assert not missing, f"bench/tracing.py wraps names that are gone: {', '.join(missing)}"
     state = tracing.kernel_state()
     assert {"nf_entries", "infer_entries", "trees", "unbiased"} <= set(state)
+
+
+# the enumeration of every congruence-closed step is an oracle, not a rule
+ENUMERATORS = {"one_step", "one_step_term", "one_step_type", "one_step_sub", "under"}
+
+
+def test_no_kernel_module_defines_a_step_enumerator():
+    found = [f"{p.name}: {node.name}" for p in KERNEL for node in ast.walk(_parse(p))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and node.name in ENUMERATORS]
+    assert not found, f"step enumerators in the kernel: {', '.join(found)}"
+
+
+def test_every_name_the_benchmark_imports_resolves():
+    # bench/ imports some names inside functions, so a refactor that moves
+    # one breaks only the workload that calls it; catch it here
+    seen, missing = set(), []
+    for path in BENCH:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "semistrict":
+                owner = importlib.import_module(node.module)
+                for a in node.names:
+                    name = f"{node.module}.{a.name}"
+                    seen.add(name)
+                    if not hasattr(owner, a.name):
+                        try:
+                            importlib.import_module(name)
+                        except ImportError:
+                            missing.append(f"{path.name}: {name}")
+    assert not missing, f"bench/ imports names that are gone: {', '.join(missing)}"
+    assert {"semistrict.rewriting.normalize_first_step", "semistrict.harness.gen_population"} <= seen

@@ -107,7 +107,7 @@ def test_branch_table_matches_leaf_path_walk():
     for t in trees:
         want = _branch_table_by_leaf_paths(t)
         assert tuple(row[:3] for row in branch_table(t)) == want
-        assert all(at == branch_at(t, p) for p, _, _, at in branch_table(t))
+        assert all(at == branch_at(t, p, disc(branch_height(p))) for p, _, _, at in branch_table(t))
         assert canonical_branches(t) == tuple(p for p, _, _ in want)
         if t:
             assert locally_maximal_positions(t) == tuple(v for _, v, _ in want)
@@ -120,7 +120,7 @@ def test_branch_table_matches_leaf_path_walk():
 
 
 def test_interior_first_clause_is_window_inclusion():
-    iota = interior_sub(CHAIN2, (1,), CHAIN2)
+    iota = interior_sub((1,), CHAIN2, branch_at(CHAIN2, (1,), CHAIN2))
     # maps T's copy onto the last two arrows of the ternary tree
     assert iota == (Var(1), Var(3), Var(4), Var(5), Var(6))
 
@@ -130,14 +130,15 @@ def test_interior_disc_target_is_identity():
     for t in (CHAIN2, ((),), ((), (), ())):
         n = max(tree_dim(t), 1)
         assert inserted_tree(disc(n), (0,), t) == t
-        assert interior_sub(disc(n), (0,), t) == id_sub(ctx_len(t))
+        assert interior_sub((0,), t, branch_at(disc(n), (0,), t)) == id_sub(ctx_len(t))
 
 
 def test_exterior_sends_branch_to_unbiased_composite():
-    kappa = exterior_sub(CHAIN2, (1,), CHAIN2)
+    at = branch_at(CHAIN2, (1,), CHAIN2)
+    kappa = exterior_sub(CHAIN2, (1,), CHAIN2, at)
     r = inserted_tree(CHAIN2, (1,), CHAIN2)
     got = kappa[branch_var(CHAIN2, (1,))]
-    want = apply_sub_term(unbiased_coh(1, CHAIN2), interior_sub(CHAIN2, (1,), CHAIN2))
+    want = apply_sub_term(unbiased_coh(1, CHAIN2), interior_sub((1,), CHAIN2, at))
     assert got == want
     assert isinstance(got, Coh) and got.head == CHAIN2
     # non-branch variables map to themselves here
@@ -146,8 +147,9 @@ def test_exterior_sends_branch_to_unbiased_composite():
 
 def test_branch_image_equation_everywhere():
     for s, p, t in enumerate_insertion_points(5):
-        kappa = exterior_sub(s, p, t)
-        iota = interior_sub(s, p, t)
+        at = branch_at(s, p, t)
+        kappa = exterior_sub(s, p, t, at)
+        iota = interior_sub(p, t, at)
         lhs = kappa[branch_var(s, p)]
         rhs = apply_sub_term(unbiased_coh(leaf_height(s, p), t), iota)
         assert lhs == rhs, (s, p, t)
@@ -159,27 +161,28 @@ def test_exterior_disc_argument_is_max_identity():
         if trunk_height(t) < branch_height(p):
             continue
         assert inserted_tree(s, p, t) == s
-        kappa = exterior_sub(s, p, t)
+        kappa = exterior_sub(s, p, t, branch_at(s, p, t))
         assert eq_max_def(kappa, id_sub(ctx_len(s)), s)
 
 
 def test_exterior_interior_insertion_is_identity():
     for s, p, t in enumerate_insertion_points(5):
         r = inserted_tree(s, p, t)
-        ins = inserted_sub(exterior_sub(s, p, t), p, interior_sub(s, p, t), s, t)
+        at = branch_at(s, p, t)
+        ins = inserted_sub(exterior_sub(s, p, t, at), interior_sub(p, t, at), at)
         assert ins == id_sub(ctx_len(r)), (s, p, t)
 
 
 def test_inserted_sub_flat_splice(f_then_gh):
     # <f, comp g h parts> splices to <f, g, h> on the ternary tree
-    ins = inserted_sub(f_then_gh.args, (1,),
-                       f_then_gh.args[4].args, CHAIN2, CHAIN2)
+    ins = inserted_sub(f_then_gh.args, f_then_gh.args[4].args,
+                       branch_at(CHAIN2, (1,), CHAIN2))
     assert ins == id_sub(7)
 
 
 def test_inserted_sub_rejects_bad_height():
     with pytest.raises(HeightMismatch):
-        inserted_sub(id_sub(ctx_len(NESTED)), (0, 0), id_sub(5), NESTED, ((), ()))
+        inserted_sub(id_sub(ctx_len(NESTED)), id_sub(5), branch_at(NESTED, (0, 0), ((), ())))
 
 
 class Label(NamedTuple):
@@ -230,7 +233,7 @@ def test_inserted_sub_matches_label_splice():
         sigma = tuple(Var(i) for i in range(ctx_len(s)))
         tau = tuple(Var(1000 + i) for i in range(ctx_len(t)))
         ref = _label_insert(_sub_to_label(s, sigma), p, _sub_to_label(t, tau))
-        assert inserted_sub(sigma, p, tau, s, t) == _label_to_sub(ref), (s, p, t)
+        assert inserted_sub(sigma, tau, branch_at(s, p, t)) == _label_to_sub(ref), (s, p, t)
         cases += 1
     assert cases == 7865
 
@@ -298,7 +301,7 @@ def test_high_dimensional_inserted_subs_match_label_splice():
             sigma = tuple(Var(i) for i in range(ctx_len(s)))
             tau = tuple(Var(1000 + i) for i in range(ctx_len(t)))
             ref = _label_insert(_sub_to_label(s, sigma), p, _sub_to_label(t, tau))
-            assert inserted_sub(sigma, p, tau, s, t) == _label_to_sub(ref), (s, p, t)
+            assert inserted_sub(sigma, tau, branch_at(s, p, t)) == _label_to_sub(ref), (s, p, t)
 
 
 def _window_incl_by_loop(r, a, u):
@@ -329,12 +332,12 @@ def _interior_sub_by_suspension(s, p, t):
 def test_interior_sub_matches_suspension_recursion():
     cases = 0
     for s, p, t in enumerate_insertion_points(6):  # trees of at most 5 edges
-        assert interior_sub(s, p, t) == _interior_sub_by_suspension(s, p, t), (s, p, t)
+        at = branch_at(s, p, t)
+        assert interior_sub(p, t, at) == _interior_sub_by_suspension(s, p, t), (s, p, t)
         cases += 1
     assert cases == 7865
-    for f in (interior_sub, exterior_sub):
-        with pytest.raises(HeightMismatch):
-            f(NESTED, (0, 0), ((), ()))
+    with pytest.raises(HeightMismatch):
+        branch_at(NESTED, (0, 0), ((), ()))
 
 
 def test_suspension_commutes_with_unbiased_cells():
@@ -380,7 +383,8 @@ def _exterior_sub_by_loop(s, p, t):
 def test_exterior_sub_matches_loop():
     cases = 0
     for s, p, t in enumerate_insertion_points(6):  # trees of at most 5 edges
-        assert exterior_sub(s, p, t) == _exterior_sub_by_loop(s, p, t), (s, p, t)
+        at = branch_at(s, p, t)
+        assert exterior_sub(s, p, t, at) == _exterior_sub_by_loop(s, p, t), (s, p, t)
         cases += 1
     assert cases == 7865
 
@@ -389,11 +393,12 @@ def test_exterior_sub_pushes_a_cell_of_any_dimension():
     # given a type, exterior_sub leaves out the unbiased cell when the
     # type's dimension is at most the leaf height; the result is the same
     for s, p, t in enumerate_insertion_points(5):
-        kappa = exterior_sub(s, p, t)
+        at = branch_at(s, p, t)
+        kappa = exterior_sub(s, p, t, at)
         top = unbiased_coh(tree_dim(s), s)
         cell = Arrow(top, unbiased_type(tree_dim(s), s), top)
         while isinstance(cell, Arrow):
-            assert exterior_sub(s, p, t, branch_at(s, p), cell) == apply_sub_type(cell, kappa)
+            assert exterior_sub(s, p, t, at, cell) == apply_sub_type(cell, kappa)
             cell = cell.base
 
 
@@ -402,9 +407,9 @@ def test_pushout_equations_random():
     cfg = GenConfig(seed=11)
     for _ in range(120):
         r = gen_redex(rng, cfg)
-        ins = inserted_sub(r.outer, r.P, r.inner, r.S, r.T)
-        assert compose(interior_sub(r.S, r.P, r.T), ins) == r.inner
-        assert eq_max_syntactic(compose(exterior_sub(r.S, r.P, r.T), ins), r.outer, r.S)
+        ins = inserted_sub(r.outer, r.inner, r.at)
+        assert compose(interior_sub(r.P, r.T, r.at), ins) == r.inner
+        assert eq_max_syntactic(compose(exterior_sub(r.S, r.P, r.T, r.at), ins), r.outer, r.S)
 
 
 def test_insertion_functoriality_substitution():
@@ -412,12 +417,11 @@ def test_insertion_functoriality_substitution():
     cfg = GenConfig(seed=5)
     for _ in range(60):
         r = gen_redex(rng, cfg)
-        ins = inserted_sub(r.outer, r.P, r.inner, r.S, r.T)
+        ins = inserted_sub(r.outer, r.inner, r.at)
         mu = tuple(Var(0) for _ in range(max(v.idx for t in ins
                                              for v in _vars(t)) + 1))
         lhs = compose(ins, mu)
-        rhs = inserted_sub(compose(r.outer, mu), r.P, compose(r.inner, mu),
-                           r.S, r.T)
+        rhs = inserted_sub(compose(r.outer, mu), compose(r.inner, mu), r.at)
         assert lhs == rhs
 
 
@@ -434,10 +438,10 @@ def test_insertion_functoriality_suspension():
     cfg = GenConfig(seed=9)
     for _ in range(60):
         r = gen_redex(rng, cfg)
-        ins = inserted_sub(r.outer, r.P, r.inner, r.S, r.T)
+        ins = inserted_sub(r.outer, r.inner, r.at)
         lhs = suspend_sub(ins)
-        rhs = inserted_sub(suspend_sub(r.outer), (0,) + r.P,
-                           suspend_sub(r.inner), (r.S,), (r.T,))
+        rhs = inserted_sub(suspend_sub(r.outer), suspend_sub(r.inner),
+                           branch_at((r.S,), (0,) + r.P, (r.T,)))
         assert lhs == rhs
 
 
@@ -447,8 +451,9 @@ def test_insertion_irrelevant_to_branch_entry():
     sigma = id_sub(5)
     rogue = sigma[:pos] + (identity_term(Arrow(Var(1), STAR, Var(3)), Var(4)),)
     tau = (Var(1), Var(3), Var(4))  # labels a disc onto the g-arrow
-    a = inserted_sub(sigma, (1,), tau, CHAIN2, ((),))
-    b = inserted_sub(rogue, (1,), tau, CHAIN2, ((),))
+    at = branch_at(CHAIN2, (1,), ((),))
+    a = inserted_sub(sigma, tau, at)
+    b = inserted_sub(rogue, tau, at)
     assert a == b
     assert not eq_max_syntactic(sigma, rogue, CHAIN2)
 

@@ -13,15 +13,14 @@ from semistrict.trees import (
 from semistrict.unbiased import (
     disc_sub, identity_term, is_identity, unbiased_coh, unbiased_type,
 )
-from semistrict.insertion import exterior_sub
+from semistrict.insertion import branch_at, exterior_sub
 from semistrict.rewriting import (
     StepBudgetExceeded, clear_caches, def_eq, disc_removal,
     endo_coherence_removal, head_steps, normalize, normalize_first_step,
-    one_step, one_step_term,
 )
 from semistrict.harness import (
     ORD_ZERO, GenConfig, OrdinalPoly, gen_population, natural_sum, omega_pow,
-    ord_lt, reduction_graph, syntactic_complexity,
+    one_step, ord_lt, reduction_graph, syntactic_complexity, under,
 )
 
 from conftest import CHAIN1, CHAIN2, CHAIN3
@@ -138,18 +137,18 @@ def test_head_steps_in_priority_order_and_lazily(comp_fg, monkeypatch):
 
 
 def test_one_step_variables_are_normal():
-    assert one_step_term(Var(0)) == []
+    assert one_step(Var(0)) == []
 
 
 def test_one_step_contains_insertion(f_then_gh):
-    rules = [s.rule for s in one_step_term(f_then_gh)]
+    rules = [s.rule for s in one_step(f_then_gh)]
     assert "insertion" in rules
 
 
 def test_one_step_endo_includes_ecr_and_argument_steps(f_then_gh):
     a = Arrow(Var(0), STAR, Var(5))
     endo = Coh(CHAIN3, Arrow(f_then_gh, a, f_then_gh), id_sub(7))
-    steps = one_step_term(endo)
+    steps = one_step(endo)
     kinds = {(s.rule, s.path and s.path[0]) for s in steps}
     assert ("endo-coherence-removal", ()) in {(s.rule, s.path) for s in steps}
     assert any(s.path and s.path[0] == "cell" for s in steps)
@@ -158,18 +157,18 @@ def test_one_step_endo_includes_ecr_and_argument_steps(f_then_gh):
 def test_a_step_is_an_immutable_record_seen_from_each_level(f_then_gh):
     a = Arrow(Var(0), STAR, Var(5))
     endo = Coh(CHAIN3, Arrow(f_then_gh, a, f_then_gh), id_sub(7))
-    steps = one_step_term(endo)
-    again = one_step_term(endo)
+    steps = one_step(endo)
+    again = one_step(endo)
     assert steps == again and {hash(step) for step in steps} == {hash(step) for step in again}
-    inner = one_step_term(f_then_gh)[0]
-    step = inner.under(("arg", 0), "reduct")
+    inner = one_step(f_then_gh)[0]
+    step = under(inner, ("arg", 0), "reduct")
     assert (step.rule, step.path, step.before, step.after, step.result, step.detail, step.head) == (
         inner.rule, (("arg", 0),) + inner.path, inner.before, inner.after, "reduct",
         inner.detail, inner.head)
     assert step.path_str() == "arg[0]" and step != inner
     # a cell names the head its steps are over; an outer cell does not replace it
-    assert inner.under("cell", "r", CHAIN2).head == CHAIN2
-    assert inner.under("cell", "r", CHAIN2).under("cell", "s", CHAIN3).head == CHAIN2
+    assert under(inner, "cell", "r", CHAIN2).head == CHAIN2
+    assert under(under(inner, "cell", "r", CHAIN2), "cell", "s", CHAIN3).head == CHAIN2
     for name in ("rule", "path", "head"):
         with pytest.raises(AttributeError):
             setattr(step, name, None)
@@ -221,6 +220,34 @@ def test_strategy_independence():
     cfg = GenConfig(seed=20)
     for ctx, t in gen_population(cfg, 60):
         assert normalize(t) == normalize_first_step(t)
+
+
+def _first_steps(t):
+    """The normal form reached by taking ``one_step``'s first reduct until
+    there is none, and the number of steps that took."""
+    k = 0
+    while True:
+        steps = one_step(t)
+        if not steps:
+            return t, k
+        t, k = steps[0].result, k + 1
+
+
+def test_the_oracle_takes_the_first_enumerated_step_each_time():
+    # normalize_first_step fits a budget of exactly as many steps as
+    # iterating one_step's first reduct takes, so it takes the same ones
+    terms = [t for _, t in gen_population(GenConfig(seed=7), 300)]
+    rng = random.Random(7)
+    for n in (2, 3, 5, 8, 13, 24):
+        for shape in ("left", "right", "random"):
+            t = _comp_chain(n, shape, rng)[1]
+            terms += [t, suspend_term(t)]
+    for t in terms:
+        nf, k = _first_steps(t)
+        assert normalize_first_step(t, budget=k) == nf
+        if k:
+            with pytest.raises(StepBudgetExceeded):
+                normalize_first_step(t, budget=k - 1)
 
 
 def test_step_budget_trips():
@@ -379,7 +406,7 @@ def test_cell_steps_preserve_sc_non_cell_steps_decrease(f_then_gh):
     endo = Coh(CHAIN3, Arrow(f_then_gh, a, f_then_gh), id_sub(7))
     for t in (f_then_gh, endo):
         base = syntactic_complexity(t)
-        for step in one_step_term(t):
+        for step in one_step(t):
             if "cell" in step.path:
                 assert syntactic_complexity(step.result) == base
             else:
@@ -405,7 +432,7 @@ def test_a_step_inside_a_cell_carries_the_head_it_is_over(f_then_gh):
     clear_caches()  # the cell's steps are taken here, not remembered
     log = []
     normalize(endo, trace=log.append)
-    for steps in (log, one_step_term(endo)):
+    for steps in (log, one_step(endo)):
         assert {(st.path[:1] == ("cell",), st.head) for st in steps} == {
             (True, CHAIN3), (False, None)}
 
@@ -522,7 +549,7 @@ def test_whisker_insertion_normalizes_the_reduct_cell(u):
     # holds f composed with that composite, which inserts in turn
     s = (((),), ())
     r = s[:1] + u
-    t = Coh(s, unbiased_type(2, s), exterior_sub(s, (1,), u))
+    t = Coh(s, unbiased_type(2, s), exterior_sub(s, (1,), u, branch_at(s, (1,), u)))
     infer_term(tree_to_ctx(r), t)
     clear_caches()
     nf = normalize(t)
