@@ -8,10 +8,13 @@ rule is discharged by def_eq.
 
 Two premises of the coherence rule, that the cell type is well formed
 over the head's pasting context and that its support conditions hold,
-read only the head ``(tree, cell)`` and never the arguments.  So a head
-that has passed them once is remembered for the life of the process and
-later uses check only their arguments.  Only passes are remembered: a
-bad head is checked afresh, and raises the same error, on every use.
+read only the head ``(tree, cell)`` and never the arguments.  So both
+are decided before the arguments are checked, and a head that passes
+them is remembered then, for the life of the process: every later use,
+one nested in its own arguments too, checks only its arguments.  Only
+passes are remembered: a bad head is checked afresh, and raises the
+same error, on every use.  A support failure is raised only after the
+arguments, so a bad argument is reported first.
 A variable's type is read off the context, and an argument that is a
 variable is typed in place; only the types of coherences are memoized,
 per (context, term).
@@ -97,10 +100,16 @@ def _infer(ctx: Context, t: Term) -> Type:
         raise TypingError("TypeMismatch",
                           "a coherence cell must be an arrow type")
     head = (t.head, cell)
-    known = head in _GOOD_HEADS
-    # cell, arguments, support: the order a diagnostic reports them in
-    if not known:
+    # cell, arguments, support: the order a diagnostic reports them in;
+    # the head is decided, and remembered if good, before its arguments
+    bad = None
+    if head not in _GOOD_HEADS:
         check_type(head_ctx, cell)
+        try:
+            _check_support(t.head, head_ctx, cell)
+            _GOOD_HEADS.add(head)
+        except TypingError as e:
+            bad = e
     # the arguments in this loop, not a helper: two frames per nesting level
     args = t.args
     if len(args) != len(head_ctx):
@@ -133,9 +142,8 @@ def _infer(ctx: Context, t: Term) -> Type:
                 "TypeMismatch",
                 f"argument {i} ({head_ctx.name_of(i)}) has type {got!r}, "
                 f"expected {want!r}")
-    if not known:
-        _check_support(t.head, head_ctx, cell)
-        _GOOD_HEADS.add(head)
+    if bad is not None:
+        raise bad
     return apply_sub_type(cell, args, memo)
 
 

@@ -21,6 +21,13 @@ height through suspension; the splices agree with it because
 suspension commutes with unbiased types,
 ``suspend_type(unbiased_type(n, t)) == unbiased_type(n + 1, (t,))``.
 
+What one insertion builds grows only with what the new head keeps: its
+children and its arguments are each one new tuple, no run of the old
+ones copied more than three times (``_graft``, ``inserted_sub``), and
+the exterior substitution is as long as S's context, the window onto T
+(iota) read one entry at a time and built whole only inside the
+unbiased cell (``exterior_sub``).
+
 A head's redexes are found by one scan (``find_redexes``) and then
 carried from each head to the next (``carry_redexes``).  Outside the
 spliced block every branch keeps its argument, its branch height and
@@ -43,8 +50,8 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .syntax import (
-    Coh, Sub, Term, Tree, Type, apply_sub_term, apply_sub_type, dim_type,
-    id_sub, tree,
+    Coh, Sub, Term, Tree, Type, Var, apply_sub_term, apply_sub_type, dim_type,
+    id_sub, tree, var_run,
 )
 from .trees import ctx_len, is_linear, point_positions, trunk_height
 from .unbiased import is_identity, unbiased_type
@@ -140,7 +147,10 @@ def _graft(s: Tree, p: Branch, t: Tree) -> Tree:
     old = s[k]
     if len(p) == 1:
         dim = max(s.dim, t.dim) if t.dim > old.dim else None
-        return tree(s[:k] + t + s[k + 1:], dim, s.size + t.size - old.size - 2)
+        # t is a Tree, not a plain tuple, so () + t copies it: at child 0
+        # start from t, and t is copied once
+        kids = s[:k] + t + s[k + 1:] if k else t + s[1:]
+        return tree(kids, dim, s.size + t.size - old.size - 2)
     # bh >= 1 forces t = (t0,)
     new = _graft(old, p[1:], t[0])
     dim = max(s.dim, new.dim + 1) if new.dim >= old.dim else None
@@ -180,11 +190,31 @@ def _innermost(p: Branch, t: Tree) -> Tree:
     return t
 
 
-def _window(at: tuple, inner: Tree) -> Sub:
-    # the poles, then a run from the innermost block's target point
-    a = at[-2]
-    vs = id_sub(a + ctx_len(inner) - 1)
-    return tuple([vs[x] for x in at[:-2]]) + vs[a:]
+class _Window:
+    """iota, T's context into the inserted tree's, read one entry at a
+    time and never built: the poles of P's blocks, then a run of
+    variables from the innermost block's target point.
+
+    ``apply_sub_term`` reads only its length and the entries the term
+    pushed through it mentions; ``entries()`` builds the whole tuple.
+    """
+
+    __slots__ = ("poles", "shift", "n")
+    __iter__ = None  # an index past the end raises nothing, so no iteration
+
+    def __init__(self, at: tuple, inner: Tree):
+        self.poles = tuple(map(Var, at[:-2]))
+        self.shift = at[-2] - len(self.poles)
+        self.n = len(self.poles) + ctx_len(inner) - 1
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, i: int):
+        return self.poles[i] if i < len(self.poles) else Var(i + self.shift)
+
+    def entries(self) -> Sub:
+        return self.poles + var_run(len(self.poles) + self.shift, self.n + self.shift)
 
 
 def interior_sub(p: Branch, t: Tree, at: tuple) -> Sub:
@@ -196,7 +226,7 @@ def interior_sub(p: Branch, t: Tree, at: tuple) -> Sub:
     induction on branch height, which suspends the interior
     substitution one level down and includes it as child p[0].
     """
-    return _window(at, _innermost(p, t))
+    return _Window(at, _innermost(p, t)).entries()
 
 
 def exterior_sub(s: Tree, p: Branch, t: Tree, at: tuple,
@@ -212,11 +242,14 @@ def exterior_sub(s: Tree, p: Branch, t: Tree, at: tuple,
     ``Coh(T, U, iota)``, ``U = unbiased_type(leaf_height, T)``.
 
     Only those entries are built: the block's boundary in T, pushed
-    along iota, then the cell itself.  Given ``cell``, a type over S,
-    the result is instead ``cell`` pushed along the substitution.  A
-    type mentions only variables below its dimension, so when that is
-    at most the leaf height the branch variable's image, the unbiased
-    cell, is not built.
+    along iota one entry at a time (``_Window``), then the cell itself.
+    The substitution is then one tuple as long as S's context, its runs
+    before and after the block each one slice of the interned
+    variables, so nothing in it grows with T.  Given ``cell``, a type
+    over S, the result is instead ``cell`` pushed along it.  A type
+    mentions only variables below its dimension, so when that is at most
+    the leaf height the branch variable's image, the unbiased cell, is
+    not built, and neither is the whole of iota, which only it holds.
 
     The paper defines this by induction on branch height through
     suspension; the splice agrees at every height because suspension
@@ -224,7 +257,7 @@ def exterior_sub(s: Tree, p: Branch, t: Tree, at: tuple,
     ``suspend_type(unbiased_type(n, t)) == unbiased_type(n + 1, (t,))``.
     """
     inner = _innermost(p, t)
-    iota = _window(at, inner)
+    iota = _Window(at, inner)
     a, v = at[-2], at[-1]
     m = v - a  # the block's 2d+1 variables
     lh = len(p) + (m - 1) // 2
@@ -238,9 +271,10 @@ def exterior_sub(s: Tree, p: Branch, t: Tree, at: tuple,
     memo = {}
     block = [apply_sub_term(x, iota, memo) for x in reversed(pieces)]
     # cell never reads the branch variable's entry when it is left as None
-    block.append(Coh(t, ty, iota) if cell is None or dim_type(cell) > lh else None)
+    block.append(Coh(t, ty, iota.entries())
+                 if cell is None or dim_type(cell) > lh else None)
     b = a + ctx_len(inner) - 1  # the first position after the window
-    kappa = id_sub(a) + tuple(block) + id_sub(b + ctx_len(s) - v - 1)[b:]
+    kappa = id_sub(a) + tuple(block) + var_run(b, b + ctx_len(s) - v - 1)
     return kappa if cell is None else apply_sub_type(cell, kappa)
 
 
@@ -251,11 +285,18 @@ def inserted_sub(sigma: Sub, tau: Sub, at: tuple) -> Sub:
     replaces the innermost block with its target point: at branch
     height 0 tau's blocks replace block k, above that its one block is
     spliced into block k.
+
+    One list is built, from tau, and sigma's runs before and after the
+    block are spliced around it, so no run is copied again by a later
+    concatenation; the result is that list's one tuple.
     """
-    out = list(sigma[:at[-2]])
-    for i, x in enumerate(at[:-2]):
-        out[x] = tau[i]
-    return tuple(out) + tau[len(at) - 2:] + sigma[at[-1] + 1:]
+    h, a = len(at) - 2, at[-2]
+    out = list(tau)
+    out[:h] = sigma[:a]  # sigma's run before the block, over tau's poles
+    for i in range(h):
+        out[at[i]] = tau[i]
+    out += sigma[at[-1] + 1:]
+    return tuple(out)
 
 
 def _inserts(arg: Coh, p: Branch, lh: int) -> bool:

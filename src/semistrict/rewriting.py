@@ -166,6 +166,17 @@ def clear_caches():
     _HEADS.clear()
 
 
+def _flat(path: Optional[tuple]) -> tuple:
+    """A linked path, None at the root or (parent, part) below it, as the
+    tuple of its parts that a ``ReductionStep`` holds."""
+    parts = []
+    while path is not None:
+        path, part = path
+        parts.append(part)
+    parts.reverse()
+    return tuple(parts)
+
+
 class Normalizer:
     """One normalization.  Given a ``budget`` or a ``trace``, it runs
     cold, over memos of its own, so its steps and its verdict on the
@@ -179,6 +190,10 @@ class Normalizer:
     under other unnormalized syntax, or a normal form met again, takes
     no step and no redex scan.  A cold run, over empty memos, remembers
     heads the same way, so it takes each head's step once.
+
+    Where a step is found is passed down linked, one (parent, part) pair
+    per level from None at the root, so going one level deeper costs one
+    pair, not a copy of the path; only a traced step flattens it.
     """
 
     def __init__(self, budget: Optional[int] = None,
@@ -195,7 +210,7 @@ class Normalizer:
     def run(self, x):
         return self.term(x) if isinstance(x, (Var, Coh)) else self.type(x)
 
-    def term(self, t: Term, path: tuple = ()) -> Term:
+    def term(self, t: Term, path: Optional[tuple] = None) -> Term:
         if isinstance(t, Var):
             return t
         nf = self.term_memo.get(t)
@@ -205,14 +220,14 @@ class Normalizer:
         self.term_memo[t] = out
         return out
 
-    def _term(self, t: Coh, path: tuple) -> Term:
+    def _term(self, t: Coh, path: Optional[tuple]) -> Term:
         # a loop, not a generator expression: two frames per nesting level;
         # variables are normal, so only coherences need a call and a path
         args = []
         for i, a in enumerate(t.args):
-            args.append(a if isinstance(a, Var) else self.term(a, path + (("arg", i),)))
+            args.append(a if isinstance(a, Var) else self.term(a, (path, ("arg", i))))
         outer, self.head = self.head, t.head
-        cell = self.type(t.cell, path + ("cell",))
+        cell = self.type(t.cell, (path, "cell"))
         self.head = outer
         cur = Coh(t.head, cell, tuple(args))
         # each head over normal parts is looked up before it takes a step;
@@ -238,7 +253,7 @@ class Normalizer:
                 raise StepBudgetExceeded(_exhausted(self.stated))
             if self.trace is not None:
                 detail = "" if redexes is None else _insertion_detail(redexes[0])
-                self.trace(ReductionStep(rule, path, cur, nxt, nxt, detail, outer))
+                self.trace(ReductionStep(rule, _flat(path), cur, nxt, nxt, detail, outer))
             if redexes is None:
                 # a removal can expose further redexes anywhere in the result
                 cur = self.term(nxt, path)
@@ -251,22 +266,22 @@ class Normalizer:
                 break
             done.append(nxt)
             self.head = nxt.head
-            cell = self.type(nxt.cell, path + ("cell",))
+            cell = self.type(nxt.cell, (path, "cell"))
             self.head = outer
             cur = nxt if cell is nxt.cell else Coh(nxt.head, cell, nxt.args)
         for r in done:
             self.term_memo[r] = cur
         return cur
 
-    def type(self, a: Type, path: tuple = ()) -> Type:
+    def type(self, a: Type, path: Optional[tuple] = None) -> Type:
         if not isinstance(a, Arrow):
             return a
         nf = self.type_memo.get(a)
         if nf is not None:
             return nf
-        out = Arrow(self.term(a.src, path + ("src",)),
-                    self.type(a.base, path + ("base",)),
-                    self.term(a.tgt, path + ("tgt",)))
+        out = Arrow(self.term(a.src, (path, "src")),
+                    self.type(a.base, (path, "base")),
+                    self.term(a.tgt, (path, "tgt")))
         self.type_memo[a] = out
         return out
 

@@ -366,7 +366,12 @@ def compose(tau: Sub, sigma: Sub, memo: Optional[dict] = None) -> Sub:
 
 
 def id_sub(n: int) -> Sub:
-    return (_VARS if n <= len(_VARS) else _grow_vars(n))[:n]
+    return var_run(0, n)
+
+
+def var_run(lo: int, hi: int) -> Sub:
+    """The variables ``lo`` to ``hi - 1``: one slice of the interned ones."""
+    return (_VARS if hi <= len(_VARS) else _grow_vars(hi))[lo:hi]
 
 
 # --- free variables, support, dimension ----------------------------------

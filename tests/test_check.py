@@ -56,6 +56,18 @@ def test_a_bad_argument_is_reported_before_a_bad_support(ctx1):
             "argument 2 (f) has type Star, expected Arrow(Var(0), Star, Var(1))")
 
 
+def test_a_head_nested_in_its_own_arguments_is_checked_once(monkeypatch):
+    # the head is remembered before its arguments are checked, so the 38
+    # uses of comp inside the outermost one check neither cell nor support
+    calls = []
+    support = check._check_support
+    monkeypatch.setattr(check, "_check_support", lambda *a: calls.append(a) or support(*a))
+    tree, t = _deep_chain(40, "left")
+    _clear_memos()
+    assert infer_term(tree_to_ctx(tree), t) == unbiased_type(1, tree)
+    assert [(a[0], a[2]) for a in calls] == [(CHAIN2, unbiased_type(1, CHAIN2))]
+
+
 def test_a_good_head_is_remembered_and_its_arguments_still_checked(ctx1, ctx2, comp_fg):
     infer_term(ctx2, comp_fg)
     assert (comp_fg.head, comp_fg.cell) in check._GOOD_HEADS

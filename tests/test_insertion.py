@@ -258,6 +258,21 @@ def _high_insertion_points(rng, dim, count):
     return out
 
 
+def _wide_insertion_points():
+    """(S, P, T) for heads of 300 branches, of dimension 1 and 2, at the
+    first and the last branch: T an identity or a 3-ary composite."""
+    out = []
+    for s in (((),) * 300, (((),) * 300,), (((),),) * 300):
+        branches = canonical_branches(s)
+        for p in (branches[0], branches[-1]):
+            lh = leaf_height(s, p)
+            comp = ((),) * 3
+            for _ in range(lh - 1):
+                comp = (comp,)
+            out += [(s, p, disc(lh - 1)), (s, p, comp)]
+    return out
+
+
 def _recount(t):
     """(dimension, context length) of a tree, recounted over its nodes."""
     if not t:
@@ -295,13 +310,14 @@ def test_an_inserted_tree_carries_its_recounted_dimension_and_size(monkeypatch):
 
 
 def test_high_dimensional_inserted_subs_match_label_splice():
+    # and heads of 300 branches, spliced at their first and last branch
     rng = random.Random(7)
-    for dim in (4, 5):
-        for s, p, t in _high_insertion_points(rng, dim, 150):
-            sigma = tuple(Var(i) for i in range(ctx_len(s)))
-            tau = tuple(Var(1000 + i) for i in range(ctx_len(t)))
-            ref = _label_insert(_sub_to_label(s, sigma), p, _sub_to_label(t, tau))
-            assert inserted_sub(sigma, tau, branch_at(s, p, t)) == _label_to_sub(ref), (s, p, t)
+    points = _high_insertion_points(rng, 4, 150) + _high_insertion_points(rng, 5, 150)
+    for s, p, t in points + _wide_insertion_points():
+        sigma = tuple(Var(i) for i in range(ctx_len(s)))
+        tau = tuple(Var(1000 + i) for i in range(ctx_len(t)))
+        ref = _label_insert(_sub_to_label(s, sigma), p, _sub_to_label(t, tau))
+        assert inserted_sub(sigma, tau, branch_at(s, p, t)) == _label_to_sub(ref), (s, p, t)
 
 
 def _window_incl_by_loop(r, a, u):
@@ -391,10 +407,17 @@ def test_exterior_sub_matches_loop():
 
 def test_exterior_sub_pushes_a_cell_of_any_dimension():
     # given a type, exterior_sub leaves out the unbiased cell when the
-    # type's dimension is at most the leaf height; the result is the same
-    for s, p, t in enumerate_insertion_points(5):
+    # type's dimension is at most the leaf height; at every base level of
+    # the type the result is the type pushed along the whole substitution,
+    # which is checked against the reference
+    rng = random.Random(5)
+    points = list(enumerate_insertion_points(5))  # trees of at most 4 edges
+    points += _high_insertion_points(rng, 4, 40) + _high_insertion_points(rng, 5, 40)
+    points += _wide_insertion_points()
+    for s, p, t in points:
         at = branch_at(s, p, t)
         kappa = exterior_sub(s, p, t, at)
+        assert kappa == _exterior_sub_by_loop(s, p, t), (s, p, t)
         top = unbiased_coh(tree_dim(s), s)
         cell = Arrow(top, unbiased_type(tree_dim(s), s), top)
         while isinstance(cell, Arrow):

@@ -561,3 +561,62 @@ def test_whisker_insertion_normalizes_the_reduct_cell(u):
 def test_normalize_preserves_type(seed):
     for ctx, t in gen_population(GenConfig(seed=seed), 150):
         assert def_eq(infer_term(ctx, normalize(t)), infer_term(ctx, t))
+
+
+def _pinned_path_terms():
+    """A seed-7 population term whose trace has steps in an argument, at
+    the root, then in its reduct's cell, and an endo-coherence over the
+    same tree that holds it as its cell's source and target."""
+    s = (((),), ())
+    u1 = unbiased_type(1, CHAIN2)
+    fg = Coh(CHAIN2, u1, (Var(0), Var(1), Var(2), Var(5), Var(6)))
+    fh = Coh(CHAIN2, u1, (Var(0), Var(1), Var(3), Var(5), Var(6)))
+    unary = Coh(CHAIN1, unbiased_type(1, CHAIN1), (Var(1), Var(1), identity_term(STAR, Var(1))))
+    t = Coh(s, Arrow(fg, Arrow(Var(0), STAR, Var(5)), fh),
+            (Var(0), Var(1), Var(2), Var(3), Var(4), Var(1), unary))
+    ty = infer_term(tree_to_ctx(s), t)
+    return t, Coh(s, Arrow(t, ty, t), id_sub(ctx_len(s)))
+
+
+def test_traced_steps_keep_their_paths():
+    # the paths and their strings as recorded before paths were linked
+    t, endo = _pinned_path_terms()
+    want = [
+        [("disc-removal", (("arg", 6),), "arg[6]"),
+         ("insertion", (), "root"),
+         ("insertion", ("cell", "src"), "cell.src"),
+         ("disc-removal", ("cell", "src"), "cell.src"),
+         ("insertion", ("cell", "tgt"), "cell.tgt"),
+         ("disc-removal", ("cell", "tgt"), "cell.tgt"),
+         ("disc-removal", (), "root")],
+        [("disc-removal", ("cell", "src", ("arg", 6)), "cell.src.arg[6]"),
+         ("insertion", ("cell", "src"), "cell.src"),
+         ("insertion", ("cell", "src", "cell", "src"), "cell.src.cell.src"),
+         ("disc-removal", ("cell", "src", "cell", "src"), "cell.src.cell.src"),
+         ("insertion", ("cell", "src", "cell", "tgt"), "cell.src.cell.tgt"),
+         ("disc-removal", ("cell", "src", "cell", "tgt"), "cell.src.cell.tgt"),
+         ("disc-removal", ("cell", "src"), "cell.src"),
+         ("endo-coherence-removal", (), "root")],
+    ]
+    for x, steps in zip((t, endo), want):
+        log = []
+        normalize(x, trace=log.append)
+        assert [(s.rule, s.path, s.path_str()) for s in log] == steps
+
+
+def test_an_untraced_normalization_builds_no_step_and_no_path(monkeypatch):
+    # a path is linked one pair per level and flattened only for a traced
+    # step, so a normalization without a trace does neither
+    def fail(*args):
+        raise AssertionError("step or path built without a trace")
+
+    monkeypatch.setattr(rewriting, "ReductionStep", fail)
+    monkeypatch.setattr(rewriting, "_flat", fail)
+    terms = [t for _, t in gen_population(GenConfig(seed=20), 300)]
+    terms.append(_comp_chain(200, "right", None)[1])
+    clear_caches()
+    for t in terms:
+        normalize(t)
+        normalize(t, budget=10 ** 6)
+    with pytest.raises(AssertionError, match="without a trace"):
+        normalize(terms[-1], trace=lambda s: None)
