@@ -25,8 +25,7 @@ from .syntax import (
     compose, dim_type, id_sub, tree,
 )
 from .trees import (
-    ctx_len, disc, is_linear, point_positions, tree_dim, tree_to_ctx,
-    trunk_height,
+    disc, is_linear, point_positions, tree_to_ctx, trunk_height,
 )
 from .insertion import (
     Branch, InsertionRedex, branch_at, branch_height, branch_table,
@@ -271,7 +270,7 @@ def is_unbiased_coh(t: Term) -> Optional[Tuple[int, Tree, Sub]]:
 
 def is_unbiased_composite(t: Term) -> bool:
     m = is_unbiased_coh(t)
-    return m is not None and m[0] == tree_dim(m[1])
+    return m is not None and m[0] == m[1].dim
 
 
 # --- branches ------------------------------------------------------------------
@@ -292,7 +291,7 @@ def is_branch(s: Tree, p: Branch) -> bool:
 
 
 def leaf_height(s: Tree, p: Branch) -> int:
-    return len(p) + tree_dim(subtree(s, p))
+    return len(p) + subtree(Tree(s), p).dim
 
 
 def canonical_branches(t: Tree) -> tuple:
@@ -477,7 +476,7 @@ def gen_redex(rng: random.Random, cfg: GenConfig) -> InsertionRedex:
     at = branch_at(s, p, t)
     kappa, iota = exterior_sub(s, p, t, at), interior_sub(p, t, at)
     if rng.random() < 0.5:
-        mu = id_sub(ctx_len(r))
+        mu = id_sub(r.size)
         gamma = tree_to_ctx(r)
     else:
         gamma = tree_to_ctx(gen_tree(rng, cfg))

@@ -46,14 +46,13 @@ again.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .syntax import (
     Coh, Sub, Term, Tree, Type, Var, apply_sub_term, apply_sub_type, dim_type,
     id_sub, tree, var_run,
 )
-from .trees import ctx_len, is_linear, point_positions, trunk_height
+from .trees import is_linear, point_positions, trunk_height
 from .unbiased import is_identity, unbiased_type
 
 
@@ -74,18 +73,25 @@ def _require_trunk(s: Tree, p: Branch, t: Tree):
             f"cannot insert {t} at branch {p} of {s}: trunk too short")
 
 
-@lru_cache(maxsize=None)
-def branch_table(t: Tree) -> tuple:
+def branch_table(t: tuple) -> tuple:
     """(branch, variable position, leaf height, positions) per canonical
-    branch, the positions as ``branch_at`` gives them.
+    branch, the positions as ``branch_at`` gives them; kept on the tree
+    as ``branches``.
 
     One walk in branch (lexicographic) order: a child whose subtree is
     linear ends a canonical branch at the top variable of its block,
     any other child is walked into.
     """
-    out = []
-    _branch_walk(t, (), 0, (), out)
-    return tuple(out)
+    try:
+        return t.branches
+    except AttributeError:  # not built yet, or a plain tuple
+        t = Tree(t)
+    rows = t.__dict__.get("branches")
+    if rows is None:
+        out = []
+        _branch_walk(t, (), 0, (), out)
+        rows = t.__dict__["branches"] = tuple(out)
+    return rows
 
 
 def _branch_walk(node: Tree, path: Branch, src: int, poles: tuple, out: list) -> int:
@@ -172,6 +178,7 @@ def branch_at(s: Tree, p: Branch, t: Tree) -> tuple:
     checked when it was found; this walk serves any branch, and raises
     ``HeightMismatch`` when T's trunk is too short for P.
     """
+    s = Tree(s)
     _require_trunk(s, p, t)
     out, off = [], 0
     for k in p:
@@ -179,7 +186,7 @@ def branch_at(s: Tree, p: Branch, t: Tree) -> tuple:
         out += (off + pts[k], off + pts[k + 1])
         off += pts[k + 1] + 1  # a block starts just after its target point
         s = s[k]
-    out.append(off + ctx_len(s) - 1)
+    out.append(off + s.size - 1)
     return tuple(out)
 
 
@@ -205,7 +212,7 @@ class _Window:
     def __init__(self, at: tuple, inner: Tree):
         self.poles = tuple(map(Var, at[:-2]))
         self.shift = at[-2] - len(self.poles)
-        self.n = len(self.poles) + ctx_len(inner) - 1
+        self.n = len(self.poles) + inner.size - 1
 
     def __len__(self):
         return self.n
@@ -226,7 +233,7 @@ def interior_sub(p: Branch, t: Tree, at: tuple) -> Sub:
     induction on branch height, which suspends the interior
     substitution one level down and includes it as child p[0].
     """
-    return _Window(at, _innermost(p, t)).entries()
+    return _Window(at, _innermost(p, Tree(t))).entries()
 
 
 def exterior_sub(s: Tree, p: Branch, t: Tree, at: tuple,
@@ -256,6 +263,7 @@ def exterior_sub(s: Tree, p: Branch, t: Tree, at: tuple,
     commutes with unbiased types:
     ``suspend_type(unbiased_type(n, t)) == unbiased_type(n + 1, (t,))``.
     """
+    s, t = Tree(s), Tree(t)
     inner = _innermost(p, t)
     iota = _Window(at, inner)
     a, v = at[-2], at[-1]
@@ -273,8 +281,8 @@ def exterior_sub(s: Tree, p: Branch, t: Tree, at: tuple,
     # cell never reads the branch variable's entry when it is left as None
     block.append(Coh(t, ty, iota.entries())
                  if cell is None or dim_type(cell) > lh else None)
-    b = a + ctx_len(inner) - 1  # the first position after the window
-    kappa = id_sub(a) + tuple(block) + var_run(b, b + ctx_len(s) - v - 1)
+    b = a + inner.size - 1  # the first position after the window
+    kappa = id_sub(a) + tuple(block) + var_run(b, b + s.size - v - 1)
     return kappa if cell is None else apply_sub_type(cell, kappa)
 
 
@@ -305,11 +313,12 @@ def _inserts(arg: Coh, p: Branch, lh: int) -> bool:
     if dim_type(arg.cell) != lh:
         return False
     t = arg.head
-    if arg.cell != unbiased_type(lh, t):
-        return False
     d = t.dim
-    # only unbiased composites and identities insert
+    # only unbiased composites and identities insert; the shape is tested
+    # first, so no unbiased type is built above a non-linear t's dimension
     if not (lh == d or (lh == d + 1 and is_linear(t))):
+        return False
+    if arg.cell != unbiased_type(lh, t):
         return False
     return len(p) - 1 <= trunk_height(t)
 

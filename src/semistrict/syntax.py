@@ -14,11 +14,12 @@ a plain lookup is the cheapest construction.  Building a term hashes and
 compares its components, which are themselves interned, by identity.
 
 Pasting trees are interned too (``Tree``): a tree is the one live tuple
-of its interned subtrees, hashed by identity, and it carries its
-dimension and context length, set once when it is made.  A tree is
-still a tuple and equals the plain tuple of the same shape, so ``Coh``
-and the tree functions that take a tree from outside the kernel intern
-a plain tuple they are given.
+of its interned subtrees, hashed by identity.  It carries its dimension
+and context length, set once when it is made, and keeps the other facts
+it fixes on its own once the function that owns each has built it.  A
+tree is still a tuple and equals the plain tuple of the same shape, so
+``Coh`` and the tree functions that take a tree from outside the kernel
+intern a plain tuple they are given.
 
 Since interned syntax is never freed, importing this module raises the
 cycle collector's young-generation threshold from 700 to 20,000
@@ -35,7 +36,6 @@ substitution into the ambient context.
 from __future__ import annotations
 
 import gc
-from functools import cached_property
 from typing import Optional, Union
 
 
@@ -83,6 +83,9 @@ class Record:
 class Tree(Immutable, tuple):
     """A planar rooted tree (trees.py): the interned tuple of its subtrees,
     of dimension ``dim``, generating a context of ``size`` variables.
+    Once built, it keeps its context ``ctx`` (``trees.tree_to_ctx``),
+    its branch rows ``branches`` (``insertion.branch_table``) and its
+    unbiased types by level, ``unbiased`` (``unbiased.unbiased_type``).
 
     ``Tree(x)`` is the live tree equal to ``x``, nested plain tuples or a
     tree; ``tree`` makes one from trees.  Unpickling rebuilds through it.
@@ -258,8 +261,8 @@ class Context(Immutable):
 
     Equality and hashing ignore the display names.  The names, the
     types and their hash are computed once, at construction; each
-    name's first position once, when names are first resolved, since
-    most kernel contexts never are.
+    name's first position, ``positions``, once, when names are first
+    resolved, since most kernel contexts never are.
     """
 
     def __init__(self, entries: tuple):
@@ -267,10 +270,15 @@ class Context(Immutable):
         self.__dict__.update(entries=entries, names=tuple(n for n, _ in entries),
                              types=types, _hash=hash(types))
 
-    @cached_property
+    @property
     def positions(self) -> dict:
+        # a property, not __getattr__, which would slow every attribute read;
         # filled from the end, so a repeated name keeps its first position
-        return {n: i for i, n in reversed(tuple(enumerate(self.names)))}
+        out = self.__dict__.get("_positions")
+        if out is None:
+            out = self.__dict__["_positions"] = {
+                n: i for i, n in reversed(tuple(enumerate(self.names)))}
+        return out
 
     def __len__(self):
         return len(self.entries)

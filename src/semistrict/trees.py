@@ -2,12 +2,11 @@
 
 A tree is the interned tuple of its subtrees (``syntax.Tree``); ``()``
 generates the singleton context.  Each tree carries its dimension
-``dim`` and context length ``size``, so ``tree_dim`` and ``ctx_len``
-are attribute reads, and the caches here hash a tree by identity.  A
-function here that takes a tree from outside the kernel interns a
-plain tuple it is given; a cached one does so on a miss, and keeps the
-tuple as a key of its own.  The context of ``T = (T0, .., Tn-1)`` has
-the layout
+``dim`` and context length ``size``, and keeps its context ``ctx``
+once ``tree_to_ctx`` has built it.  A function here that takes a tree
+from outside the kernel interns a plain tuple it is given, so a plain
+tuple and its tree share one context.  The context of
+``T = (T0, .., Tn-1)`` has the layout
 
     p0  p1  B0  p2  B1  ...  pn  Bn-1
 
@@ -31,20 +30,15 @@ the tests check the walks against the definitions by suspension.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .syntax import (
     STAR, Arrow, Coh, Context, KernelError, Star, Sub, Term, Tree, Type, Var,
     dim_type, tree,
 )
 
 
-def tree_dim(t: tuple) -> int:
-    return Tree(t).dim
-
-
 def ctx_len(t: tuple) -> int:
-    """Number of variables in the context a tree generates."""
+    """Number of variables in the context a tree generates: ``Tree(t).size``
+    for a plain tuple, as the benchmark passes; the kernel reads ``size``."""
     return Tree(t).size
 
 
@@ -55,7 +49,7 @@ def trunk_height(t: Tree) -> int:
 
 
 def is_linear(t: Tree) -> bool:
-    """trunk_height(t) == tree_dim(t), in O(depth): no branch point below a leaf."""
+    """trunk_height(t) == t.dim, in O(depth): no branch point below a leaf."""
     while len(t) == 1:
         t = t[0]
     return not t
@@ -141,11 +135,18 @@ def _auto_names(types) -> tuple:
     return tuple(names)
 
 
-@lru_cache(maxsize=None)
-def tree_to_ctx(t: Tree) -> Context:
-    types = []
-    _layout_types(t, STAR, types)
-    return Context(tuple(zip(_auto_names(types), types)))
+def tree_to_ctx(t: tuple) -> Context:
+    """The context a tree generates, kept on the tree as ``ctx``."""
+    try:
+        return t.ctx
+    except AttributeError:  # not built yet, or a plain tuple
+        t = Tree(t)
+    ctx = t.__dict__.get("ctx")
+    if ctx is None:
+        types = []
+        _layout_types(t, STAR, types)
+        ctx = t.__dict__["ctx"] = Context(tuple(zip(_auto_names(types), types)))
+    return ctx
 
 
 def _layout_types(node: Tree, base: Type, types: list) -> None:

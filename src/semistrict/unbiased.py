@@ -8,8 +8,6 @@ with no provenance flags.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .syntax import (
     Arrow, Coh, STAR, Sub, Term, Tree, Type, Var, apply_sub_term, dim_type,
     id_sub,
@@ -17,15 +15,25 @@ from .syntax import (
 from .trees import disc, is_linear, tree_bd, tree_inc
 
 
-@lru_cache(maxsize=None)
-def unbiased_type(n: int, t: Tree) -> Type:
-    if n <= 0:
-        return STAR
-    t = Tree(t)
-    bd = unbiased_term(n - 1, tree_bd(n - 1, t))
-    s = apply_sub_term(bd, tree_inc("-", n - 1, t))
-    u = apply_sub_term(bd, tree_inc("+", n - 1, t))
-    return Arrow(s, unbiased_type(n - 1, t), u)
+def unbiased_type(n: int, t: tuple) -> Type:
+    """U^n_T, kept on the tree in ``unbiased``, a dict by level.  Above
+    T's dimension it holds a coherence over T, a cycle once kept, so the
+    kernel asks for that only of a disc, one level up, where it holds
+    the disc's top variable instead (``insertion._inserts``)."""
+    try:
+        return t.unbiased[n]
+    except (AttributeError, KeyError):  # not built yet, or a plain tuple
+        if n <= 0:
+            return STAR
+        t = Tree(t)
+    kept = t.__dict__.setdefault("unbiased", {})
+    ty = kept.get(n)
+    if ty is None:
+        bd = unbiased_term(n - 1, tree_bd(n - 1, t))
+        s = apply_sub_term(bd, tree_inc("-", n - 1, t))
+        u = apply_sub_term(bd, tree_inc("+", n - 1, t))
+        ty = kept[n] = Arrow(s, unbiased_type(n - 1, t), u)
+    return ty
 
 
 def unbiased_term(n: int, t: Tree) -> Term:

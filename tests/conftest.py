@@ -1,12 +1,22 @@
 import pytest
 
-from semistrict.syntax import STAR, Arrow, Coh, Context, Tree, Var, id_sub
+from semistrict.syntax import _TREES, STAR, Arrow, Coh, Context, Tree, Var, id_sub
 from semistrict.trees import tree_to_ctx
 from semistrict.unbiased import identity_term, unbiased_coh, unbiased_type
 
 CHAIN1 = Tree(((),))
 CHAIN2 = Tree(((), ()))
 CHAIN3 = Tree(((), (), ()))
+
+# what a tree keeps once the function that owns each fact has built it
+TREE_FACTS = ("ctx", "branches", "unbiased")
+
+
+def forget_tree_facts():
+    """Drop the facts every live tree keeps, so the next use builds them."""
+    for t in _TREES.values():
+        for name in TREE_FACTS:
+            t.__dict__.pop(name, None)
 
 
 @pytest.fixture

@@ -13,11 +13,11 @@ import pytest
 from semistrict import insertion, rewriting
 from semistrict.check import infer_term
 from semistrict.syntax import (
-    STAR, Arrow, Coh, Var, apply_sub_term, compose, id_sub,
+    STAR, Arrow, Coh, Tree, Var, apply_sub_term, compose, id_sub,
 )
 from semistrict.trees import (
     block_starts, ctx_len, disc, point_positions, suspend_term, suspend_tree,
-    tree_dim, tree_to_ctx, trunk_height,
+    tree_to_ctx, trunk_height,
 )
 from semistrict.unbiased import identity_term, unbiased_coh, unbiased_type
 from semistrict.insertion import (
@@ -60,7 +60,7 @@ def _inserts_at(s, p, t):
     """Whether a composite or an identity over t inserts at branch p of s:
     t has the leaf height, or is the disc one below it, and trunk enough."""
     lh = leaf_height(s, p)
-    return (tree_dim(t) == lh or t == disc(lh - 1)) and trunk_height(t) >= len(p) - 1
+    return (t.dim == lh or t == disc(lh - 1)) and trunk_height(t) >= len(p) - 1
 
 
 def test_branch_positions_end_in_the_branch_variable():
@@ -77,7 +77,7 @@ def _one_insertion_squares():
     for s, p, t in enumerate_insertion_points(6):
         if _inserts_at(s, p, t):
             at = branch_at(s, p, t)
-            yield (Coh(s, unbiased_type(tree_dim(s), s), exterior_sub(s, p, t, at)),
+            yield (Coh(s, unbiased_type(s.dim, s), exterior_sub(s, p, t, at)),
                    inserted_tree(s, p, t))
 
 
@@ -97,7 +97,7 @@ def _two_insertion_squares():
                     kb = exterior_sub(s, pb, tb, branch_at(s, pb, tb))
                     for ta in trees:
                         if _inserts_at(s, pa, ta):
-                            yield (Coh(s, unbiased_type(tree_dim(s), s),
+                            yield (Coh(s, unbiased_type(s.dim, s),
                                        compose(kb, exterior_sub(r, pa, ta, branch_at(r, pa, ta)))),
                                    inserted_tree(r, pa, ta))
 
@@ -161,7 +161,7 @@ def test_a_remembered_reduct_head_is_the_one_a_step_builds(monkeypatch, squares,
     clear_caches()
     cases = 0
     for term, r in squares():
-        top = unbiased_coh(tree_dim(term.head), term.head)
+        top = unbiased_coh(term.head.dim, term.head)
         shift = id_sub(ctx_len(r) + 1)[1:]
         for cell in (term.cell, Arrow(top, term.cell, top), Arrow(Var(0), STAR, Var(0))):
             for args in (term.args, compose(term.args, shift)):

@@ -2,14 +2,13 @@
 
 Every import is used, ``harness`` (generators, oracles and metatheory
 helpers) stays out of the kernel, every top-level name in a kernel
-module has a use outside its own definition, every kernel cache is
-listed with the reason it is kept, the step enumerators stay in
-``harness``, and every kernel name the benchmark imports or patches by
-string exists.
+module has a use outside its own definition, no kernel module keeps an
+lru cache (a fact about a tree lives on the tree), the step enumerators
+stay in ``harness``, and every kernel name the benchmark imports or
+patches by string exists.
 """
 
 import ast
-import gc
 import importlib
 import importlib.util
 import os
@@ -20,11 +19,12 @@ from pathlib import Path
 
 import pytest
 
-from semistrict import check, insertion, rewriting, syntax, trees, unbiased
+from semistrict import check, rewriting, syntax, trees
 from semistrict.cli import main
 from semistrict.harness import GenConfig, gen_population
 from semistrict.syntax import Arrow, Coh, Tree
 
+from conftest import TREE_FACTS, forget_tree_facts
 from test_check import _clear_memos, _deep_chain
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -40,14 +40,6 @@ UNUSED_ALLOWED = {
     # life of the process
     "clear_caches",
 }
-
-# every lru cache in the kernel, each with the reason it is kept
-KERNEL_CACHES = {
-    "tree_to_ctx": "checking, elaborating and printing a head build its context",
-    "branch_table": "find_redexes reads every branch row of each head it scans",
-    "unbiased_type": "disc removal, identity tests and redex scans compare cells with it",
-}
-
 
 def _imported(tree):
     for node in ast.walk(tree):
@@ -215,14 +207,16 @@ def _lru_cached(path):
                     yield node.name
 
 
-def test_every_kernel_cache_is_listed_with_its_reason():
-    # a cache is kept only for a reason; a new one is listed with its own,
-    # and a listed one that is gone leaves the list
-    found = [name for path in KERNEL for name in _lru_cached(path)]
-    assert len(found) == len(set(found))
-    unlisted, gone = set(found) - set(KERNEL_CACHES), set(KERNEL_CACHES) - set(found)
-    assert not unlisted, f"kernel caches listed with no reason: {sorted(unlisted)}"
-    assert not gone, f"listed caches that are gone: {sorted(gone)}"
+def test_no_kernel_module_keeps_an_lru_cache():
+    # a fact about a tree lives on the tree, filled by the function that
+    # builds it, and a table keyed by more than a tree is a plain dict;
+    # an lru cache would be a second home, keyed by a plain tuple too
+    cached = [f"{p.name}: {name}" for p in KERNEL for name in _lru_cached(p)]
+    assert not cached, f"lru caches in the kernel: {', '.join(cached)}"
+    users = [p.name for p in KERNEL for node in ast.walk(_parse(p))
+             if (isinstance(node, ast.ImportFrom) and node.module == "functools")
+             or (isinstance(node, ast.Import) and any(a.name == "functools" for a in node.names))]
+    assert not users, f"kernel modules importing functools: {', '.join(users)}"
 
 
 def _object_new_calls(path):
@@ -262,25 +256,16 @@ def test_interned_terms_are_made_only_by_their_constructors():
     assert Tree.__eq__ is tuple.__eq__ and Tree.__hash__ is object.__hash__
 
 
-def _cached_args(fn):
-    """The argument tuples an lru cache holds: the keys of its cache dict."""
-    (cache,) = [r for r in gc.get_referents(fn) if type(r) is dict and r is not fn.__dict__]
-    return list(cache)
-
-
 def test_the_kernel_keeps_only_interned_trees(capsys):
     # the benchmark's children decode their inputs into interned syntax,
     # so from there on the kernel must make and pass interned trees only:
-    # a plain tuple would hash by value in these tables, and miss
+    # a plain tuple would hash by value in these tables, and miss, and
+    # would keep no fact
     chains = [_deep_chain(n, shape) for n in (2, 40, 160) for shape in ("left", "right")]
     chains = [(trees.tree_to_ctx(tr), t) for tr, t in chains]
     pop = gen_population(GenConfig(seed=11), 300)
     _clear_memos()
-    cached = {name: getattr(module, name) for name in KERNEL_CACHES
-              for module in (trees, insertion, unbiased) if hasattr(module, name)}
-    assert len(cached) == len(KERNEL_CACHES)
-    for fn in cached.values():
-        fn.cache_clear()
+    forget_tree_facts()
     for ctx, t in chains + pop:
         check.infer_term(ctx, t)
         rewriting.normalize(t)
@@ -292,12 +277,18 @@ def test_the_kernel_keeps_only_interned_trees(capsys):
     found += [x for key, head in rewriting._HEADS.items() for x in (key[0], key[3], head[0])]
     found += [head for head, _ in check._GOOD_HEADS]
     assert rewriting._HEADS and check._GOOD_HEADS
-    for fn in cached.values():
-        args = _cached_args(fn)
-        assert args, fn.__name__
-        found += [x for key in args for x in key if isinstance(x, tuple)]
     plain = [x for x in found if type(x) is not Tree]
     assert not plain, f"plain tuples where trees belong: {plain[:5]}"
+    # the run filled each fact on the trees it met: checking a head builds
+    # its context, a found redex compared its argument's cell with an
+    # unbiased type, and a head with a remembered step was scanned unless
+    # a step built it and carried its redexes
+    built = {head[0] for head in rewriting._HEADS.values()}
+    assert all("ctx" in s.__dict__ for s, _ in check._GOOD_HEADS)
+    assert all("unbiased" in key[3].__dict__ for key in rewriting._HEADS)
+    assert all("branches" in key[0].__dict__ or key[0] in built for key in rewriting._HEADS)
+    kept = [name for t in syntax._TREES.values() for name in TREE_FACTS if name in t.__dict__]
+    assert set(kept) == set(TREE_FACTS)
 
 
 def test_every_name_the_traced_benchmark_patches_resolves(monkeypatch):

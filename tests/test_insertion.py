@@ -5,13 +5,12 @@ import pytest
 
 from semistrict import insertion
 from semistrict.syntax import (
-    STAR, Arrow, Coh, Var, apply_sub_term, apply_sub_type, compose, free_vars, id_sub,
-    tree,
+    STAR, Arrow, Coh, Tree, Var, apply_sub_term, apply_sub_type, compose, free_vars,
+    id_sub, tree,
 )
 from semistrict.trees import (
     block_starts, ctx_len, disc, is_linear, point_positions,
-    suspend_sub, suspend_term, suspend_type, tree_dim, tree_to_ctx,
-    trunk_height,
+    suspend_sub, suspend_term, suspend_type, tree_to_ctx, trunk_height,
 )
 from semistrict.insertion import (
     HeightMismatch, branch_at, branch_height, branch_table, exterior_sub,
@@ -53,7 +52,7 @@ def test_branch_bookkeeping():
     assert branch_height((0, 0)) == 1
     assert leaf_height(NESTED, (0, 0)) == 2
     for s, p, t in list(enumerate_insertion_points(4))[:300]:
-        assert leaf_height(s, p) == len(p) + tree_dim(subtree(s, p))
+        assert leaf_height(s, p) == len(p) + subtree(s, p).dim
         assert branch_height(p) + 1 <= leaf_height(s, p)
 
 
@@ -128,7 +127,7 @@ def test_interior_first_clause_is_window_inclusion():
 def test_interior_disc_target_is_identity():
     # inserting into a disc along its unique branch is the identity inclusion
     for t in (CHAIN2, ((),), ((), (), ())):
-        n = max(tree_dim(t), 1)
+        n = max(Tree(t).dim, 1)
         assert inserted_tree(disc(n), (0,), t) == t
         assert interior_sub((0,), t, branch_at(disc(n), (0,), t)) == id_sub(ctx_len(t))
 
@@ -360,7 +359,7 @@ def test_suspension_commutes_with_unbiased_cells():
     # the lemma that makes one splice serve every branch height
     cases = 0
     for t in enumerate_trees(7):  # every tree of at most 6 edges
-        d = tree_dim(t)
+        d = t.dim
         for n in sorted({max(d, 1), d + 1}):
             assert suspend_type(unbiased_type(n, t)) == unbiased_type(n + 1, (t,))
             assert suspend_term(unbiased_coh(n, t)) == unbiased_coh(n + 1, (t,))
@@ -388,7 +387,7 @@ def _exterior_sub_by_loop(s, p, t):
         rec = compose(suspend_sub(_exterior_sub_by_loop(s[k], p[1:], t[0])),
                       child_incl(r, k))
     else:
-        lh = 1 + tree_dim(s[k])
+        lh = 1 + Tree(s[k]).dim
         rec = compose(disc_sub(unbiased_type(lh, t), unbiased_coh(lh, t)),
                       _window_incl_by_loop(r, k, t))
     for j in range(ctx_len(s[k])):
@@ -418,8 +417,8 @@ def test_exterior_sub_pushes_a_cell_of_any_dimension():
         at = branch_at(s, p, t)
         kappa = exterior_sub(s, p, t, at)
         assert kappa == _exterior_sub_by_loop(s, p, t), (s, p, t)
-        top = unbiased_coh(tree_dim(s), s)
-        cell = Arrow(top, unbiased_type(tree_dim(s), s), top)
+        top = unbiased_coh(Tree(s).dim, s)
+        cell = Arrow(top, unbiased_type(Tree(s).dim, s), top)
         while isinstance(cell, Arrow):
             assert exterior_sub(s, p, t, at, cell) == apply_sub_type(cell, kappa)
             cell = cell.base

@@ -14,15 +14,14 @@ from semistrict.check import _GOOD_HEADS, _INFER_CACHE, infer_term
 from semistrict.cli import main
 from semistrict.elaborate import new_env, process_decl
 from semistrict.harness import GenConfig, gen_population
-from semistrict.insertion import branch_table
 from semistrict.parser import parse
 from semistrict.printer import fmt_term
 from semistrict import rewriting
 from semistrict.rewriting import _NF_TERMS, _NF_TYPES, clear_caches, normalize
-from semistrict.trees import disc, tree_to_ctx
+from semistrict.trees import bracket, disc, is_linear, tree_to_ctx
 from semistrict.unbiased import identity_term, unbiased_coh, unbiased_type
 
-from conftest import CHAIN1, CHAIN2
+from conftest import CHAIN1, CHAIN2, forget_tree_facts
 
 CORPUS = Path(__file__).parent.parent / "corpus"
 
@@ -273,8 +272,7 @@ def test_kernel_work_leaves_no_cyclic_garbage():
     gc.collect()
     gc.disable()
     try:
-        for cached in (tree_to_ctx, branch_table):
-            cached.cache_clear()
+        forget_tree_facts()
         clear_caches()
         for ctx, t in pop:
             infer_term(ctx, t)
@@ -286,3 +284,19 @@ def test_kernel_work_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_no_tree_keeps_a_type_that_refers_back_to_it():
+    # above a tree's dimension its unbiased type holds an unbiased
+    # coherence over the tree itself, a reference cycle once kept on it;
+    # a linear tree's type one level up holds its top variable instead.
+    # The Eckmann-Hilton file has 2-cells whose arguments are composites of
+    # a dimension-2 tree and can never insert
+    forget_tree_facts()
+    clear_caches()
+    assert main(["normalize", str(CORPUS / "eckmann_hilton.catt")]) == 0
+    kept = {t: max(t.unbiased) for t in _TREES.values() if "unbiased" in t.__dict__}
+    assert any(t.dim == 2 and not is_linear(t) for t in kept)
+    above = [(bracket(t), n) for t, n in kept.items()
+             if n > t.dim + is_linear(t)]
+    assert not above, f"unbiased types that refer back to their tree: {above[:5]}"

@@ -1,21 +1,23 @@
 import pytest
 
 from semistrict.syntax import (
-    STAR, Arrow, Context, Var, apply_sub_term, apply_sub_type, dim_type,
+    STAR, Arrow, Context, Tree, Var, apply_sub_term, apply_sub_type, dim_type,
     free_vars, id_sub, support,
 )
 from semistrict.trees import (
     _auto_names, block_starts, bracket, ctx_len, disc, is_linear,
     point_positions, suspend_ctx, suspend_sub, suspend_term, suspend_tree,
-    suspend_type, tree_bd, tree_dim, tree_inc, tree_to_ctx, trunk_height,
+    suspend_type, tree_bd, tree_inc, tree_to_ctx, trunk_height,
 )
+from semistrict.insertion import branch_table
 from semistrict.parser import parse
+from semistrict.unbiased import unbiased_type
 from semistrict.harness import (
     NotPastingError, bd_support_oracle, ctx_to_tree, enumerate_trees,
     pasting_oracle,
 )
 
-from conftest import CHAIN2
+from conftest import CHAIN2, forget_tree_facts
 
 FIG5 = (((), ()),)
 
@@ -101,7 +103,7 @@ def test_boundary_of_two_arrows():
 
 def test_boundary_above_dimension_is_identity():
     for t in ((), CHAIN2, FIG5, disc(3)):
-        d = tree_dim(t)
+        d = Tree(t).dim
         assert tree_bd(d, t) == t
         for eps in "-+":
             assert tree_inc(eps, d, t) == id_sub(ctx_len(t))
@@ -121,7 +123,7 @@ def test_boundary_supports_cover_and_close():
     # downward closed
     for t in enumerate_trees(6):
         ctx = tree_to_ctx(t)
-        for n in range(tree_dim(t) + 1):
+        for n in range(t.dim + 1):
             lo = support(ctx, tree_inc("-", n, t))
             hi = support(ctx, tree_inc("+", n, t))
             below = {i for i in range(len(ctx))
@@ -131,7 +133,7 @@ def test_boundary_supports_cover_and_close():
             for s in (lo, hi):
                 for i in s:
                     assert free_vars(ctx.type_of(i)) <= s
-        d = tree_dim(t)
+        d = t.dim
         assert support(ctx, tree_inc("-", d, t)) | \
             support(ctx, tree_inc("+", d, t)) == frozenset(range(len(ctx)))
 
@@ -139,7 +141,7 @@ def test_boundary_supports_cover_and_close():
 def test_boundary_support_matches_occurrence_oracle():
     for t in enumerate_trees(6):
         ctx = tree_to_ctx(t)
-        for n in range(tree_dim(t) + 2):
+        for n in range(t.dim + 2):
             for eps in "-+":
                 assert support(ctx, tree_inc(eps, n, t)) == \
                     bd_support_oracle(ctx, n, eps), (t, n, eps)
@@ -187,17 +189,31 @@ def test_tree_statistics():
     assert trunk_height(()) == 0
     assert trunk_height(((),)) == 1
     assert trunk_height(((), ())) == 0
-    assert tree_dim((((), ()), ())) == 2
+    assert Tree((((), ()), ())).dim == 2
     for n in range(5):
         assert is_linear(disc(n))
     assert not is_linear((((), ()), ()))
+
+
+def test_a_plain_tuple_and_its_tree_share_each_fact():
+    # a fact is built once per shape and kept on the interned tree, so a
+    # plain tuple, as the benchmark passes, reads the tree's own
+    forget_tree_facts()
+    for shape in (((),) * 3, (((),), ()), ((((),), ()), ((),), ())):
+        t = Tree(shape)
+        assert tree_to_ctx(shape) is tree_to_ctx(t) is t.ctx
+        assert branch_table(shape) is branch_table(t) is t.branches
+        for n in range(t.dim + 1):
+            assert unbiased_type(n, shape) is unbiased_type(n, t)
+        assert all(unbiased_type(n, shape) is u for n, u in t.unbiased.items())
+        assert set(t.unbiased) == set(range(1, t.dim + 1))
 
 
 def test_is_linear_is_trunk_height_equals_dimension():
     trees = list(enumerate_trees(9))  # every tree of at most 8 edges
     assert len(trees) == 2056
     for t in trees:
-        assert is_linear(t) == (trunk_height(t) == tree_dim(t))
+        assert is_linear(t) == (trunk_height(t) == t.dim)
 
 
 def test_pasting_oracle_agrees_on_trees():
@@ -270,7 +286,7 @@ def test_layout_walks_match_the_definitions_by_suspension():
         ctx = tree_to_ctx(t)
         ref = tree_to_ctx_by_suspension(t)
         assert (ctx.types, ctx.names) == (ref.types, ref.names), t
-        for n in range(tree_dim(t) + 2):
+        for n in range(t.dim + 2):
             for eps in "-+":
                 assert tree_inc(eps, n, t) == tree_inc_by_suspension(eps, n, t), (t, n, eps)
                 inclusions += 1

@@ -1,9 +1,9 @@
 import pytest
 
 from semistrict.syntax import (
-    STAR, Arrow, Coh, Var, apply_sub_term, dim_type, id_sub,
+    STAR, Arrow, Coh, Tree, Var, apply_sub_term, dim_type, id_sub,
 )
-from semistrict.trees import ctx_len, disc, suspend_term, suspend_tree, suspend_type, tree_dim
+from semistrict.trees import ctx_len, disc, suspend_term, suspend_tree, suspend_type
 from semistrict.unbiased import (
     disc_sub, identity_term, is_identity, unbiased_coh, unbiased_term,
     unbiased_type,
@@ -78,7 +78,7 @@ def test_every_disc_substitution_splits(comp_fg):
 
 def test_suspension_identities_small():
     for t in enumerate_trees(6):
-        for n in range(tree_dim(t) + 2):
+        for n in range(t.dim + 2):
             assert suspend_term(unbiased_coh(n, t)) == \
                 unbiased_coh(n + 1, suspend_tree(t))
             assert suspend_term(unbiased_term(n, t)) == \
@@ -89,7 +89,7 @@ def test_suspension_identities_small():
 
 def test_unbiased_coh_reduces_to_unbiased_term():
     for t in enumerate_trees(5):
-        for n in range(1, tree_dim(t) + 2):
+        for n in range(1, t.dim + 2):
             assert normalize(unbiased_coh(n, t)) == normalize(unbiased_term(n, t))
 
 
@@ -99,4 +99,4 @@ def test_identity_from_unbiased_clauses():
     m = is_unbiased_coh(one)
     assert m is not None
     n, tree, _ = m
-    assert n == tree_dim(tree) + 1 and tree == ()
+    assert n == tree.dim + 1 and tree == ()
