@@ -112,10 +112,6 @@ def _infer(ctx: Context, t: Term) -> Type:
             bad = e
     # the arguments in this loop, not a helper: two frames per nesting level
     args = t.args
-    if len(args) != len(head_ctx):
-        raise TypingError("ArityMismatch",
-                          f"substitution has {len(args)} entries for a context "
-                          f"of length {len(head_ctx)}")
     # the head context's types share their bases: push them with one memo
     memo = {}
     gots = []
@@ -153,19 +149,16 @@ def _check_support(tree, head_ctx: Context, cell: Arrow) -> None:
     everything = frozenset(range(len(head_ctx)))
     if src_supp == everything and tgt_supp == everything:
         return
+    # over the point tree every term mentions the one object, so only a
+    # tree of dimension 1 or more gets here
     d = tree.dim
-    if d >= 1:
-        want_src = boundary_support(tree, "-", d - 1)
-        want_tgt = boundary_support(tree, "+", d - 1)
-        if src_supp == want_src and tgt_supp == want_tgt:
-            return
-        side, want, got = (("source", want_src, src_supp)
-                           if src_supp != want_src
-                           else ("target", want_tgt, tgt_supp))
-    else:
-        side, want, got = "source", everything, src_supp
-        if src_supp == everything:
-            side, got = "target", tgt_supp
+    want_src = boundary_support(tree, "-", d - 1)
+    want_tgt = boundary_support(tree, "+", d - 1)
+    if src_supp == want_src and tgt_supp == want_tgt:
+        return
+    side, want, got = (("source", want_src, src_supp)
+                       if src_supp != want_src
+                       else ("target", want_tgt, tgt_supp))
     names = head_ctx.names
     fmt = lambda s: "{" + ",".join(names[i] for i in sorted(s)) + "}"
     raise TypingError(

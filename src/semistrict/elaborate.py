@@ -80,15 +80,10 @@ def _define(env: dict, name: str, val: Value, line: int, col: int) -> None:
 def _head_ctx(ps) -> Context:
     """The context of a pasting tree, under the names its notation gives;
     ``ps`` is a ``PsCtx`` or a ``CohE``, and errors are located at it."""
-    types = tree_to_ctx(ps.tree).types
-    if len(ps.names) != len(types):
-        raise ElabError("ArityMismatch",
-                        f"pasting notation names {len(ps.names)} variables, "
-                        f"context has {len(types)}", ps.line, ps.col)
     if len(set(ps.names)) != len(ps.names):
         raise ElabError("DuplicateName",
                         "pasting notation repeats a variable name", ps.line, ps.col)
-    return Context(tuple(zip(ps.names, types)))
+    return Context(tuple(zip(ps.names, tree_to_ctx(ps.tree).types)))
 
 
 def _coh(ps, tye, env: dict, line: int, col: int) -> Value:

@@ -32,7 +32,7 @@ from .insertion import (
     exterior_sub, interior_sub, inserted_tree, locally_maximal_positions,
 )
 from .unbiased import identity_term, is_identity, unbiased_type
-from .rewriting import ReductionStep, _insertion_detail, def_eq, head_steps, normalize
+from .rewriting import def_eq, head_steps, normalize
 from .check import infer_term
 
 
@@ -566,36 +566,38 @@ def bd_support_oracle(ctx: Context, n: int, eps: str) -> frozenset:
 
 # --- one-step reduction and reduction graphs -----------------------------------------
 
-def under(step: ReductionStep, part, result, head: Optional[tuple] = None) -> ReductionStep:
-    """``step`` seen one level up, inside ``part`` of syntax whose reduct
-    is ``result``; ``head`` is the head whose cell ``part`` is."""
-    return ReductionStep(step.rule, (part,) + step.path, step.before, step.after,
-                         result, step.detail, head if step.head is None else step.head)
-
-
-def one_step(x) -> List[ReductionStep]:
-    """Every step of a term, type or substitution under congruence, outermost
-    and leftmost first: a coherence's head steps, then its cell's, then its arguments'."""
-    steps, parts = [], ()
+def one_step(x, memo: Optional[dict] = None) -> tuple:
+    """Every step of a term, type or substitution under congruence, as
+    ``(rule, path, reduct)``, outermost and leftmost first: a coherence's
+    head steps, then its cell's, then its arguments'.  ``memo`` keeps the
+    steps of each piece of syntax met, so terms that share subterms, as a
+    reduction graph's nodes do, can share one."""
+    if isinstance(x, (Var, Star)):
+        return ()  # atoms take no step
+    if memo is None:
+        memo = {}
+    else:
+        out = memo.get(x)
+        if out is not None:
+            return out
+    steps = []
     if isinstance(x, Coh):
-        steps = [ReductionStep(rule, (), x, r, r, _insertion_detail(rdxs[0]) if rdxs else "")
-                 for rule, r, rdxs in head_steps(x)]
+        steps = [(rule, (), r) for rule, r, _ in head_steps(x)]
         parts, label = (x.cell,) + x.args, lambda i: ("arg", i - 1) if i else "cell"
     elif isinstance(x, Arrow):
         parts, label = (x.src, x.base, x.tgt), ("src", "base", "tgt").__getitem__
     elif isinstance(x, tuple):
         parts, label = x, lambda i: ("entry", i)
-    elif not isinstance(x, (Var, Star)):
+    else:
         raise KernelError(f"not syntax: {x!r}")
     for i, part in enumerate(parts):
-        if isinstance(part, (Var, Star)):
-            continue  # atoms take no step
-        for st in one_step(part):
-            ps = parts[:i] + (st.result,) + parts[i + 1:]
-            result = (Coh(x.head, ps[0], ps[1:]) if isinstance(x, Coh)
-                      else Arrow(*ps) if isinstance(x, Arrow) else ps)
-            steps.append(under(st, label(i), result, x.head if label(i) == "cell" else None))
-    return steps
+        for rule, path, r in one_step(part, memo):
+            ps = parts[:i] + (r,) + parts[i + 1:]
+            steps.append((rule, (label(i),) + path,
+                          Coh(x.head, ps[0], ps[1:]) if isinstance(x, Coh)
+                          else Arrow(*ps) if isinstance(x, Arrow) else ps))
+    out = memo[x] = tuple(steps)
+    return out
 
 
 class BudgetExceeded(Exception):
@@ -614,20 +616,20 @@ def reduction_graph(t, budget: int = 10_000) -> ReductionGraph:
     edges = []
     sinks = set()
     frontier = [t]
+    memo = {}  # each subterm's steps, enumerated once per graph
     while frontier:
         cur = frontier.pop()
-        steps = one_step(cur)
+        steps = one_step(cur, memo)
         if not steps:
             sinks.add(cur)
             continue
-        for st in steps:
-            is_cell = "cell" in st.path
-            edges.append((cur, st.rule, is_cell, st.result))
-            if st.result not in nodes:
-                nodes.add(st.result)
+        for rule, path, r in steps:
+            edges.append((cur, rule, "cell" in path, r))
+            if r not in nodes:
+                nodes.add(r)
                 if len(nodes) > budget:
                     raise BudgetExceeded(f"reduction graph exceeded {budget} nodes")
-                frontier.append(st.result)
+                frontier.append(r)
     return ReductionGraph(nodes, edges, sinks)
 
 

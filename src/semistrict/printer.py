@@ -13,10 +13,8 @@ from .trees import Tree, point_positions, tree_to_ctx
 from .insertion import locally_maximal_positions
 
 
-def fmt_ps(tree: Tree, names=None) -> str:
+def fmt_ps(tree: Tree, names) -> str:
     """Paren pasting notation, e.g. (x(f)y(g)z) for the two-arrow tree."""
-    if names is None:
-        names = tree_to_ctx(tree).names
     return "(" + _emit_ps(tree, 0, names) + ")"
 
 

@@ -30,17 +30,16 @@ from .insertion import (
 # --- steps -------------------------------------------------------------------
 
 class ReductionStep(Immutable, Record):
-    """``rule`` took ``before`` to ``after`` at ``path``; ``result`` is the
-    whole reduct of what the step was found in, ``after`` in a trace.
-    ``before`` and ``after`` are over the context of ``head``: the head of
-    the innermost coherence whose cell holds the step, None outside every
-    cell."""
+    """``rule`` took ``before`` to ``after`` at ``path``, a step of a
+    traced normalization.  ``before`` and ``after`` are over the context
+    of ``head``: the head of the innermost coherence whose cell holds the
+    step, None outside every cell."""
 
-    __slots__ = ("rule", "path", "before", "after", "result", "detail", "head")
+    __slots__ = ("rule", "path", "before", "after", "detail", "head")
 
-    def __init__(self, rule: str, path: tuple, before, after, result,
-                 detail: str = "", head: Optional[tuple] = None):
-        for f, v in zip(self.__slots__, (rule, path, before, after, result, detail, head)):
+    def __init__(self, rule: str, path: tuple, before, after, detail: str,
+                 head: Optional[tuple]):
+        for f, v in zip(self.__slots__, (rule, path, before, after, detail, head)):
             object.__setattr__(self, f, v)
 
     def __hash__(self):
@@ -253,7 +252,7 @@ class Normalizer:
                 raise StepBudgetExceeded(_exhausted(self.stated))
             if self.trace is not None:
                 detail = "" if redexes is None else _insertion_detail(redexes[0])
-                self.trace(ReductionStep(rule, _flat(path), cur, nxt, nxt, detail, outer))
+                self.trace(ReductionStep(rule, _flat(path), cur, nxt, detail, outer))
             if redexes is None:
                 # a removal can expose further redexes anywhere in the result
                 cur = self.term(nxt, path)

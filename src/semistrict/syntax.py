@@ -283,9 +283,6 @@ class Context(Immutable):
     def __len__(self):
         return len(self.entries)
 
-    def __iter__(self):
-        return iter(self.entries)
-
     def name_of(self, i: int) -> str:
         return self.entries[i][0]
 
@@ -293,7 +290,17 @@ class Context(Immutable):
         return self.entries[i][1]
 
     def extended(self, name: str, ty: Type) -> "Context":
-        return Context(self.entries + ((name, ty),))
+        # built from this context's tuples, and its positions if resolved,
+        # so a telescope of n binders is not n rebuilds of a growing prefix
+        out = object.__new__(Context)
+        types = self.types + (ty,)
+        out.__dict__.update(entries=self.entries + ((name, ty),),
+                            names=self.names + (name,), types=types, _hash=hash(types))
+        positions = self.__dict__.get("_positions")
+        if positions is not None:
+            positions = out.__dict__["_positions"] = dict(positions)
+            positions.setdefault(name, len(self.entries))
+        return out
 
     def __eq__(self, other):
         if self is other:

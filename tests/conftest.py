@@ -1,6 +1,6 @@
 import pytest
 
-from semistrict.syntax import _TREES, STAR, Arrow, Coh, Context, Tree, Var, id_sub
+from semistrict.syntax import _TREES, STAR, Coh, Tree, Var
 from semistrict.trees import tree_to_ctx
 from semistrict.unbiased import identity_term, unbiased_coh, unbiased_type
 

@@ -13,7 +13,7 @@ import pytest
 from semistrict import insertion, rewriting
 from semistrict.check import infer_term
 from semistrict.syntax import (
-    STAR, Arrow, Coh, Tree, Var, apply_sub_term, compose, id_sub,
+    STAR, Arrow, Coh, Var, apply_sub_term, compose, id_sub,
 )
 from semistrict.trees import (
     block_starts, ctx_len, disc, point_positions, suspend_term, suspend_tree,

@@ -18,7 +18,6 @@ from semistrict.insertion import (
     locally_maximal_positions,
 )
 from semistrict.unbiased import disc_sub, identity_term, unbiased_coh, unbiased_type
-from semistrict.rewriting import def_eq
 from semistrict.harness import (
     GenConfig, branch_var, canonical_branches, enumerate_insertion_points,
     enumerate_trees, eq_max_def, eq_max_syntactic, gen_redex, gen_tree_of_dim,

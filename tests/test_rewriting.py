@@ -1,17 +1,17 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
-from semistrict import rewriting
+from semistrict import harness, rewriting
 from semistrict.check import infer_term
-from semistrict.syntax import STAR, Arrow, Coh, Var, apply_sub_term, id_sub
+from semistrict.syntax import STAR, Arrow, Coh, Var, id_sub
 from semistrict.trees import (
     block_starts, ctx_len, disc, point_positions, suspend_term, suspend_tree,
     tree_to_ctx,
 )
 from semistrict.unbiased import (
-    disc_sub, identity_term, is_identity, unbiased_coh, unbiased_type,
+    identity_term, is_identity, unbiased_coh, unbiased_type,
 )
 from semistrict.insertion import branch_at, exterior_sub
 from semistrict.rewriting import (
@@ -20,7 +20,7 @@ from semistrict.rewriting import (
 )
 from semistrict.harness import (
     ORD_ZERO, GenConfig, OrdinalPoly, gen_population, natural_sum, omega_pow,
-    one_step, ord_lt, reduction_graph, syntactic_complexity, under,
+    one_step, ord_lt, reduction_graph, syntactic_complexity,
 )
 
 from conftest import CHAIN1, CHAIN2, CHAIN3
@@ -137,11 +137,11 @@ def test_head_steps_in_priority_order_and_lazily(comp_fg, monkeypatch):
 
 
 def test_one_step_variables_are_normal():
-    assert one_step(Var(0)) == []
+    assert one_step(Var(0)) == ()
 
 
 def test_one_step_contains_insertion(f_then_gh):
-    rules = [s.rule for s in one_step(f_then_gh)]
+    rules = [rule for rule, _, _ in one_step(f_then_gh)]
     assert "insertion" in rules
 
 
@@ -149,31 +149,65 @@ def test_one_step_endo_includes_ecr_and_argument_steps(f_then_gh):
     a = Arrow(Var(0), STAR, Var(5))
     endo = Coh(CHAIN3, Arrow(f_then_gh, a, f_then_gh), id_sub(7))
     steps = one_step(endo)
-    kinds = {(s.rule, s.path and s.path[0]) for s in steps}
-    assert ("endo-coherence-removal", ()) in {(s.rule, s.path) for s in steps}
-    assert any(s.path and s.path[0] == "cell" for s in steps)
+    assert ("endo-coherence-removal", ()) in {(rule, path) for rule, path, _ in steps}
+    assert any(path[:1] == ("cell",) for _, path, _ in steps)
+
+
+def _coh_subterms(x, out):
+    """Every coherence in ``x``, its cells' included."""
+    if isinstance(x, Coh):
+        out.add(x)
+        for part in (x.cell,) + x.args:
+            _coh_subterms(part, out)
+    elif isinstance(x, Arrow):
+        for part in (x.src, x.base, x.tgt):
+            _coh_subterms(part, out)
+    return out
+
+
+def test_a_reduction_graph_enumerates_each_subterm_once(f_then_gh, monkeypatch):
+    # the graph's nodes share their subterms; one memo per graph takes
+    # each coherence's head steps once, however many nodes hold it
+    a = Arrow(Var(0), STAR, Var(5))
+    endo = Coh(CHAIN3, Arrow(f_then_gh, a, f_then_gh), id_sub(7))
+    calls = []
+    real = harness.head_steps
+
+    def spy(t):
+        calls.append(t)
+        return real(t)
+
+    monkeypatch.setattr(harness, "head_steps", spy)
+    graph = reduction_graph(endo)
+    met = set()
+    for node in graph.nodes:
+        _coh_subterms(node, met)
+    assert len(graph.nodes) > 2
+    assert len(calls) == len(set(calls)) and set(calls) == met
 
 
 def test_a_step_is_an_immutable_record_seen_from_each_level(f_then_gh):
     a = Arrow(Var(0), STAR, Var(5))
     endo = Coh(CHAIN3, Arrow(f_then_gh, a, f_then_gh), id_sub(7))
-    steps = one_step(endo)
-    again = one_step(endo)
+
+    def traced():
+        log = []
+        normalize(endo, trace=log.append)
+        return log
+
+    steps, again = traced(), traced()
     assert steps == again and {hash(step) for step in steps} == {hash(step) for step in again}
-    inner = one_step(f_then_gh)[0]
-    step = under(inner, ("arg", 0), "reduct")
-    assert (step.rule, step.path, step.before, step.after, step.result, step.detail, step.head) == (
-        inner.rule, (("arg", 0),) + inner.path, inner.before, inner.after, "reduct",
-        inner.detail, inner.head)
-    assert step.path_str() == "arg[0]" and step != inner
-    # a cell names the head its steps are over; an outer cell does not replace it
-    assert under(inner, "cell", "r", CHAIN2).head == CHAIN2
-    assert under(under(inner, "cell", "r", CHAIN2), "cell", "s", CHAIN3).head == CHAIN2
-    for name in ("rule", "path", "head"):
-        with pytest.raises(AttributeError):
-            setattr(step, name, None)
-        with pytest.raises(AttributeError):
-            delattr(step, name)
+    # one step inside the cell, over its head, and one at the root
+    inner, root = steps
+    assert (inner.path_str(), inner.head, root.path_str(), root.head) == (
+        "cell.src", CHAIN3, "root", None)
+    assert inner != root and hash(inner) != hash(root)
+    for step in steps:
+        for name in ("rule", "path", "head"):
+            with pytest.raises(AttributeError):
+                setattr(step, name, None)
+            with pytest.raises(AttributeError):
+                delattr(step, name)
 
 
 def test_normalize_strict_associativity(f_then_gh, fg_then_h):
@@ -230,7 +264,7 @@ def _first_steps(t):
         steps = one_step(t)
         if not steps:
             return t, k
-        t, k = steps[0].result, k + 1
+        t, k = steps[0][2], k + 1
 
 
 def test_the_oracle_takes_the_first_enumerated_step_each_time():
@@ -406,11 +440,11 @@ def test_cell_steps_preserve_sc_non_cell_steps_decrease(f_then_gh):
     endo = Coh(CHAIN3, Arrow(f_then_gh, a, f_then_gh), id_sub(7))
     for t in (f_then_gh, endo):
         base = syntactic_complexity(t)
-        for step in one_step(t):
-            if "cell" in step.path:
-                assert syntactic_complexity(step.result) == base
+        for _, path, reduct in one_step(t):
+            if "cell" in path:
+                assert syntactic_complexity(reduct) == base
             else:
-                assert ord_lt(syntactic_complexity(step.result), base)
+                assert ord_lt(syntactic_complexity(reduct), base)
 
 
 def test_trace_stream_is_deterministic(f_then_gh):
@@ -432,9 +466,8 @@ def test_a_step_inside_a_cell_carries_the_head_it_is_over(f_then_gh):
     clear_caches()  # the cell's steps are taken here, not remembered
     log = []
     normalize(endo, trace=log.append)
-    for steps in (log, one_step(endo)):
-        assert {(st.path[:1] == ("cell",), st.head) for st in steps} == {
-            (True, CHAIN3), (False, None)}
+    assert {(st.path[:1] == ("cell",), st.head) for st in log} == {
+        (True, CHAIN3), (False, None)}
 
 
 def test_insertion_detail_formatted_only_when_traced(f_then_gh, monkeypatch):
@@ -444,6 +477,9 @@ def test_insertion_detail_formatted_only_when_traced(f_then_gh, monkeypatch):
     monkeypatch.setattr(rewriting, "_insertion_detail", fail)
     clear_caches()  # make sure the insertion really runs, not a memo hit
     assert normalize(f_then_gh) == unbiased_coh(1, CHAIN3)
+    # the enumerator and the graphs over it read no detail either
+    assert ("insertion", (), unbiased_coh(1, CHAIN3)) in one_step(f_then_gh)
+    assert reduction_graph(f_then_gh).sinks == {unbiased_coh(1, CHAIN3)}
     monkeypatch.undo()
     log = []
     normalize(f_then_gh, trace=log.append)

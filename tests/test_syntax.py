@@ -21,7 +21,7 @@ from semistrict.rewriting import _NF_TERMS, _NF_TYPES, clear_caches, normalize
 from semistrict.trees import bracket, disc, is_linear, tree_to_ctx
 from semistrict.unbiased import identity_term, unbiased_coh, unbiased_type
 
-from conftest import CHAIN1, CHAIN2, forget_tree_facts
+from conftest import CHAIN1, CHAIN2, CHAIN3, forget_tree_facts
 
 CORPUS = Path(__file__).parent.parent / "corpus"
 
@@ -121,6 +121,25 @@ def test_context_equality_ignores_names():
     assert a != c
     d = Context(a.entries[:4] + (("g", Arrow(Var(0), STAR, Var(3))),))
     assert a != d
+
+
+def test_an_extended_context_is_the_context_built_afresh():
+    # every prefix, grown one binder at a time with its positions resolved
+    # at each step (as elaborate_ctx does) or only at the end; a repeated
+    # name keeps its first position
+    types = tree_to_ctx(CHAIN3).types
+    entries = tuple(zip(("x", "y", "f", "z", "f", "w", "x"), types))
+    eager = lazy = Context(())
+    for k, (name, ty) in enumerate(entries, 1):
+        eager, lazy = eager.extended(name, ty), lazy.extended(name, ty)
+        fresh = Context(entries[:k])
+        for ctx in (eager, lazy):
+            assert (ctx.entries, ctx.names, ctx.types, hash(ctx)) == (
+                fresh.entries, fresh.names, fresh.types, hash(fresh))
+            assert ctx == fresh
+        assert eager.positions == fresh.positions
+    assert "_positions" not in lazy.__dict__
+    assert lazy.positions == eager.positions == {"x": 0, "y": 1, "f": 2, "z": 3, "w": 5}
 
 
 def test_a_context_is_immutable():

@@ -1,8 +1,4 @@
-import pytest
-
-from semistrict.syntax import (
-    STAR, Arrow, Coh, Tree, Var, apply_sub_term, dim_type, id_sub,
-)
+from semistrict.syntax import STAR, Arrow, Coh, Var, dim_type, id_sub
 from semistrict.trees import ctx_len, disc, suspend_term, suspend_tree, suspend_type
 from semistrict.unbiased import (
     disc_sub, identity_term, is_identity, unbiased_coh, unbiased_term,
