@@ -235,10 +235,6 @@ def _infer_sub(val: Value, args, ctx: Context, line, col) -> Sub:
 class CheckedDecl(Record):
     __slots__ = ("ctx", "terms")
 
-    def __init__(self, ctx: Context, terms: tuple):
-        self.ctx = ctx
-        self.terms = terms
-
 
 def process_decl(decl, env: dict) -> CheckedDecl:
     if isinstance(decl, P.CohDecl):

@@ -80,13 +80,9 @@ def natural_sum(a: OrdinalPoly, b: OrdinalPoly) -> OrdinalPoly:
 
 
 def ord_lt(a: OrdinalPoly, b: OrdinalPoly) -> bool:
-    """Lexicographic comparison from the highest exponent down."""
-    ca, cb = dict(a.terms), dict(b.terms)
-    for e in sorted(set(ca) | set(cb), reverse=True):
-        x, y = ca.get(e, 0), cb.get(e, 0)
-        if x != y:
-            return x < y
-    return False
+    """Lexicographic from the highest exponent down: on canonical terms
+    (exponents descending, coefficients positive), tuple comparison."""
+    return a.terms < b.terms
 
 
 def syntactic_complexity(x) -> OrdinalPoly:

@@ -9,7 +9,7 @@ Grammar (see README for the full sketch):
            | "asserteq" ctx "|" tm "=" tm
     ps    := "(" NAME (("(" entry ")") NAME)* ")" | tree
     tree  := "[" (tree | ",")* "]"
-    ctx   := ps | binding+        binding := "(" NAME ":" ty ")" | "{...}"
+    ctx   := ps | binding+        binding := "(" NAME ":" ty ")" | "{" NAME ":" ty "}"
     ty    := "*" | tm ("->" | "=>") tm
     tm    := NAME atom* | "coh" "(" ps ":" ty ")" atom*
     atom  := NAME | "(" tm ")" | "{" tm "}"
@@ -83,105 +83,52 @@ def tokenize(src: str) -> List[tuple]:
             return toks
 
 
-# --- expression forms -------------------------------------------------------
+# --- expression forms, each built from its slots (syntax.Record) -------------
 
 class NameE(Record):
     __slots__ = ("name", "line", "col")
 
-    def __init__(self, name: str, line: int, col: int):
-        self.name = name
-        self.line, self.col = line, col
-
 
 class AppE(Record):
+    # head: a NameE or CohE; args: of (expr, braced: bool)
     __slots__ = ("head", "args", "line", "col")
-
-    def __init__(self, head: object, args: tuple, line: int, col: int):
-        self.head = head  # NameE or CohE
-        self.args = args  # of (expr, braced: bool)
-        self.line, self.col = line, col
 
 
 class CohE(Record):
     __slots__ = ("tree", "names", "ty", "line", "col")
 
-    def __init__(self, tree: tuple, names: tuple, ty: object, line: int, col: int):
-        self.tree = tree
-        self.names = names
-        self.ty = ty
-        self.line, self.col = line, col
-
 
 class StarE(Record):
     __slots__ = ("line", "col")
-
-    def __init__(self, line: int, col: int):
-        self.line, self.col = line, col
 
 
 class ArrowE(Record):
     __slots__ = ("lhs", "rhs", "line", "col")
 
-    def __init__(self, lhs: object, rhs: object, line: int, col: int):
-        self.lhs = lhs
-        self.rhs = rhs
-        self.line, self.col = line, col
-
 
 class PsCtx(Record):
     __slots__ = ("tree", "names", "line", "col")
 
-    def __init__(self, tree: tuple, names: tuple, line: int, col: int):
-        self.tree = tree
-        self.names = names
-        self.line, self.col = line, col
-
 
 class BindCtx(Record):
+    # bindings: of (name, ty expr, line, col)
     __slots__ = ("bindings", "line", "col")
-
-    def __init__(self, bindings: tuple, line: int, col: int):
-        self.bindings = bindings  # of (name, ty expr, line, col)
-        self.line, self.col = line, col
 
 
 class CohDecl(Record):
     __slots__ = ("name", "ps", "ty", "line", "col")
 
-    def __init__(self, name: str, ps: PsCtx, ty: object, line: int, col: int):
-        self.name = name
-        self.ps = ps
-        self.ty = ty
-        self.line, self.col = line, col
-
 
 class TermDef(Record):
     __slots__ = ("name", "ctx", "body", "line", "col")
-
-    def __init__(self, name: str, ctx: object, body: object, line: int, col: int):
-        self.name = name
-        self.ctx = ctx
-        self.body = body
-        self.line, self.col = line, col
 
 
 class NormalizeCmd(Record):
     __slots__ = ("ctx", "body", "line", "col")
 
-    def __init__(self, ctx: object, body: object, line: int, col: int):
-        self.ctx = ctx
-        self.body = body
-        self.line, self.col = line, col
-
 
 class AssertEqCmd(Record):
     __slots__ = ("ctx", "lhs", "rhs", "line", "col")
-
-    def __init__(self, ctx: object, lhs: object, rhs: object, line: int, col: int):
-        self.ctx = ctx
-        self.lhs = lhs
-        self.rhs = rhs
-        self.line, self.col = line, col
 
 
 class Parser:
@@ -315,8 +262,8 @@ class Parser:
                 groups.append((first, ty, line, col))
             else:
                 if groups or opener == "{":
-                    raise ParseError(line, col,
-                                     "pasting notation cannot follow bindings")
+                    raise ParseError(line, col, "pasting notation cannot " + (
+                        "follow bindings" if groups else "be braced"))
                 # re-parse the whole group as pasting notation
                 self.i -= 2
                 return self.parse_ps()

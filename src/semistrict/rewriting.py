@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Callable, Iterator, Optional, Tuple
 
 from .syntax import (
-    Arrow, Coh, Immutable, KernelError, Record, Star, Term, Type, Var,
+    Arrow, Coh, Immutable, KernelError, Record, Star, Term, Tree, Type, Var,
     apply_sub_term, apply_sub_type,
 )
 from .trees import bracket, is_linear
@@ -36,11 +36,6 @@ class ReductionStep(Immutable, Record):
     step, None outside every cell."""
 
     __slots__ = ("rule", "path", "before", "after", "detail", "head")
-
-    def __init__(self, rule: str, path: tuple, before, after, detail: str,
-                 head: Optional[tuple]):
-        for f, v in zip(self.__slots__, (rule, path, before, after, detail, head)):
-            object.__setattr__(self, f, v)
 
     def __hash__(self):
         return hash(tuple(getattr(self, f) for f in self.__slots__))
@@ -165,15 +160,19 @@ def clear_caches():
     _HEADS.clear()
 
 
-def _flat(path: Optional[tuple]) -> tuple:
+def _flat(path: Optional[tuple]) -> Tuple[tuple, Optional[Tree]]:
     """A linked path, None at the root or (parent, part) below it, as the
-    tuple of its parts that a ``ReductionStep`` holds."""
-    parts = []
+    tuple of its parts that a ``ReductionStep`` holds, and the head of the
+    innermost coherence whose cell it enters, None if it enters none: a
+    link into a cell is that coherence's head tree, written ``"cell"``."""
+    parts, head = [], None
     while path is not None:
         path, part = path
+        if part.__class__ is Tree:  # the first met is the innermost
+            head, part = part if head is None else head, "cell"
         parts.append(part)
     parts.reverse()
-    return tuple(parts)
+    return tuple(parts), head
 
 
 class Normalizer:
@@ -192,7 +191,8 @@ class Normalizer:
 
     Where a step is found is passed down linked, one (parent, part) pair
     per level from None at the root, so going one level deeper costs one
-    pair, not a copy of the path; only a traced step flattens it.
+    pair, not a copy of the path; only a traced step flattens it.  A link
+    into a cell is its coherence's head, which a traced step there is over.
     """
 
     def __init__(self, budget: Optional[int] = None,
@@ -204,7 +204,6 @@ class Normalizer:
         self.trace = trace
         self.term_memo = {} if cold else _NF_TERMS["sua"]
         self.type_memo = {} if cold else _NF_TYPES["sua"]
-        self.head = None  # the head whose cell is being normalized, as in steps
 
     def run(self, x):
         return self.term(x) if isinstance(x, (Var, Coh)) else self.type(x)
@@ -225,9 +224,7 @@ class Normalizer:
         args = []
         for i, a in enumerate(t.args):
             args.append(a if isinstance(a, Var) else self.term(a, (path, ("arg", i))))
-        outer, self.head = self.head, t.head
-        cell = self.type(t.cell, (path, "cell"))
-        self.head = outer
+        cell = self.type(t.cell, (path, t.head))
         cur = Coh(t.head, cell, tuple(args))
         # each head over normal parts is looked up before it takes a step;
         # the first is scanned for insertion redexes, each later one's are
@@ -252,7 +249,8 @@ class Normalizer:
                 raise StepBudgetExceeded(_exhausted(self.stated))
             if self.trace is not None:
                 detail = "" if redexes is None else _insertion_detail(redexes[0])
-                self.trace(ReductionStep(rule, _flat(path), cur, nxt, detail, outer))
+                where, head = _flat(path)
+                self.trace(ReductionStep(rule, where, cur, nxt, detail, head))
             if redexes is None:
                 # a removal can expose further redexes anywhere in the result
                 cur = self.term(nxt, path)
@@ -264,9 +262,7 @@ class Normalizer:
                 cur = hit
                 break
             done.append(nxt)
-            self.head = nxt.head
-            cell = self.type(nxt.cell, (path, "cell"))
-            self.head = outer
+            cell = self.type(nxt.cell, (path, nxt.head))
             cur = nxt if cell is nxt.cell else Coh(nxt.head, cell, nxt.args)
         for r in done:
             self.term_memo[r] = cur

@@ -160,13 +160,39 @@ def test_loading_the_cli_leaves_harness_unloaded():
 
 
 def test_no_kernel_module_imports_dataclasses():
-    # importing dataclasses pulls in inspect, and each @dataclass builds
-    # its methods with exec on every start; only harness, which the CLI
-    # loads lazily, may use them
+    # importing dataclasses pulls in inspect, ast and dis; the kernel's
+    # records get their __init__ from syntax.Record instead, one exec per
+    # class; only harness, which the CLI loads lazily, may use them
     users = [p.name for p in KERNEL for node in ast.walk(_parse(p))
              if (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
              or (isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names))]
     assert not users, f"modules importing dataclasses: {', '.join(users)}"
+
+
+def test_each_record_takes_its_slots_and_writes_no_init():
+    # syntax.Record writes each subclass's __init__ from its __slots__,
+    # so a class body that states its fields again says nothing new
+    written, by_name = [], {}
+    for p in KERNEL:
+        for node in ast.walk(_parse(p)):
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(b, ast.Name) and b.id == "Record" for b in node.bases):
+                by_name[node.name] = p.stem
+                if any(isinstance(d, ast.FunctionDef) and d.name == "__init__"
+                       for d in node.body):
+                    written.append(f"{p.stem}.{node.name}")
+    assert not written, f"records with a hand-written __init__: {', '.join(written)}"
+    records, todo = [], [syntax.Record]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            if cls.__module__.startswith("semistrict."):
+                records.append(cls)
+                todo.append(cls)
+    assert {c.__name__: c.__module__.split(".")[1] for c in records} == by_name
+    for cls in records:
+        code = cls.__init__.__code__
+        assert code.co_varnames[1:code.co_argcount] == cls.__slots__, cls.__name__
+        assert not (cls.__init__.__defaults__ or code.co_kwonlyargcount), cls.__name__
 
 
 def test_starting_the_cli_loads_neither_dataclasses_nor_inspect():

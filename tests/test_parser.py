@@ -89,6 +89,7 @@ def test_forms_compare_by_class_and_fields():
     ("coh oops (x(f)y :", 1, 17, "found ':'", (")",)),
     ("normalize (x(f)y) | comp f $", 1, 28, "unexpected character '$'", ()),
     ("normalize (x : *)\n  (x(f)y) | x", 2, 3, "pasting notation cannot follow bindings", ()),
+    ("normalize {x(f)y} | f", 1, 11, "pasting notation cannot be braced", ()),
     ("coh c (x(f)y) : f", 1, 18, "found 'end of file'", ("->", "=>")),
     ("normalize [[]x] | x", 1, 14, "found 'x' inside a tree literal", ()),
     ("normalize [[]]] | x", 1, 15, "found ']'", ("|",)),

@@ -56,6 +56,32 @@ def test_ord_lt_transitive(a, b, c):
         assert ord_lt(a, c)
 
 
+def _ord_lt_by_exponent(a, b):
+    # the reference: compare coefficients from the highest exponent down
+    ca, cb = dict(a.terms), dict(b.terms)
+    for e in sorted(set(ca) | set(cb), reverse=True):
+        x, y = ca.get(e, 0), cb.get(e, 0)
+        if x != y:
+            return x < y
+    return False
+
+
+def test_ord_lt_agrees_with_the_comparison_by_exponent():
+    rng = random.Random(0)
+
+    def ordinal():
+        es = rng.sample(range(6), rng.randint(0, 4))
+        return OrdinalPoly(tuple((e, rng.randint(1, 3)) for e in sorted(es, reverse=True)))
+
+    pairs = [(ordinal(), ordinal()) for _ in range(20000)]
+    # a proper prefix, and a lower exponent against a higher coefficient
+    pairs += [(omega_pow(2), natural_sum(omega_pow(2), omega_pow(0))),
+              (OrdinalPoly(((2, 1), (1, 3))), OrdinalPoly(((2, 1), (0, 9))))]
+    for a, b in pairs:
+        assert ord_lt(a, b) == _ord_lt_by_exponent(a, b), (str(a), str(b))
+        assert ord_lt(b, a) == _ord_lt_by_exponent(b, a), (str(a), str(b))
+
+
 def test_ordinal_printing():
     assert str(ORD_ZERO) == "0"
     assert str(natural_sum(omega_pow(2, 2), omega_pow(0, 3))) == "2w^2 + 3"

@@ -12,12 +12,14 @@ from semistrict.syntax import (
 )
 from semistrict.check import _GOOD_HEADS, _INFER_CACHE, infer_term
 from semistrict.cli import main
-from semistrict.elaborate import new_env, process_decl
+from semistrict.elaborate import CheckedDecl, new_env, process_decl
 from semistrict.harness import GenConfig, gen_population
-from semistrict.parser import parse
+from semistrict.parser import NameE, StarE, parse
 from semistrict.printer import fmt_term
 from semistrict import rewriting
-from semistrict.rewriting import _NF_TERMS, _NF_TYPES, clear_caches, normalize
+from semistrict.rewriting import (
+    _NF_TERMS, _NF_TYPES, ReductionStep, clear_caches, normalize,
+)
 from semistrict.trees import bracket, disc, is_linear, tree_to_ctx
 from semistrict.unbiased import identity_term, unbiased_coh, unbiased_type
 
@@ -140,6 +142,34 @@ def test_an_extended_context_is_the_context_built_afresh():
         assert eager.positions == fresh.positions
     assert "_positions" not in lazy.__dict__
     assert lazy.positions == eager.positions == {"x": 0, "y": 1, "f": 2, "z": 3, "w": 5}
+
+
+def test_a_record_is_built_from_its_slots_by_position_or_keyword():
+    ctx = tree_to_ctx(CHAIN1)
+    before, after = unbiased_coh(1, CHAIN1), Var(2)
+    step = ReductionStep("disc-removal", ("cell",), before, after, "", CHAIN1)
+    assert ReductionStep(rule="disc-removal", path=("cell",), before=before,
+                         after=after, detail="", head=CHAIN1) == step
+    assert ReductionStep("disc-removal", ("cell",), before, after,
+                         head=CHAIN1, detail="") == step
+    assert CheckedDecl(ctx=ctx, terms=(after,)) == CheckedDecl(ctx, (after,))
+    assert NameE(col=3, line=2, name="x") == NameE("x", 2, 3)
+    # a missing field is named as in any function's error, under its class
+    for build, missing in [
+        (lambda: NameE("x", 1), "NameE.__init__() missing 1 required "
+                                "positional argument: 'col'"),
+        (lambda: CheckedDecl(ctx), "CheckedDecl.__init__() missing 1 required "
+                                   "positional argument: 'terms'"),
+        (lambda: ReductionStep("disc-removal", ()), "ReductionStep.__init__() "
+                                                   "missing 4 required"),
+    ]:
+        with pytest.raises(TypeError) as info:
+            build()
+        assert str(info.value).startswith(missing)
+    with pytest.raises(TypeError, match=r"^StarE\.__init__\(\) takes 3 positional"):
+        StarE(1, 2, 3)
+    with pytest.raises(TypeError, match=r"^StarE\.__init__\(\) got an unexpected keyword"):
+        StarE(1, 2, name="x")
 
 
 def test_a_context_is_immutable():
