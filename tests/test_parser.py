@@ -89,7 +89,6 @@ def test_forms_compare_by_class_and_fields():
     ("coh oops (x(f)y :", 1, 17, "found ':'", (")",)),
     ("normalize (x(f)y) | comp f $", 1, 28, "unexpected character '$'", ()),
     ("normalize (x : *)\n  (x(f)y) | x", 2, 3, "pasting notation cannot follow bindings", ()),
-    ("normalize {x(f)y} | f", 1, 11, "pasting notation cannot be braced", ()),
     ("coh c (x(f)y) : f", 1, 18, "found 'end of file'", ("->", "=>")),
     ("normalize [[]x] | x", 1, 14, "found 'x' inside a tree literal", ()),
     ("normalize [[]]] | x", 1, 15, "found ']'", ("|",)),
@@ -98,6 +97,7 @@ def test_forms_compare_by_class_and_fields():
     ("asserteq | x = x", 1, 10, "found '|'", ("a context",)),
     ("normalize [[]", 1, 14, "found 'end of file' inside a tree literal", ()),
     ("coh c (x) : x -> x\n\n  normalize (x) | c é\n", 3, 21, "unexpected character 'é'", ()),
+    ("normalize {x(f)y} | f", 1, 11, "pasting notation cannot be braced", ()),
 ])
 def test_parse_errors_are_located(src, line, col, msg, expected):
     with pytest.raises(ParseError) as info:
