@@ -10,7 +10,10 @@ variable occurrences instead of the tree inclusions; ``one_step``, which
 congruence.  The metatheory helpers are the ordinal measure behind
 termination (syntactic complexity), the inverse of ``tree_to_ctx``,
 recognizers for unbiased coherences and the branch bookkeeping of
-insertion points.  Generators are seeded and deterministic.
+insertion points, with any branch's positions found by a walk
+(``branch_at``) and the interior substitution built whole
+(``interior_sub``), references for what the kernel reads off a branch
+row.  Generators are seeded and deterministic.
 """
 
 from __future__ import annotations
@@ -22,14 +25,14 @@ from typing import Dict, List, Optional, Tuple
 
 from .syntax import (
     Arrow, Coh, Context, KernelError, STAR, Star, Sub, Term, Tree, Type, Var,
-    compose, dim_type, id_sub, tree,
+    compose, dim_type, id_sub, tree, var_run,
 )
 from .trees import (
     disc, is_linear, point_positions, tree_to_ctx, trunk_height,
 )
 from .insertion import (
-    Branch, InsertionRedex, branch_at, branch_height, branch_table,
-    exterior_sub, interior_sub, inserted_tree, locally_maximal_positions,
+    Branch, HeightMismatch, branch_height, branch_table, exterior_sub,
+    inserted_tree, locally_maximal_positions,
 )
 from .unbiased import identity_term, is_identity, unbiased_type
 from .rewriting import def_eq, head_steps, normalize
@@ -304,6 +307,41 @@ def branch_var(s: Tree, p: Branch) -> int:
     raise KernelError(f"{p} is not a branch of {s}")
 
 
+def branch_at(s: Tree, p: Branch, t: Tree) -> tuple:
+    """P's positions in S's context, for inserting T there: the source and
+    target points of block p[i] at each level i, then the branch variable.
+
+    A walk over any branch, raising ``HeightMismatch`` when T's trunk is
+    too short for P; the kernel reads a canonical branch's positions off
+    its ``branch_table`` row.
+    """
+    s = Tree(s)
+    if branch_height(p) > trunk_height(t):
+        raise HeightMismatch(f"cannot insert {t} at branch {p} of {s}: trunk too short")
+    out, off = [], 0
+    for k in p:
+        pts = point_positions(s)
+        out += (off + pts[k], off + pts[k + 1])
+        off += pts[k + 1] + 1  # a block starts just after its target point
+        s = s[k]
+    out.append(off + s.size - 1)
+    return tuple(out)
+
+
+def interior_sub(p: Branch, t: Tree, at: tuple) -> Sub:
+    """T's context into the inserted tree's, P at positions ``at``, built
+    whole; the kernel reads it one entry at a time (``insertion._Window``).
+
+    The poles of block p[i] at each level i above the innermost, then
+    T's innermost tree as a window: the innermost block's source point,
+    then a run from its target point.  This equals the paper's
+    induction on branch height, which suspends the interior
+    substitution one level down and includes it as child p[0].
+    """
+    inner = subtree(Tree(t), (0,) * branch_height(p))
+    return tuple(map(Var, at[:-2])) + var_run(at[-2], at[-2] + inner.size - 1)
+
+
 # --- well-typed term generation ----------------------------------------------
 
 class TermGen:
@@ -450,15 +488,14 @@ def gen_population(cfg: GenConfig, count: int):
 
 # --- redex generation ---------------------------------------------------------
 
-def gen_redex(rng: random.Random, cfg: GenConfig) -> InsertionRedex:
-    """A random insertion redex built from the canonical pushout square."""
-    while True:
-        s = gen_tree(rng, cfg)
-        branches = canonical_branches(s)
-        if branches:
-            break
-    p = rng.choice(branches)
-    lh = leaf_height(s, p)
+def gen_redex(rng: random.Random, cfg: GenConfig) -> Tuple[Coh, tuple]:
+    """A random insertion redex built from the canonical pushout square:
+    (term, row), the unbiased composite over S of the exterior
+    substitution pushed along a random substitution, and the
+    ``branch_table`` row of S it inserts at."""
+    s = gen_tree(rng, cfg)  # never empty, so it has a branch
+    row = rng.choice(branch_table(s))
+    p, _, lh, at = row
     bh = branch_height(p)
     if rng.random() < 0.3:
         # identity argument; bh + 1 <= lh always, so the trunk is tall enough
@@ -469,18 +506,15 @@ def gen_redex(rng: random.Random, cfg: GenConfig) -> InsertionRedex:
         for _ in range(bh):
             t = tree((t,))
     r = inserted_tree(s, p, t)
-    at = branch_at(s, p, t)
-    kappa, iota = exterior_sub(s, p, t, at), interior_sub(p, t, at)
     if rng.random() < 0.5:
         mu = id_sub(r.size)
-        gamma = tree_to_ctx(r)
     else:
         gamma = tree_to_ctx(gen_tree(rng, cfg))
         gen = TermGen(gamma, cfg, rng)
         for _ in range(rng.randint(0, 6)):
             gen.grow()
         mu = gen.gen_sub(r)
-    return InsertionRedex(s, p, t, compose(kappa, mu), compose(iota, mu), at)
+    return Coh(s, unbiased_type(s.dim, s), compose(exterior_sub(s, p, t, at), mu)), row
 
 
 def enumerate_insertion_points(max_nodes: int):

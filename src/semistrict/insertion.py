@@ -13,11 +13,10 @@ onto T's innermost tree.  Every variable before that block keeps its
 position and every variable after it keeps its distance from the end.
 So the interior and exterior substitutions are flat splices of runs of
 variables around that block, at every branch height, and all three
-splices take P's positions in S's context (a ``branch_table`` row for a
-canonical branch, or ``branch_at``, which checks T's trunk): the poles
-of P's blocks, the innermost block's target point and the branch
-variable.  The paper defines the substitutions by induction on branch
-height through suspension; the splices agree with it because
+splices take P's positions in S's context from its ``branch_table``
+row: the poles of P's blocks, the innermost block's target point and
+the branch variable.  The paper defines the substitutions by induction
+on branch height through suspension; the splices agree with it because
 suspension commutes with unbiased types,
 ``suspend_type(unbiased_type(n, t)) == unbiased_type(n + 1, (t,))``.
 
@@ -28,31 +27,34 @@ the exterior substitution is as long as S's context, the window onto T
 (iota) read one entry at a time and built whole only inside the
 unbiased cell (``exterior_sub``).
 
-A head's redexes are found by one scan (``find_redexes``) and then
-carried from each head to the next (``carry_redexes``).  Outside the
-spliced block every branch keeps its argument, its branch height and
-its leaf height, so each later redex only moves: its positions after
-the block by the change in arity, its child index at the block's level
-by the block's change in width.  The block itself adds no redex when
-the inserted argument is a non-identity composite: that argument is
-normal, so none of its own branches is a redex, and each of them keeps
-its argument and heights in the new head.  An identity is the
-exception.  Inserting it lowers its block's dimension by one, so the
-one branch it leaves behind has a new argument (the cell the identity
-is on) or, when the block goes altogether and its parent keeps a single
-linear child, a shorter canonical branch; that one branch is examined
-again.
+A redex is the ``branch_table`` row ``(P, v, leaf height, positions)``
+of its branch in the head S, and the term holds the rest: S is its
+head, sigma its arguments, and its argument at v the coherence whose
+tree T and arguments tau are inserted.  A head's redexes are found by
+one scan (``find_redexes``) and then carried from each head to the next
+(``carry_redexes``).  Outside the spliced block every branch keeps its
+argument, its branch height and its leaf height, so each later redex
+only moves: its positions after the block by the change in arity, its
+child index at the block's level by the block's change in width.  The
+block itself adds no redex when the inserted argument is a non-identity
+composite: that argument is normal, so none of its own branches is a
+redex, and each of them keeps its argument and heights in the new head.
+An identity is the exception.  Inserting it lowers its block's
+dimension by one, so the one branch it leaves behind has a new argument
+(the cell the identity is on) or, when the block goes altogether and
+its parent keeps a single linear child, a shorter canonical branch;
+that one branch is examined again.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .syntax import (
     Coh, Sub, Term, Tree, Type, Var, apply_sub_term, apply_sub_type, dim_type,
     id_sub, tree, var_run,
 )
-from .trees import is_linear, point_positions, trunk_height
+from .trees import is_linear, trunk_height
 from .unbiased import is_identity, unbiased_type
 
 
@@ -67,16 +69,11 @@ def branch_height(p: Branch) -> int:
     return len(p) - 1
 
 
-def _require_trunk(s: Tree, p: Branch, t: Tree):
-    if branch_height(p) > trunk_height(t):
-        raise HeightMismatch(
-            f"cannot insert {t} at branch {p} of {s}: trunk too short")
-
-
 def branch_table(t: tuple) -> tuple:
     """(branch, variable position, leaf height, positions) per canonical
-    branch, the positions as ``branch_at`` gives them; kept on the tree
-    as ``branches``.
+    branch, kept on the tree as ``branches``.  The positions are the
+    source and target points of the branch's block at each level, then
+    the branch variable.
 
     One walk in branch (lexicographic) order: a child whose subtree is
     linear ends a canonical branch at the top variable of its block,
@@ -125,22 +122,6 @@ def locally_maximal_positions(t: Tree) -> tuple:
     return tuple(row[1] for row in branch_table(t))
 
 
-class InsertionRedex(NamedTuple):
-    """Branch P of the head tree S, whose argument inserts the tree T.
-
-    ``outer`` are the head's arguments and ``inner`` the inserted
-    argument's.  ``at`` are P's positions in S's context as
-    ``branch_at`` gives them.
-    """
-
-    S: Tree
-    P: Branch
-    T: Tree
-    outer: Sub
-    inner: Sub
-    at: tuple
-
-
 def _graft(s: Tree, p: Branch, t: Tree) -> Tree:
     """The new tree, its dimension and size read off the splice.
 
@@ -164,30 +145,9 @@ def _graft(s: Tree, p: Branch, t: Tree) -> Tree:
 
 
 def inserted_tree(s: Tree, p: Branch, t: Tree) -> Tree:
-    _require_trunk(s, p, t)
+    if branch_height(p) > trunk_height(t):
+        raise HeightMismatch(f"cannot insert {t} at branch {p} of {s}: trunk too short")
     return _graft(Tree(s), p, Tree(t))
-
-
-def branch_at(s: Tree, p: Branch, t: Tree) -> tuple:
-    """P's positions in S's context, for inserting T there: the source and
-    target points of block p[i] at each level i, then the branch variable.
-
-    The innermost block is linear, a disc of 2d+1 variables between its
-    target point and the branch variable.  A redex has its canonical
-    branch's positions from its head's ``branch_table`` row, its trunk
-    checked when it was found; this walk serves any branch, and raises
-    ``HeightMismatch`` when T's trunk is too short for P.
-    """
-    s = Tree(s)
-    _require_trunk(s, p, t)
-    out, off = [], 0
-    for k in p:
-        pts = point_positions(s)
-        out += (off + pts[k], off + pts[k + 1])
-        off += pts[k + 1] + 1  # a block starts just after its target point
-        s = s[k]
-    out.append(off + s.size - 1)
-    return tuple(out)
 
 
 def _innermost(p: Branch, t: Tree) -> Tree:
@@ -222,18 +182,6 @@ class _Window:
 
     def entries(self) -> Sub:
         return self.poles + var_run(len(self.poles) + self.shift, self.n + self.shift)
-
-
-def interior_sub(p: Branch, t: Tree, at: tuple) -> Sub:
-    """T's context into the inserted tree's, P at positions ``at``.
-
-    The poles of block p[i] at each level i above the innermost, then
-    T's innermost tree as a window: the innermost block's source point,
-    then a run from its target point.  This equals the paper's
-    induction on branch height, which suspends the interior
-    substitution one level down and includes it as child p[0].
-    """
-    return _Window(at, _innermost(p, Tree(t))).entries()
 
 
 def exterior_sub(s: Tree, p: Branch, t: Tree, at: tuple,
@@ -323,16 +271,16 @@ def _inserts(arg: Coh, p: Branch, lh: int) -> bool:
     return len(p) - 1 <= trunk_height(t)
 
 
-def find_redexes(term: Term):
-    """All insertion redexes of a coherence term, in branch order."""
+def find_redexes(term: Term) -> list:
+    """The insertion redexes of a coherence term, in branch order: the
+    rows of its head's ``branch_table`` whose argument inserts."""
     if not isinstance(term, Coh) or is_identity(term):
         return []
-    s, args = term.head, term.args
-    out = []
-    for p, v, lh, at in branch_table(s):
-        arg = args[v]
-        if isinstance(arg, Coh) and _inserts(arg, p, lh):
-            out.append(InsertionRedex(s, p, arg.head, args, arg.args, at))
+    args, out = term.args, []
+    for row in branch_table(term.head):
+        arg = args[row[1]]
+        if isinstance(arg, Coh) and _inserts(arg, row[0], row[2]):
+            out.append(row)
     return out
 
 
@@ -356,43 +304,44 @@ def _left_behind(s: Tree, p: Branch, at: tuple, inner: Tree, delta: int):
     return None
 
 
-def carry_redexes(redexes: list, term: Coh) -> list:
+def carry_redexes(redexes: list, before: Coh, term: Coh) -> list:
     """The insertion redexes of ``term``, the result of applying
-    ``redexes[0]`` to the head whose redexes those are, without a scan.
+    ``redexes[0]`` to ``before``, whose redexes those are, without a scan.
 
     Equal to ``find_redexes(term)`` (so an identity has none) when the
     inserted argument is normal, as every argument is where the
-    normalizer inserts; see the module docstring.
+    normalizer inserts; see the module docstring.  A redex moved or left
+    behind is a new row, with the positions and branch it has in
+    ``term``'s head.
     """
-    r = redexes[0]
-    p, at, t = r.P, r.at, r.T
-    a, v = at[-2], at[-1]
+    p, v, lh, at = redexes[0]
+    t = before.args[v].head
     # an identity: one dimension below the leaf height, as the redex inserts
-    identity = len(p) + (v - a - 1) // 2 == t.dim + 1
+    identity = lh == t.dim + 1
     rest = redexes[1:]
     if not (identity or rest) or is_identity(term):
         return []
     s, args = term.head, term.args
-    h = len(p) - 1
+    h, a = len(p) - 1, at[-2]
     inner = _innermost(p, t)
-    delta = len(args) - len(r.outer)
+    delta = len(args) - len(before.args)
     out = []
     if rest:
         # where the block's target point, the next block's source, lands:
         # inner's last point, just before its last child's block
         moved = a - 1 + inner.size - inner[-1].size - 1 if inner else at[-3]
-        for q in rest:
-            qp = q.P
+        for qp, _, qlh, qat in rest:
             if qp[:h] == p[:h]:  # the next block at p's level: shift past the window
                 qp = qp[:h] + (qp[h] + len(inner) - 1,) + qp[h + 1:]
-            qat = tuple(x if x < a else x + delta if x > a else moved for x in q.at)
-            out.append(InsertionRedex(s, qp, q.T, args, q.inner, qat))
+            qat = tuple(x if x < a else x + delta if x > a else moved for x in qat)
+            out.append((qp, qat[-1], qlh, qat))
     if identity:
         left = _left_behind(s, p, at, inner, delta)
         if left is not None:
             lp, lat = left
-            out = [q for q in out if q.P[:len(lp)] != lp]
+            out = [q for q in out if q[0][:len(lp)] != lp]
+            llh = len(lp) + (lat[-1] - lat[-2] - 1) // 2
             arg = args[lat[-1]]
-            if isinstance(arg, Coh) and _inserts(arg, lp, len(lp) + (lat[-1] - lat[-2] - 1) // 2):
-                out.insert(0, InsertionRedex(s, lp, arg.head, args, arg.args, lat))
+            if isinstance(arg, Coh) and _inserts(arg, lp, llh):
+                out.insert(0, (lp, lat[-1], llh, lat))
     return out

@@ -22,8 +22,7 @@ from .syntax import (
 from .trees import bracket, is_linear
 from .unbiased import identity_term, is_identity, unbiased_type
 from .insertion import (
-    InsertionRedex, carry_redexes, exterior_sub, find_redexes, inserted_sub,
-    inserted_tree,
+    carry_redexes, exterior_sub, find_redexes, inserted_sub, inserted_tree,
 )
 
 
@@ -94,21 +93,26 @@ def endo_coherence_removal(t: Term) -> Optional[Term]:
                          apply_sub_term(cell.src, t.args, memo))
 
 
-def apply_insertion(t: Coh, r: InsertionRedex) -> Term:
-    # the reduct's tree and cell depend on (S, A, P, T) alone (r.at on S
+def apply_insertion(t: Coh, redex: tuple) -> Term:
+    """Insert the argument at ``redex``, a ``branch_table`` row of t's head
+    S: its tree T at branch P, its arguments tau into t's, sigma."""
+    p, v, _, at = redex
+    s, arg = t.head, t.args[v]
+    # the reduct's tree and cell depend on (S, A, P, T) alone (at on S
     # and P), so each shape builds them once; a found redex's positions
     # need no trunk check, so it runs once per shape, in inserted_tree
-    key = (r.S, t.cell, r.P, r.T)
+    key = (s, t.cell, p, arg.head)
     head = _HEADS.get(key)
     if head is None:
-        head = _HEADS[key] = (inserted_tree(r.S, r.P, r.T),
-                              exterior_sub(r.S, r.P, r.T, r.at, t.cell))
-    return Coh(*head, inserted_sub(r.outer, r.inner, r.at))
+        head = _HEADS[key] = (inserted_tree(s, p, arg.head),
+                              exterior_sub(s, p, arg.head, at, t.cell))
+    return Coh(*head, inserted_sub(t.args, arg.args, at))
 
 
-def _insertion_detail(r: InsertionRedex) -> str:
-    return (f"S={bracket(r.S)} P={list(r.P)} T={bracket(r.T)} "
-            f"-> {bracket(inserted_tree(r.S, r.P, r.T))}")
+def _insertion_detail(t: Coh, redex: tuple) -> str:
+    s, p, ins = t.head, redex[0], t.args[redex[1]].head
+    return (f"S={bracket(s)} P={list(p)} T={bracket(ins)} "
+            f"-> {bracket(inserted_tree(s, p, ins))}")
 
 
 def head_steps(t: Term, redexes: Optional[list] = None
@@ -121,7 +125,9 @@ def head_steps(t: Term, redexes: Optional[list] = None
     and the ones after it in branch order, from which the reduct's are
     carried; for a removal, None.  Given ``redexes``, ``t``'s insertion
     redexes are those instead of a scan's, which runs only when no
-    removal applies.
+    removal applies.  A redex is a row of ``branch_table(t.head)``: its
+    branch, the position of the argument it inserts, its leaf height and
+    its positions; ``t`` holds the rest (``insertion``).
     """
     if not isinstance(t, Coh):
         return
@@ -133,8 +139,8 @@ def head_steps(t: Term, redexes: Optional[list] = None
         yield "endo-coherence-removal", r, None
     if redexes is None:
         redexes = find_redexes(t)
-    for i, rdx in enumerate(redexes):
-        yield "insertion", apply_insertion(t, rdx), redexes[i:]
+    for i, row in enumerate(redexes):
+        yield "insertion", apply_insertion(t, row), redexes[i:]
 
 
 # --- normalization -----------------------------------------------------------
@@ -228,8 +234,8 @@ class Normalizer:
         cur = Coh(t.head, cell, tuple(args))
         # each head over normal parts is looked up before it takes a step;
         # the first is scanned for insertion redexes, each later one's are
-        # carried over from the head before
-        nxt, redexes = t, None
+        # carried over from the head a step was taken from
+        nxt, before, redexes = t, None, None
         done = []  # heads and insertion reducts met on the way, all sharing the result
         while True:
             if cur is not nxt:
@@ -239,7 +245,7 @@ class Normalizer:
                     break
                 done.append(cur)
             if redexes is not None:
-                redexes = carry_redexes(redexes, cur)
+                redexes = carry_redexes(redexes, before, cur)
             step = next(head_steps(cur, redexes), None)
             if step is None:
                 break
@@ -248,13 +254,14 @@ class Normalizer:
             if self.steps > self.budget:
                 raise StepBudgetExceeded(_exhausted(self.stated))
             if self.trace is not None:
-                detail = "" if redexes is None else _insertion_detail(redexes[0])
+                detail = "" if redexes is None else _insertion_detail(cur, redexes[0])
                 where, head = _flat(path)
                 self.trace(ReductionStep(rule, where, cur, nxt, detail, head))
             if redexes is None:
                 # a removal can expose further redexes anywhere in the result
                 cur = self.term(nxt, path)
                 break
+            before = cur  # the reduct's redexes are carried from its head
             # the reduct's arguments are entries of two normal
             # substitutions, so only its cell can be unnormalized
             hit = self.term_memo.get(nxt)

@@ -66,11 +66,12 @@ class Immutable:
 
 class Record:
     """A record whose fields are its ``__slots__``: built from them in slot
-    order, positionally or by keyword, and equal to a record of its own
-    class with equal fields.  Each subclass's ``__init__`` is compiled from
-    its slots, straight-line (through ``object.__setattr__`` if it is
-    ``Immutable``): one generic ``__init__`` looping over the slots made
-    parsing half again as slow."""
+    order, positionally or by keyword, equal to a record of its own class
+    with equal fields, and pickled as its class and fields, so unpickling
+    runs the constructor, as an ``Immutable`` record needs.  Each
+    subclass's ``__init__`` is compiled from its slots, straight-line
+    (through ``object.__setattr__`` if it is ``Immutable``): one generic
+    ``__init__`` looping over the slots made parsing half again as slow."""
 
     __slots__ = ()
 
@@ -87,6 +88,9 @@ class Record:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
 
     def __repr__(self):
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
@@ -142,25 +146,22 @@ def tree(kids: tuple, dim: Optional[int] = None, size: Optional[int] = None) -> 
 class _Interned(Immutable):
     """Immutable syntax whose constructor returns the interned object.
 
-    ``_fields`` names the components; pickling rebuilds through the
-    constructor, so it yields the live object again.
+    Its ``__slots__`` are its components; pickling rebuilds through the
+    constructor, as a record's does, so it yields the live object again.
     """
 
     __slots__ = ()
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, f) for f in self._fields)
+    __reduce__ = Record.__reduce__
 
     def __repr__(self):
-        args = ", ".join(repr(getattr(self, f)) for f in self._fields)
+        args = ", ".join(repr(getattr(self, f)) for f in self.__slots__)
         return f"{type(self).__name__}({args})"
 
 
 class Var(Term, _Interned):
     """Variable at a context position; ``Var(i)`` is one object per ``i``."""
 
-    _fields = ("idx",)
-    __slots__ = _fields
+    __slots__ = ("idx",)
 
     def __new__(cls, idx: int):
         if idx < 0:
@@ -192,8 +193,7 @@ class Coh(Term, _Interned):
     hold trees, hashed by identity, so its lookup misses.
     """
 
-    _fields = ("head", "cell", "args")
-    __slots__ = _fields
+    __slots__ = ("head", "cell", "args")
 
     def __new__(cls, head: Tree, cell: "Type", args: "Sub"):
         key = (head, cell, args)
@@ -233,8 +233,7 @@ STAR = object.__new__(Star)
 class Arrow(Type, _Interned):
     """Arrow type ``src -> tgt`` over ``base``."""
 
-    _fields = ("src", "base", "tgt")
-    __slots__ = _fields
+    __slots__ = ("src", "base", "tgt")
 
     def __new__(cls, src: Term, base: Type, tgt: Term):
         key = (src, base, tgt)

@@ -1,7 +1,7 @@
 import pytest
 
 from semistrict.syntax import _TREES, STAR, Coh, Tree, Var
-from semistrict.trees import tree_to_ctx
+from semistrict.trees import block_starts, point_positions, tree_to_ctx
 from semistrict.unbiased import identity_term, unbiased_coh, unbiased_type
 
 CHAIN1 = Tree(((),))
@@ -10,6 +10,24 @@ CHAIN3 = Tree(((), (), ()))
 
 # what a tree keeps once the function that owns each fact has built it
 TREE_FACTS = ("ctx", "branches", "unbiased")
+
+
+def comp_chain(n, shape, rng):
+    """A bracketing of the n-arrow chain into binary composites, "left"
+    or "right" nested or, drawing each cut from ``rng``, at random: the
+    chain's tree and the term."""
+    tree = ((),) * n
+    pts, arrows = point_positions(tree), block_starts(tree)
+    comp = unbiased_type(1, CHAIN2)
+
+    def build(lo, hi):
+        if hi - lo == 1:
+            return Var(arrows[lo])
+        cut = hi - 1 if shape == "left" else lo + 1 if shape == "right" else rng.randint(lo + 1, hi - 1)
+        return Coh(CHAIN2, comp, (Var(pts[lo]), Var(pts[cut]), build(lo, cut),
+                                  Var(pts[hi]), build(cut, hi)))
+
+    return tree, build(0, n)
 
 
 def forget_tree_facts():

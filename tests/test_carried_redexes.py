@@ -16,21 +16,20 @@ from semistrict.syntax import (
     STAR, Arrow, Coh, Var, apply_sub_term, compose, id_sub,
 )
 from semistrict.trees import (
-    block_starts, ctx_len, disc, point_positions, suspend_term, suspend_tree,
-    tree_to_ctx, trunk_height,
+    ctx_len, disc, suspend_term, suspend_tree, tree_to_ctx, trunk_height,
 )
 from semistrict.unbiased import identity_term, unbiased_coh, unbiased_type
 from semistrict.insertion import (
-    branch_at, branch_table, carry_redexes, exterior_sub, find_redexes,
-    inserted_sub, inserted_tree,
+    branch_table, carry_redexes, exterior_sub, find_redexes, inserted_sub,
+    inserted_tree,
 )
 from semistrict.rewriting import clear_caches, normalize, normalize_first_step
 from semistrict.harness import (
-    GenConfig, canonical_branches, enumerate_insertion_points, enumerate_trees,
-    gen_population, leaf_height,
+    GenConfig, branch_at, canonical_branches, enumerate_insertion_points,
+    enumerate_trees, gen_population, leaf_height,
 )
 
-from conftest import CHAIN2
+from conftest import CHAIN2, comp_chain
 
 
 @pytest.fixture
@@ -39,9 +38,9 @@ def carried(monkeypatch):
     seen = []
     carry = insertion.carry_redexes
 
-    def checked(redexes, term):
-        out = carry(redexes, term)
-        assert out == find_redexes(term), (redexes[0], term)
+    def checked(redexes, before, term):
+        out = carry(redexes, before, term)
+        assert out == find_redexes(term), (redexes[0], before, term)
         seen.append(len(out))
         return out
 
@@ -120,11 +119,17 @@ def test_carried_redexes_with_two_insertion_points(carried):
     assert cases == 1244 and max(carried) == 1
 
 
-def _direct_insertion(t, r):
+def _shape(t, redex):
+    """(S, A, P, T): the head, the cell, the branch and the inserted tree."""
+    return t.head, t.cell, redex[0], t.args[redex[1]].head
+
+
+def _direct_insertion(t, redex):
     """The reduct as the paper writes it, with P's positions found afresh."""
-    at = branch_at(r.S, r.P, r.T)
-    return Coh(inserted_tree(r.S, r.P, r.T), exterior_sub(r.S, r.P, r.T, at, t.cell),
-               inserted_sub(r.outer, r.inner, at))
+    s, cell, p, ins = _shape(t, redex)
+    at = branch_at(s, p, ins)
+    return Coh(inserted_tree(s, p, ins), exterior_sub(s, p, ins, at, cell),
+               inserted_sub(t.args, t.args[redex[1]].args, at))
 
 
 def _found(t):
@@ -135,7 +140,7 @@ def _carried(t):
     # the first redex applied, and the next one carried to its reduct
     redexes = find_redexes(t)
     u = _direct_insertion(t, redexes[0])
-    return u, carry_redexes(redexes, u)[0]
+    return u, carry_redexes(redexes, t, u)[0]
 
 
 @pytest.mark.parametrize("squares, redex", [
@@ -166,7 +171,7 @@ def test_a_remembered_reduct_head_is_the_one_a_step_builds(monkeypatch, squares,
         for cell in (term.cell, Arrow(top, term.cell, top), Arrow(Var(0), STAR, Var(0))):
             for args in (term.args, compose(term.args, shift)):
                 u, rdx = redex(Coh(term.head, cell, args))
-                shape = (rdx.S, u.cell, rdx.P, rdx.T)
+                shape = _shape(u, rdx)
                 built.clear()
                 assert rewriting.apply_insertion(u, rdx) == _direct_insertion(u, rdx)
                 assert len(built) == (shape not in shapes)
@@ -176,27 +181,12 @@ def test_a_remembered_reduct_head_is_the_one_a_step_builds(monkeypatch, squares,
     assert len(rewriting._HEADS) == len(shapes)
 
 
-def _comp_chain(n, shape, rng):
-    tree = ((),) * n
-    pts, arrows = point_positions(tree), block_starts(tree)
-    comp = unbiased_type(1, CHAIN2)
-
-    def build(lo, hi):
-        if hi - lo == 1:
-            return Var(arrows[lo])
-        cut = hi - 1 if shape == "left" else lo + 1 if shape == "right" else rng.randint(lo + 1, hi - 1)
-        return Coh(CHAIN2, comp, (Var(pts[lo]), Var(pts[cut]), build(lo, cut),
-                                  Var(pts[hi]), build(cut, hi)))
-
-    return tree, build(0, n)
-
-
 @pytest.mark.parametrize("dim", [1, 2])
 def test_carried_redexes_along_comp_chains(carried, dim):
     rng = random.Random(dim)
     for n in range(2, 25):
         for shape in ("left", "right", "random", "random"):
-            tree, t = _comp_chain(n, shape, rng)
+            tree, t = comp_chain(n, shape, rng)
             if dim == 2:
                 tree, t = suspend_tree(tree), suspend_term(t)
             assert _agrees(t) == unbiased_coh(dim, tree)
@@ -211,6 +201,28 @@ def test_carried_redexes_over_the_population(carried):
 
 def _comp(*args):
     return Coh(CHAIN2, unbiased_type(1, CHAIN2), args)
+
+
+def test_a_scan_returns_rows_of_its_heads_branch_table(monkeypatch):
+    # a found redex is no record of its own: it is the very row its head
+    # keeps, which the term it was found in completes
+    scan, found = insertion.find_redexes, []
+
+    def checked(term):
+        out = scan(term)
+        rows = branch_table(term.head) if out else ()
+        assert all(any(r is row for row in rows) for r in out), term
+        found.extend(out)
+        return out
+
+    monkeypatch.setattr(rewriting, "find_redexes", checked)
+    clear_caches()
+    for _, t in gen_population(GenConfig(seed=0), 300):
+        normalize(t)
+    rng = random.Random(0)
+    for n in range(2, 25):
+        normalize(suspend_term(comp_chain(n, "random", rng)[1]))
+    assert len(found) > 100
 
 
 def test_an_inserted_identity_leaves_a_redex_in_its_block(carried):
@@ -260,7 +272,7 @@ def test_a_removed_block_shortens_its_siblings_branch(carried, identity_first):
     t = Coh(s, unbiased_type(2, s), args)
     r = (((),), (), ())
     infer_term(tree_to_ctx(r), t)
-    assert [rd.P for rd in find_redexes(t)] == [(0, 0 if identity_first else 1)]
+    assert [p for p, *_ in find_redexes(t)] == [(0, 0 if identity_first else 1)]
     nf = _agrees(t)
     assert nf == unbiased_coh(2, r)
     # the head after the identity's insertion carries alpha, at [0]
@@ -288,7 +300,7 @@ def test_normalizing_a_chain_examines_a_linear_number_of_rows(monkeypatch):
     rng = random.Random(0)
     for n in (200, 400):
         for shape in ("left", "right"):
-            _, t = _comp_chain(n, shape, rng)
+            _, t = comp_chain(n, shape, rng)
             clear_caches()
             rows[0] = 0
             normalize(t)

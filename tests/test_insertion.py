@@ -13,15 +13,14 @@ from semistrict.trees import (
     suspend_sub, suspend_term, suspend_type, tree_to_ctx, trunk_height,
 )
 from semistrict.insertion import (
-    HeightMismatch, branch_at, branch_height, branch_table, exterior_sub,
-    find_redexes, inserted_sub, inserted_tree, interior_sub,
-    locally_maximal_positions,
+    HeightMismatch, branch_height, branch_table, exterior_sub, find_redexes,
+    inserted_sub, inserted_tree, locally_maximal_positions,
 )
 from semistrict.unbiased import disc_sub, identity_term, unbiased_coh, unbiased_type
 from semistrict.harness import (
-    GenConfig, branch_var, canonical_branches, enumerate_insertion_points,
-    enumerate_trees, eq_max_def, eq_max_syntactic, gen_redex, gen_tree_of_dim,
-    is_branch, leaf_height, subtree,
+    GenConfig, branch_at, branch_var, canonical_branches,
+    enumerate_insertion_points, enumerate_trees, eq_max_def, eq_max_syntactic,
+    gen_redex, gen_tree_of_dim, interior_sub, is_branch, leaf_height, subtree,
 )
 
 from conftest import CHAIN2, CHAIN3
@@ -423,26 +422,36 @@ def test_exterior_sub_pushes_a_cell_of_any_dimension():
             cell = cell.base
 
 
+def _redex(rng, cfg):
+    """A generated redex as (S, P, T, sigma, tau, positions), read off its
+    term; the row is one the kernel's scan finds there."""
+    term, row = gen_redex(rng, cfg)
+    assert row in find_redexes(term)
+    p, v, _, at = row
+    arg = term.args[v]
+    return term.head, p, arg.head, term.args, arg.args, at
+
+
 def test_pushout_equations_random():
     rng = random.Random(11)
     cfg = GenConfig(seed=11)
     for _ in range(120):
-        r = gen_redex(rng, cfg)
-        ins = inserted_sub(r.outer, r.inner, r.at)
-        assert compose(interior_sub(r.P, r.T, r.at), ins) == r.inner
-        assert eq_max_syntactic(compose(exterior_sub(r.S, r.P, r.T, r.at), ins), r.outer, r.S)
+        s, p, t, sigma, tau, at = _redex(rng, cfg)
+        ins = inserted_sub(sigma, tau, at)
+        assert compose(interior_sub(p, t, at), ins) == tau
+        assert eq_max_syntactic(compose(exterior_sub(s, p, t, at), ins), sigma, s)
 
 
 def test_insertion_functoriality_substitution():
     rng = random.Random(5)
     cfg = GenConfig(seed=5)
     for _ in range(60):
-        r = gen_redex(rng, cfg)
-        ins = inserted_sub(r.outer, r.inner, r.at)
+        _, _, _, sigma, tau, at = _redex(rng, cfg)
+        ins = inserted_sub(sigma, tau, at)
         mu = tuple(Var(0) for _ in range(max(v.idx for t in ins
                                              for v in _vars(t)) + 1))
         lhs = compose(ins, mu)
-        rhs = inserted_sub(compose(r.outer, mu), compose(r.inner, mu), r.at)
+        rhs = inserted_sub(compose(sigma, mu), compose(tau, mu), at)
         assert lhs == rhs
 
 
@@ -458,11 +467,11 @@ def test_insertion_functoriality_suspension():
     rng = random.Random(9)
     cfg = GenConfig(seed=9)
     for _ in range(60):
-        r = gen_redex(rng, cfg)
-        ins = inserted_sub(r.outer, r.inner, r.at)
+        s, p, t, sigma, tau, at = _redex(rng, cfg)
+        ins = inserted_sub(sigma, tau, at)
         lhs = suspend_sub(ins)
-        rhs = inserted_sub(suspend_sub(r.outer), suspend_sub(r.inner),
-                           branch_at((r.S,), (0,) + r.P, (r.T,)))
+        rhs = inserted_sub(suspend_sub(sigma), suspend_sub(tau),
+                           branch_at((s,), (0,) + p, (t,)))
         assert lhs == rhs
 
 
@@ -482,15 +491,17 @@ def test_insertion_irrelevant_to_branch_entry():
 def test_find_redexes_nested_composite(f_then_gh):
     redexes = find_redexes(f_then_gh)
     assert len(redexes) == 1
-    assert redexes[0].P == (1,)
-    assert redexes[0].T == CHAIN2
+    p, v, _, _ = redexes[0]
+    assert p == (1,)
+    assert f_then_gh.args[v].head == CHAIN2
 
 
 def test_find_redexes_unit(f_then_idy):
     redexes = find_redexes(f_then_idy)
     assert len(redexes) == 1
-    assert redexes[0].P == (1,)
-    assert redexes[0].T == ()
+    p, v, _, _ = redexes[0]
+    assert p == (1,)
+    assert f_then_idy.args[v].head == ()
 
 
 def test_find_redexes_variables_only(comp_fg):

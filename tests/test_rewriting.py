@@ -6,24 +6,21 @@ from hypothesis import given, strategies as st
 from semistrict import harness, rewriting
 from semistrict.check import infer_term
 from semistrict.syntax import STAR, Arrow, Coh, Var, id_sub
-from semistrict.trees import (
-    block_starts, ctx_len, disc, point_positions, suspend_term, suspend_tree,
-    tree_to_ctx,
-)
+from semistrict.trees import ctx_len, disc, suspend_term, suspend_tree, tree_to_ctx
 from semistrict.unbiased import (
     identity_term, is_identity, unbiased_coh, unbiased_type,
 )
-from semistrict.insertion import branch_at, exterior_sub
+from semistrict.insertion import exterior_sub
 from semistrict.rewriting import (
     StepBudgetExceeded, clear_caches, def_eq, disc_removal,
     endo_coherence_removal, head_steps, normalize, normalize_first_step,
 )
 from semistrict.harness import (
-    ORD_ZERO, GenConfig, OrdinalPoly, gen_population, natural_sum, omega_pow,
-    one_step, ord_lt, reduction_graph, syntactic_complexity,
+    ORD_ZERO, GenConfig, OrdinalPoly, branch_at, gen_population, natural_sum,
+    omega_pow, one_step, ord_lt, reduction_graph, syntactic_complexity,
 )
 
-from conftest import CHAIN1, CHAIN2, CHAIN3
+from conftest import CHAIN1, CHAIN2, CHAIN3, comp_chain
 
 
 # --- ordinals ----------------------------------------------------------------
@@ -300,7 +297,7 @@ def test_the_oracle_takes_the_first_enumerated_step_each_time():
     rng = random.Random(7)
     for n in (2, 3, 5, 8, 13, 24):
         for shape in ("left", "right", "random"):
-            t = _comp_chain(n, shape, rng)[1]
+            t = comp_chain(n, shape, rng)[1]
             terms += [t, suspend_term(t)]
     for t in terms:
         nf, k = _first_steps(t)
@@ -312,7 +309,7 @@ def test_the_oracle_takes_the_first_enumerated_step_each_time():
 
 def test_step_budget_trips():
     # each insertion on the left-nested chain is at a new head
-    _, chain = _comp_chain(6, "left", None)
+    _, chain = comp_chain(6, "left", None)
     log = []
     normalize(chain, trace=log.append)
     assert len({s.before for s in log}) == len(log) >= 4
@@ -422,7 +419,7 @@ def test_a_budget_below_the_remembered_steps_is_one_cold_run(built):
     term = _endo_comp(_UNIT, _UNIT)
     clear_caches()
     for n in range(3, 7):
-        normalize(_comp_chain(n, "left", None)[1])
+        normalize(comp_chain(n, "left", None)[1])
     nf = normalize(term)
     memo = dict(rewriting._NF_TERMS["sua"])
     del built[:]
@@ -442,7 +439,7 @@ def test_a_default_call_is_one_shared_run_however_many_steps_came_before(built, 
     clear_caches()
     sizes = []
     for n in range(3, 11):
-        normalize(_comp_chain(n, "left", None)[1])
+        normalize(comp_chain(n, "left", None)[1])
         sizes.append(len(rewriting._NF_TERMS["sua"]))
     assert sum(nz.steps for _, nz in built) > rewriting.DEFAULT_BUDGET
     assert len(built) == len(sizes) and not any(cold for cold, _ in built)
@@ -450,7 +447,7 @@ def test_a_default_call_is_one_shared_run_however_many_steps_came_before(built, 
 
 
 def test_a_default_call_whose_own_steps_pass_the_default_budget_raises(built, monkeypatch):
-    _, chain = _comp_chain(6, "left", None)
+    _, chain = comp_chain(6, "left", None)
     log = []
     normalize(chain, trace=log.append)
     monkeypatch.setattr(rewriting, "DEFAULT_BUDGET", len(log) - 1)
@@ -497,7 +494,7 @@ def test_a_step_inside_a_cell_carries_the_head_it_is_over(f_then_gh):
 
 
 def test_insertion_detail_formatted_only_when_traced(f_then_gh, monkeypatch):
-    def fail(r):
+    def fail(t, redex):
         raise AssertionError("detail formatted without a trace")
 
     monkeypatch.setattr(rewriting, "_insertion_detail", fail)
@@ -513,27 +510,6 @@ def test_insertion_detail_formatted_only_when_traced(f_then_gh, monkeypatch):
         ("insertion", "S=[[],[]] P=[1] T=[[],[]] -> [[],[],[]]")]
 
 
-def _comp_chain(n, shape, rng):
-    """A bracketing of the n-arrow chain into binary composites."""
-    tree = ((),) * n
-    pts, arrows = point_positions(tree), block_starts(tree)
-    comp = unbiased_type(1, CHAIN2)
-
-    def build(lo, hi):
-        if hi - lo == 1:
-            return Var(arrows[lo])
-        if shape == "left":
-            cut = hi - 1
-        elif shape == "right":
-            cut = lo + 1
-        else:
-            cut = rng.randint(lo + 1, hi - 1)
-        return Coh(CHAIN2, comp, (Var(pts[lo]), Var(pts[cut]), build(lo, cut),
-                                  Var(pts[hi]), build(cut, hi)))
-
-    return tree, build(0, n)
-
-
 def _doubling(n):
     """d{n} x, where d0 x is id x and d{k} x is comp (d{k-1} x) (d{k-1} x)."""
     t = identity_term(STAR, Var(0))
@@ -543,7 +519,7 @@ def _doubling(n):
 
 
 @pytest.mark.parametrize("term", [
-    suspend_term(_comp_chain(12, "left", None)[1]),
+    suspend_term(comp_chain(12, "left", None)[1]),
     _doubling(10),
 ], ids=["dim-2-chain", "doubling"])
 def test_the_insertion_shape_memo_moves_no_step(monkeypatch, term):
@@ -596,7 +572,7 @@ def test_comp_chains_normalize_to_the_unbiased_composite(dim):
     rng = random.Random(dim)
     for n in (2, 3, 5, 8, 13, 24):
         for shape in ("left", "right", "random", "random"):
-            tree, t = _comp_chain(n, shape, rng)
+            tree, t = comp_chain(n, shape, rng)
             if dim == 2:
                 tree, t = suspend_tree(tree), suspend_term(t)
             clear_caches()
@@ -675,7 +651,7 @@ def test_an_untraced_normalization_builds_no_step_and_no_path(monkeypatch):
     monkeypatch.setattr(rewriting, "ReductionStep", fail)
     monkeypatch.setattr(rewriting, "_flat", fail)
     terms = [t for _, t in gen_population(GenConfig(seed=20), 300)]
-    terms.append(_comp_chain(200, "right", None)[1])
+    terms.append(comp_chain(200, "right", None)[1])
     clear_caches()
     for t in terms:
         normalize(t)

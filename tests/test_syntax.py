@@ -246,6 +246,21 @@ def test_pickled_terms_unpickle_to_the_live_object(comp_fg):
         assert copy.deepcopy(x) is x and copy.copy(x) is x
 
 
+def test_records_unpickle_through_their_constructors():
+    # an Immutable record (a traced step) forbids setting its slots one by
+    # one, so every record pickles as its class and its fields in slot order
+    decls = parse((CORPUS / "basics.catt").read_text(encoding="utf-8"))
+    env, checked, steps = new_env(), [], []
+    for decl in decls:
+        checked.append(process_decl(decl, env))
+        for t in checked[-1].terms:
+            normalize(t, trace=steps.append)
+    assert steps
+    for record in [*steps, decls[0], checked[-1]]:
+        back = pickle.loads(pickle.dumps(record))
+        assert type(back) is type(record) and back == record
+
+
 def test_a_tree_is_one_object_per_shape(comp_fg):
     t = Tree((((),), ()))
     assert Tree((((),), ())) is t and Tree(t) is t and tree((t[0], t[1])) is t
