@@ -14,10 +14,13 @@ them is remembered then, for the life of the process: every later use,
 one nested in its own arguments too, checks only its arguments.  Only
 passes are remembered: a bad head is checked afresh, and raises the
 same error, on every use.  A support failure is raised only after the
-arguments, so a bad argument is reported first.
-A variable's type is read off the context, and an argument that is a
-variable is typed in place; only the types of coherences are memoized,
-per (context, term).
+arguments, so a bad argument is reported first.  A side's support is
+a mask: the union of the downward closures, kept on the head tree, of
+the variables the side mentions.  A variable's type is read off the
+context, and an argument that is a variable is typed in place.  A
+coherence's type, its cell along its arguments, is built once per term
+(``_TYPES``); ``_INFER_CACHE`` keys each context a term passed in by
+its hash and keeps its types, so a hit compares those in C.
 
 An argument is checked against the head's pasting context, where each
 entry's type is ``*`` or ``Var(s) -> Var(u)`` over the type of entry
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 from .syntax import (
     STAR, Arrow, Coh, Context, KernelError, Star, Term, Type, Var,
-    apply_sub_type, support,
+    apply_sub_type, var_mask,
 )
 from .trees import tree_inc, tree_to_ctx
 from .rewriting import def_eq
@@ -48,6 +51,7 @@ class TypingError(Exception):
 
 
 _INFER_CACHE: dict = {}
+_TYPES: dict = {}
 # (tree, cell) pairs whose cell type and support have been checked
 _GOOD_HEADS: set = set()
 
@@ -65,12 +69,6 @@ def check_type(ctx: Context, a: Type) -> None:
                               f"{side} of arrow has type {got!r}, expected {a.base!r}")
 
 
-def boundary_support(tree, eps: str, n: int) -> frozenset:
-    """Support of the n-dimensional eps-inclusion of a pasting tree."""
-    ctx = tree_to_ctx(tree)
-    return support(ctx, tree_inc(eps, n, tree))
-
-
 def _unbound(ctx: Context, v: Var) -> TypingError:
     return TypingError("UnknownVariable",
                        f"variable {v.idx} not bound in a context of "
@@ -82,12 +80,12 @@ def infer_term(ctx: Context, t: Term) -> Type:
         if t.idx >= len(ctx.types):
             raise _unbound(ctx, t)
         return ctx.types[t.idx]
-    key = (ctx, t)
+    types, key = ctx.types, (ctx._hash, t)
     hit = _INFER_CACHE.get(key)
-    if hit is not None:
-        return hit
+    if hit is types or hit == types:
+        return _TYPES[t]
     out = _infer(ctx, t)
-    _INFER_CACHE[key] = out
+    _INFER_CACHE[key] = types
     return out
 
 
@@ -113,9 +111,7 @@ def _infer(ctx: Context, t: Term) -> Type:
     # the arguments in this loop, not a helper: two frames per nesting level
     args = t.args
     # the head context's types share their bases: push them with one memo
-    memo = {}
-    gots = []
-    types = ctx.types
+    memo, gots, types = {}, [], ctx.types
     for i, (a, ty) in enumerate(zip(args, head_ctx.types)):
         # a variable's type is read off the context, with no call
         if isinstance(a, Var):
@@ -140,27 +136,45 @@ def _infer(ctx: Context, t: Term) -> Type:
                 f"expected {want!r}")
     if bad is not None:
         raise bad
-    return apply_sub_type(cell, args, memo)
+    if t not in _TYPES:
+        _TYPES[t] = apply_sub_type(cell, args, memo)
+    return _TYPES[t]
+
+
+def _closures(tree) -> tuple:
+    """The mask of each variable's downward closure in the tree's context."""
+    out = tree.__dict__.get("closures")
+    if out is None:
+        out = []
+        for i, ty in enumerate(tree_to_ctx(tree).types):  # STAR or Var(s) -> Var(u)
+            out.append(1 << i if ty is STAR else 1 << i | out[ty.src.idx] | out[ty.tgt.idx])
+        out = tree.__dict__["closures"] = tuple(out)
+    return out
+
+
+def _support(closures: tuple, x, memo: dict) -> int:
+    """The mask of x's support: the closures of the variables x mentions."""
+    mask, out = var_mask(x, memo), 0
+    while mask:
+        out |= closures[mask.bit_length() - 1]
+        mask &= ~out
+    return out
 
 
 def _check_support(tree, head_ctx: Context, cell: Arrow) -> None:
-    src_supp = support(head_ctx, cell.src)
-    tgt_supp = support(head_ctx, cell.tgt)
-    everything = frozenset(range(len(head_ctx)))
-    if src_supp == everything and tgt_supp == everything:
+    closures, memo = _closures(tree), {}
+    src_supp, tgt_supp = _support(closures, cell.src, memo), _support(closures, cell.tgt, memo)
+    if src_supp == tgt_supp == (1 << tree.size) - 1:
         return
     # over the point tree every term mentions the one object, so only a
     # tree of dimension 1 or more gets here
-    d = tree.dim
-    want_src = boundary_support(tree, "-", d - 1)
-    want_tgt = boundary_support(tree, "+", d - 1)
+    want_src, want_tgt = (_support(closures, tree_inc(eps, tree.dim - 1, tree), memo)
+                          for eps in "-+")
     if src_supp == want_src and tgt_supp == want_tgt:
         return
-    side, want, got = (("source", want_src, src_supp)
-                       if src_supp != want_src
+    side, want, got = (("source", want_src, src_supp) if src_supp != want_src
                        else ("target", want_tgt, tgt_supp))
-    names = head_ctx.names
-    fmt = lambda s: "{" + ",".join(names[i] for i in sorted(s)) + "}"
+    fmt = lambda m: "{" + ",".join(n for i, n in enumerate(head_ctx.names) if m >> i & 1) + "}"
     raise TypingError(
         "SupportMismatch",
         f"{side} support {fmt(got)} matches neither the {side} boundary "

@@ -6,9 +6,9 @@ forms for each normalize command), eq (run asserteq commands), report
 1 any failure, 2 usage or I/O error.
 
 Each failure prints one ``file:line:col: Kind: detail`` line on stderr.
-A term nested too deeply for the interpreter's stack is a failure of
-kind ResourceLimit, located at its declaration, or at 1:1 when the
-parser itself ran out of stack.
+A term nested too deeply for the stack, or one that runs out of memory,
+is a ResourceLimit failure located at its declaration, or at 1:1 when
+the parser itself ran out of stack.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .rewriting import ReductionStep, StepBudgetExceeded, normalize
 from .trees import tree_to_ctx
 
 TOO_DEEP = "ResourceLimit: term nests too deeply"
+LIMITS = {RecursionError: TOO_DEEP, MemoryError: "ResourceLimit: out of memory"}
 
 
 def non_negative(text: str) -> int:
@@ -129,9 +130,8 @@ def run_files(args) -> int:
                 print(f"{path}:{line}:{col}: {e.kind}: {e.detail}",
                       file=sys.stderr)
                 failures += 1
-            except (StepBudgetExceeded, RecursionError) as e:
-                why = (TOO_DEEP if isinstance(e, RecursionError)
-                       else f"StepBudgetExceeded: {e}")
+            except (StepBudgetExceeded, RecursionError, MemoryError) as e:
+                why = LIMITS.get(type(e)) or f"StepBudgetExceeded: {e}"
                 print(f"{path}:{decl.line}:{decl.col}: {why}", file=sys.stderr)
                 failures += 1
     return 1 if failures else 0

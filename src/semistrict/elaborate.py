@@ -23,7 +23,7 @@ from typing import List, NamedTuple, Optional
 
 from .syntax import (
     Arrow, Coh, Context, Record, STAR, Sub, Term, Type, Var,
-    apply_sub_term, free_vars, id_sub,
+    apply_sub_term, id_sub, var_mask,
 )
 from .trees import tree_to_ctx
 from .rewriting import def_eq
@@ -57,8 +57,8 @@ class Value(NamedTuple):
 def _value(ctx: Context, body: Term) -> Value:
     """A value whose explicit positions are the variables no type in
     ``ctx`` mentions; over a pasting context, the locally maximal ones."""
-    used = free_vars(ctx.types)
-    explicit = tuple(i for i in range(len(ctx)) if i not in used)
+    used = var_mask(ctx.types, {})
+    explicit = tuple(i for i in range(len(ctx)) if not used >> i & 1)
     chains = []
     for i in explicit:
         chain, ty = [], ctx.types[i]

@@ -575,6 +575,35 @@ def pasting_oracle(ctx: Context) -> bool:
     return True
 
 
+def free_vars(x) -> frozenset:
+    """The variables a term, type or substitution mentions, as a set: the
+    reference for ``syntax.var_mask``, walking shared subterms as a tree."""
+    if isinstance(x, Var):
+        return frozenset((x.idx,))
+    if isinstance(x, Coh):
+        return free_vars(x.args)
+    if isinstance(x, Star):
+        return frozenset()
+    if isinstance(x, Arrow):
+        return free_vars(x.src) | free_vars(x.base) | free_vars(x.tgt)
+    if isinstance(x, tuple):
+        return frozenset().union(*map(free_vars, x))
+    raise KernelError(f"not syntax: {x!r}")
+
+
+def support(ctx: Context, x) -> frozenset:
+    """The free variables of x closed under those of their types: the
+    reference for the support masks ``check`` reads off a head tree."""
+    seen = set()
+    todo = list(free_vars(x))
+    while todo:
+        i = todo.pop()
+        if i not in seen:
+            seen.add(i)
+            todo.extend(free_vars(ctx.type_of(i)) - seen)
+    return frozenset(seen)
+
+
 def bd_support_oracle(ctx: Context, n: int, eps: str) -> frozenset:
     """Boundary support read off variable occurrences in a pasting context.
 

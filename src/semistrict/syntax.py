@@ -101,8 +101,10 @@ class Tree(Immutable, tuple):
     """A planar rooted tree (trees.py): the interned tuple of its subtrees,
     of dimension ``dim``, generating a context of ``size`` variables.
     Once built, it keeps its context ``ctx`` (``trees.tree_to_ctx``),
-    its branch rows ``branches`` (``insertion.branch_table``) and its
-    unbiased types by level, ``unbiased`` (``unbiased.unbiased_type``).
+    its branch rows ``branches`` (``insertion.branch_table``), its
+    unbiased types by level, ``unbiased`` (``unbiased.unbiased_type``),
+    and its variables' downward closures as bitmasks, ``closures``
+    (``check._closures``).
 
     ``Tree(x)`` is the live tree equal to ``x``, nested plain tuples or a
     tree; ``tree`` makes one from trees.  Unpickling rebuilds through it.
@@ -251,10 +253,8 @@ class Arrow(Type, _Interned):
 _COHS: dict = {}
 _ARROWS: dict = {}
 
-# Interned syntax is immutable, acyclic and immortal: no collection can
-# free it, yet each one rescans it.  So collect the young generation
-# after 20,000 net allocations, not 700, and leave the older thresholds,
-# a higher one the host process set, and 0 (collection off) as they are.
+# raise the young threshold (module docstring), and leave the older ones,
+# a higher one the host process set, and 0 (collection off) as they are
 _YOUNG_THRESHOLD = 20_000
 _young, *_older = gc.get_threshold()
 if 0 < _young < _YOUNG_THRESHOLD:
@@ -328,13 +328,14 @@ class Context(Immutable):
         return f"Context({self.entries!r})"
 
 
-# --- substitution action -------------------------------------------------
+# --- substitution action and free variables ------------------------------
 #
 # A term is a DAG: one interned subterm can occur many times.  So one
 # call of these functions remembers each coherence and arrow it has
 # pushed through ``sub`` in ``memo``, keyed by the interned object, and
 # a caller that pushes several pieces through the same ``sub`` can pass
-# them all one memo.  A memo belongs to one ``sub``.
+# them all one memo.  A memo belongs to one ``sub``.  ``var_mask`` walks
+# the DAG for its free variables the same way.
 
 def apply_sub_term(t: Term, sub: Sub, memo: Optional[dict] = None) -> Term:
     if isinstance(t, Var):
@@ -392,6 +393,27 @@ def compose(tau: Sub, sigma: Sub, memo: Optional[dict] = None) -> Sub:
     return tuple(out)
 
 
+def var_mask(x: Syntax, memo: dict) -> int:
+    """The variables x mentions, bit i for ``Var(i)``; ``memo`` keeps the
+    mask of each piece of syntax met."""
+    if isinstance(x, Var):
+        return 1 << x.idx
+    out = memo.get(x)
+    if out is None:
+        if isinstance(x, Arrow):
+            out = var_mask(x.src, memo) | var_mask(x.base, memo) | var_mask(x.tgt, memo)
+        elif isinstance(x, (Coh, tuple)):  # one frame per nesting level
+            out = 0
+            for y in x.args if isinstance(x, Coh) else x:
+                out |= var_mask(y, memo)
+        elif x is STAR:
+            out = 0
+        else:
+            raise KernelError(f"not syntax: {x!r}")
+        memo[x] = out
+    return out
+
+
 def id_sub(n: int) -> Sub:
     return var_run(0, n)
 
@@ -399,42 +421,6 @@ def id_sub(n: int) -> Sub:
 def var_run(lo: int, hi: int) -> Sub:
     """The variables ``lo`` to ``hi - 1``: one slice of the interned ones."""
     return (_VARS if hi <= len(_VARS) else _grow_vars(hi))[lo:hi]
-
-
-# --- free variables, support, dimension ----------------------------------
-
-def free_vars(x: Syntax) -> frozenset:
-    if isinstance(x, Var):
-        return frozenset((x.idx,))
-    if isinstance(x, Coh):
-        return free_vars(x.args)
-    if isinstance(x, Star):
-        return frozenset()
-    if isinstance(x, Arrow):
-        return free_vars(x.src) | free_vars(x.base) | free_vars(x.tgt)
-    if isinstance(x, tuple):
-        out = frozenset()
-        for t in x:
-            out |= free_vars(t)
-        return out
-    raise KernelError(f"not syntax: {x!r}")
-
-
-def downward_close(ctx: Context, vs: frozenset) -> frozenset:
-    """Close a variable set under free variables of member types."""
-    seen = set()
-    todo = list(vs)
-    while todo:
-        i = todo.pop()
-        if i in seen:
-            continue
-        seen.add(i)
-        todo.extend(free_vars(ctx.type_of(i)) - seen)
-    return frozenset(seen)
-
-
-def support(ctx: Context, x: Syntax) -> frozenset:
-    return downward_close(ctx, free_vars(x))
 
 
 def dim_type(a: Type) -> int:

@@ -64,7 +64,7 @@ def disc_sub(a: Type, t: Term) -> Sub:
 def identity_term(a: Type, s: Term) -> Term:
     """The canonical identity cell on s at type a."""
     n = dim_type(a)
-    return apply_sub_term(unbiased_coh(n + 1, disc(n)), disc_sub(a, s))
+    return Coh(disc(n), unbiased_type(n + 1, disc(n)), disc_sub(a, s))
 
 
 def is_identity(t: Term) -> bool:

@@ -9,7 +9,7 @@ CHAIN2 = Tree(((), ()))
 CHAIN3 = Tree(((), (), ()))
 
 # what a tree keeps once the function that owns each fact has built it
-TREE_FACTS = ("ctx", "branches", "unbiased")
+TREE_FACTS = ("ctx", "branches", "unbiased", "closures")
 
 
 def comp_chain(n, shape, rng):

@@ -8,11 +8,11 @@ import pytest
 from semistrict import check, rewriting
 from semistrict.check import TypingError, infer_term
 from semistrict.cli import main
-from semistrict.harness import GenConfig, gen_population
+from semistrict.harness import GenConfig, enumerate_trees, gen_population, support
 from semistrict.rewriting import def_eq, normalize
 from semistrict.syntax import STAR, Arrow, Coh, Context, Var, id_sub
-from semistrict.trees import block_starts, disc, point_positions, tree_to_ctx
-from semistrict.unbiased import identity_term, unbiased_coh, unbiased_type
+from semistrict.trees import block_starts, disc, point_positions, tree_inc, tree_to_ctx
+from semistrict.unbiased import identity_term, unbiased_coh, unbiased_term, unbiased_type
 
 from conftest import CHAIN1, CHAIN2
 
@@ -21,6 +21,7 @@ CORPUS = Path(__file__).parent.parent / "corpus"
 
 def _clear_memos():
     check._INFER_CACHE.clear()
+    check._TYPES.clear()
     check._GOOD_HEADS.clear()
     rewriting.clear_caches()
 
@@ -269,3 +270,147 @@ def test_a_typing_error_keeps_its_kind_and_detail():
         "TypeMismatch", "source of arrow has type *", "TypeMismatch: source of arrow has type *")
     back = pickle.loads(pickle.dumps(e))
     assert (type(back), back.kind, back.detail) == (TypingError, e.kind, e.detail)
+
+
+def _mask(indices):
+    return sum(1 << i for i in indices)
+
+
+def _reference_support(tree, cell):
+    """The support premise by the frozenset reference: the supports of the
+    two sides, the boundary supports, the verdict and the detail of a
+    SupportMismatch."""
+    ctx = tree_to_ctx(tree)
+    got = support(ctx, cell.src), support(ctx, cell.tgt)
+    full = frozenset(range(len(ctx)))
+    want = tuple(support(ctx, tree_inc(eps, tree.dim - 1, tree)) for eps in "-+") \
+        if tree.dim else (full, full)
+    if got == (full, full):
+        return got, want, "full", None
+    if got == want:
+        return got, want, "boundary", None
+    side, k = ("source", 0) if got[0] != want[0] else ("target", 1)
+    fmt = lambda s: "{" + ",".join(ctx.names[i] for i in sorted(s)) + "}"
+    return got, want, "mismatch", (f"{side} support {fmt(got[k])} matches neither the "
+                                   f"{side} boundary {fmt(want[k])} nor the full context")
+
+
+def _kernel_support(tree, cell):
+    closures = check._closures(tree)
+    sides = tuple(check._support(closures, x, {}) for x in (cell.src, cell.tgt))
+    try:
+        check._check_support(tree, tree_to_ctx(tree), cell)
+    except TypingError as e:
+        assert e.kind == "SupportMismatch"
+        return sides, e.detail
+    return sides, None
+
+
+def _cells(tree):
+    """Unbiased cells at the tree's dimension and one above, and the first
+    of them reversed and with its source for both sides."""
+    top = unbiased_term(tree.dim, tree)
+    out = [Arrow(top, unbiased_type(tree.dim, tree), top)]
+    if tree.dim:
+        u = unbiased_type(tree.dim, tree)
+        out += [u, Arrow(u.tgt, u.base, u.src), Arrow(u.src, u.base, u.src)]
+    return out
+
+
+def _heads(terms):
+    """Every (tree, cell) of a coherence in the terms, their cells included."""
+    seen, todo = set(), list(terms)
+    while todo:
+        x = todo.pop()
+        if isinstance(x, Coh) and (x.head, x.cell) not in seen:
+            seen.add((x.head, x.cell))
+            todo += [x.cell.src, x.cell.tgt, *x.args]
+    return seen
+
+
+def test_mask_supports_agree_with_the_frozenset_reference():
+    cases = [(t, cell) for t in enumerate_trees(7) for cell in _cells(t)]
+    for seed in (7, 11, 23):
+        cases += sorted(_heads(t for _, t in gen_population(GenConfig(seed=seed), 300)),
+                        key=repr)
+    verdicts = set()
+    for tree, cell in cases:
+        got, want, verdict, detail = _reference_support(tree, cell)
+        sides, kernel_detail = _kernel_support(tree, cell)
+        assert sides == tuple(map(_mask, got)), (tree, cell)
+        assert kernel_detail == detail, (tree, cell)
+        # the boundary masks the kernel compares the sides with
+        closures = check._closures(tree)
+        if tree.dim:
+            assert tuple(check._support(closures, tree_inc(eps, tree.dim - 1, tree), {})
+                         for eps in "-+") == tuple(map(_mask, want))
+        verdicts.add(verdict)
+    assert verdicts == {"full", "boundary", "mismatch"}
+
+
+def test_each_closure_is_its_variable_and_its_type_closed():
+    for tree in enumerate_trees(7):
+        ctx = tree_to_ctx(tree)
+        assert check._closures(tree) == tuple(_mask(support(ctx, Var(i)))
+                                              for i in range(len(ctx)))
+
+
+def _counting(monkeypatch, name):
+    calls, fn = [], getattr(check, name)
+    monkeypatch.setattr(check, name, lambda *a: calls.append(a) or fn(*a))
+    return calls
+
+
+def test_equal_contexts_share_one_inference_entry(monkeypatch, comp_fg):
+    _clear_memos()
+    ctx, twin = tree_to_ctx(CHAIN2), Context(tuple(zip("abcde", tree_to_ctx(CHAIN2).types)))
+    assert twin is not ctx and twin == ctx
+    calls = _counting(monkeypatch, "_infer")
+    first = infer_term(ctx, comp_fg)
+    entries = len(check._INFER_CACHE)
+    assert infer_term(twin, comp_fg) is first
+    assert len(calls) == 1 and len(check._INFER_CACHE) == entries
+
+
+def test_a_term_checked_in_two_contexts_is_typed_once(monkeypatch, comp_fg):
+    _clear_memos()
+    ctx = tree_to_ctx(CHAIN2)
+    wider = ctx.extended("w", STAR)
+    assert wider != ctx
+    infers = _counting(monkeypatch, "_infer")
+    subs = _counting(monkeypatch, "apply_sub_type")
+    first = infer_term(ctx, comp_fg)
+    assert infer_term(wider, comp_fg) is first
+    assert len(infers) == 2
+    assert [a for a in subs if a[0] is comp_fg.cell] == [subs[0]]
+
+
+def _forged(ctx, types):
+    """A context with ctx's hash and other types, as a collision makes."""
+    out = object.__new__(Context)
+    out.__dict__.update(entries=tuple(zip("xyzwv", types)), names=tuple("xyzwv"[:len(types)]),
+                        types=tuple(types), _hash=ctx._hash)
+    return out
+
+
+@pytest.mark.parametrize("good_first", [True, False])
+def test_contexts_that_share_a_hash_keep_their_own_verdicts(comp_fg, good_first):
+    good = tree_to_ctx(CHAIN2)
+    bad = _forged(good, (STAR,) * 5)  # f and g are objects there, not arrows
+    assert hash(bad) == hash(good) and bad != good
+    for _ in range(2):
+        _clear_memos()
+        for ctx in ((good, bad) if good_first else (bad, good)) * 2:
+            if ctx is good:
+                assert infer_term(ctx, comp_fg) is Arrow(Var(0), STAR, Var(3))
+            else:
+                assert _error(ctx, comp_fg) == (
+                    "TypeMismatch", "argument 2 (f) has type Star, "
+                    "expected Arrow(Var(0), Star, Var(1))")
+
+
+def test_a_term_whose_arguments_fail_keeps_no_type(ctx1, comp_fg):
+    _clear_memos()
+    assert _error(ctx1, Coh(comp_fg.head, comp_fg.cell, (Var(0),) * 5))[0] == "TypeMismatch"
+    assert (comp_fg.head, comp_fg.cell) in check._GOOD_HEADS
+    assert not check._TYPES

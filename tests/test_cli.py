@@ -1,4 +1,9 @@
+import os
 import re
+import resource
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -8,6 +13,7 @@ from semistrict.cli import main
 
 DATA = Path(__file__).parent / "data"
 CORPUS = Path(__file__).parent.parent / "corpus"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def _run(capsys, *argv):
@@ -247,12 +253,46 @@ def test_equal_deep_chains_in_one_run_normalize(capsys, tmp_path):
     assert len(out.splitlines()) == 2
 
 
+def _doubling(k):
+    """d{k} x, the composite of two copies of d{k-1} x, from d0 x = id x."""
+    return "def d0 (x : *) := id x\n" + "".join(
+        f"def d{i} (x : *) := comp (d{i - 1} x) (d{i - 1} x)\n" for i in range(1, k + 1))
+
+
+@pytest.mark.parametrize("decl", ["def q (x : *) (a : d40 x -> d40 x) := a",
+                                  "coh c (x) : d40 x -> d40 x"], ids=["binder", "cell"])
+def test_a_shared_term_in_a_type_is_walked_once_for_its_variables(capsys, tmp_path, decl):
+    # the explicit positions of q and the support of c's cell read the free
+    # variables of d40 x, a DAG of 41 coherences with 2^40 leaves
+    path = tmp_path / "shared.catt"
+    path.write_text(_doubling(40) + decl + "\n")
+    start = time.perf_counter()
+    assert _run(capsys, "check", str(path)) == (0, "", "")
+    assert time.perf_counter() - start < 1.0
+
+
+def test_running_out_of_memory_is_a_resource_limit(tmp_path):
+    # p18 f normalizes to the composite of 2^18 copies of f, more than the
+    # 80 MiB address space the child may take; p1 f still runs after it
+    path = tmp_path / "p18.catt"
+    path.write_text("def p0 (x : *) (f : x -> x) := f\n" + "".join(
+        f"def p{i} (x : *) (f : x -> x) := comp (p{i - 1} f) (p{i - 1} f)\n"
+        for i in range(1, 19))
+        + "normalize (x : *) (f : x -> x) | p18 f\nnormalize (x : *) (f : x -> x) | p1 f\n")
+    cap = 80 * 2**20
+    proc = subprocess.run(
+        [sys.executable, "-m", "semistrict.cli", "normalize", str(path)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "coh (x(f)y(g)z : x -> z) f f\n", f"{path}:20:1: ResourceLimit: out of memory\n")
+
+
 def test_forty_doubling_definitions_check(capsys, tmp_path):
     # d{k} x unfolds to 2^k identities: only shared substitution keeps it small
     path = tmp_path / "doubling.catt"
-    path.write_text("def d0 (x : *) := id x\n" + "".join(
-        f"def d{k} (x : *) := comp (d{k - 1} x) (d{k - 1} x)\n" for k in range(1, 41))
-        + "normalize (x : *) | d40 x\n")
+    path.write_text(_doubling(40) + "normalize (x : *) | d40 x\n")
     assert _run(capsys, "check", str(path)) == (0, "", "")
     assert _run(capsys, "normalize", str(path)) == (0, "coh (x : x -> x) x\n", "")
 

@@ -5,8 +5,7 @@ import pytest
 
 from semistrict import insertion
 from semistrict.syntax import (
-    STAR, Arrow, Coh, Tree, Var, apply_sub_term, apply_sub_type, compose, free_vars,
-    id_sub, tree,
+    STAR, Arrow, Coh, Tree, Var, apply_sub_term, apply_sub_type, compose, id_sub, tree,
 )
 from semistrict.trees import (
     block_starts, ctx_len, disc, is_linear, point_positions,
@@ -19,7 +18,7 @@ from semistrict.insertion import (
 from semistrict.unbiased import disc_sub, identity_term, unbiased_coh, unbiased_type
 from semistrict.harness import (
     GenConfig, branch_at, branch_var, canonical_branches,
-    enumerate_insertion_points, enumerate_trees, eq_max_def, eq_max_syntactic,
+    enumerate_insertion_points, enumerate_trees, eq_max_def, eq_max_syntactic, free_vars,
     gen_redex, gen_tree_of_dim, interior_sub, is_branch, leaf_height, subtree,
 )
 

@@ -8,12 +8,12 @@ from hypothesis import given, strategies as st
 
 from semistrict.syntax import (
     _ARROWS, _COHS, _TREES, STAR, Arrow, Coh, Context, KernelError, Tree, Var,
-    apply_sub_term, compose, dim_type, free_vars, id_sub, support, tree,
+    apply_sub_term, compose, dim_type, id_sub, tree, var_mask,
 )
-from semistrict.check import _GOOD_HEADS, _INFER_CACHE, infer_term
+from semistrict.check import _GOOD_HEADS, _INFER_CACHE, _TYPES, infer_term
 from semistrict.cli import main
 from semistrict.elaborate import CheckedDecl, new_env, process_decl
-from semistrict.harness import GenConfig, gen_population
+from semistrict.harness import GenConfig, free_vars, gen_population, support
 from semistrict.parser import NameE, StarE, parse
 from semistrict.printer import fmt_term
 from semistrict import rewriting
@@ -54,6 +54,26 @@ def test_free_vars_and_support(ctx2):
     assert support(ctx2, Var(2)) == frozenset({0, 1, 2})
     point = Context((("x", STAR),))
     assert support(point, Var(0)) == frozenset({0})
+
+
+def test_a_variable_mask_is_the_set_of_free_variables(ctx3, f_then_gh):
+    syntax = [Var(0), Var(70), STAR, f_then_gh, f_then_gh.cell, ctx3.types, f_then_gh.args]
+    for x in syntax:
+        assert var_mask(x, {}) == sum(1 << i for i in free_vars(x))
+    memo = {}
+    assert [var_mask(x, memo) for x in syntax] == [var_mask(x, {}) for x in syntax]
+    assert memo[f_then_gh] == 0b1111111 and memo[f_then_gh.args[-1]] == 0b1111010
+
+
+def test_a_shared_subterm_is_walked_once_for_its_variables():
+    # d_k = comp d_(k-1) d_(k-1) mentions 2^k leaves but k + 1 coherences
+    comp = unbiased_type(1, CHAIN2)
+    d = identity_term(STAR, Var(0))
+    for _ in range(200):
+        d = Coh(CHAIN2, comp, (Var(0), Var(0), d, Var(0), d))
+    memo = {}
+    assert var_mask(Arrow(d, Arrow(d, STAR, d), d), memo) == 1
+    assert len(memo) == 204  # and STAR
 
 
 def test_support_idempotent_and_downward_closed(ctx2, f_then_gh, ctx3):
@@ -315,7 +335,7 @@ def test_a_second_corpus_run_interns_and_remembers_nothing_new(capsys, monkeypat
     def sizes():
         return (len(_TREES), len(_COHS), len(_ARROWS), len(_NF_TERMS["sua"]),
                 len(_NF_TYPES["sua"]), len(rewriting._HEADS), len(_INFER_CACHE),
-                len(_GOOD_HEADS))
+                len(_TYPES), len(_GOOD_HEADS))
 
     run()
     first = sizes()

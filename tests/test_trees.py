@@ -2,7 +2,7 @@ import pytest
 
 from semistrict.syntax import (
     STAR, Arrow, Context, Tree, Var, apply_sub_term, apply_sub_type, dim_type,
-    free_vars, id_sub, support,
+    id_sub,
 )
 from semistrict.trees import (
     _auto_names, block_starts, bracket, ctx_len, disc, is_linear,
@@ -13,8 +13,8 @@ from semistrict.insertion import branch_table
 from semistrict.parser import parse
 from semistrict.unbiased import unbiased_type
 from semistrict.harness import (
-    NotPastingError, bd_support_oracle, ctx_to_tree, enumerate_trees,
-    pasting_oracle,
+    NotPastingError, bd_support_oracle, ctx_to_tree, enumerate_trees, free_vars,
+    pasting_oracle, support,
 )
 
 from conftest import CHAIN2, forget_tree_facts

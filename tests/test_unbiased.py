@@ -1,12 +1,16 @@
-from semistrict.syntax import STAR, Arrow, Coh, Var, dim_type, id_sub
-from semistrict.trees import ctx_len, disc, suspend_term, suspend_tree, suspend_type
+from semistrict import rewriting
+from semistrict.syntax import STAR, Arrow, Coh, Var, apply_sub_term, dim_type, id_sub
+from semistrict.trees import (
+    ctx_len, disc, suspend_term, suspend_tree, suspend_type, tree_to_ctx,
+)
 from semistrict.unbiased import (
     disc_sub, identity_term, is_identity, unbiased_coh, unbiased_term,
     unbiased_type,
 )
-from semistrict.rewriting import normalize
+from semistrict.rewriting import clear_caches, normalize
 from semistrict.harness import (
-    enumerate_trees, is_unbiased_coh, is_unbiased_composite, match_disc_sub,
+    GenConfig, enumerate_trees, gen_population, is_unbiased_coh, is_unbiased_composite,
+    match_disc_sub,
 )
 
 from conftest import CHAIN2, CHAIN3
@@ -96,3 +100,24 @@ def test_identity_from_unbiased_clauses():
     assert m is not None
     n, tree, _ = m
     assert n == tree.dim + 1 and tree == ()
+
+
+def _identity_by_substitution(a, s):
+    n = dim_type(a)
+    return apply_sub_term(unbiased_coh(n + 1, disc(n)), disc_sub(a, s))
+
+
+def test_an_identity_is_built_as_the_disc_coherence_applied(monkeypatch):
+    met = []
+    monkeypatch.setattr(rewriting, "identity_term",
+                        lambda a, s: met.append((a, s)) or identity_term(a, s))
+    clear_caches()
+    for _, t in gen_population(GenConfig(seed=11), 300):
+        normalize(t)
+    assert met
+    for a, s in met:
+        assert identity_term(a, s) is _identity_by_substitution(a, s)
+    for n in range(5):
+        top = Var(disc(n).size - 1)
+        a = tree_to_ctx(disc(n)).type_of(top.idx)
+        assert identity_term(a, top) is _identity_by_substitution(a, top)
