@@ -7,7 +7,11 @@ declared or written as a ``coh`` literal, is its ``Coh`` over the
 context its pasting notation names, applied to that context's
 variables, and its explicit positions are the locally maximal ones.  So
 applying a value is one operation: substitute the arguments into the
-body.
+body; a coherence's is its head on the arguments, built directly.  Each
+successful application is remembered for the life of the process
+(``_APPLIED``): it depends only on the value's body and context types,
+the argument terms and the context types, never on names.  A failure is
+diagnosed afresh at each occurrence.
 
 An application ``name a1 .. ak`` supplies the explicit arguments in
 context order; the full substitution is reconstructed by walking the
@@ -153,9 +157,27 @@ def elaborate_term(e, ctx: Context, env: dict) -> Term:
     return _apply_value(val, tuple(terms), ctx, e.line, e.col)
 
 
+# each successful application, for the life of the process, keyed by the
+# value's body, the argument terms with their braced flags and the two
+# contexts' hashes; an entry keeps the two contexts' types, which a hit
+# compares in C (identity first), and the term
+_APPLIED: dict = {}
+
+
 def _apply_value(val: Value, args, ctx: Context, line, col) -> Term:
-    term = apply_sub_term(val.body, _infer_sub(val, args, ctx, line, col))
+    key, types = (val.body, val.ctx._hash, args, ctx._hash), (val.ctx.types, ctx.types)
+    hit = _APPLIED.get(key)
+    if hit is not None and hit[0] == types:
+        return hit[1]
+    sub = _infer_sub(val, args, ctx, line, col)
+    body = val.body
+    # a coherence's body is its head on the identity: the head on sub
+    if isinstance(body, Coh) and body.args == id_sub(len(sub)):
+        term = Coh(body.head, body.cell, sub)
+    else:
+        term = apply_sub_term(body, sub)
     infer_term(ctx, term)
+    _APPLIED[key] = (types, term)
     return term
 
 

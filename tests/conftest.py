@@ -1,6 +1,6 @@
 import pytest
 
-from semistrict.syntax import _TREES, STAR, Coh, Tree, Var
+from semistrict.syntax import _TREES, STAR, Coh, Context, Tree, Var
 from semistrict.trees import block_starts, point_positions, tree_to_ctx
 from semistrict.unbiased import identity_term, unbiased_coh, unbiased_type
 
@@ -28,6 +28,14 @@ def comp_chain(n, shape, rng):
                                   Var(pts[hi]), build(cut, hi)))
 
     return tree, build(0, n)
+
+
+def forged_ctx(ctx, types):
+    """A context with ctx's hash and other types, as a collision makes."""
+    out = object.__new__(Context)
+    out.__dict__.update(entries=tuple(zip("xyzwv", types)), names=tuple("xyzwv"[:len(types)]),
+                        types=tuple(types), _hash=ctx._hash)
+    return out
 
 
 def forget_tree_facts():

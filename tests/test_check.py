@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from semistrict import check, rewriting
+from semistrict import check, elaborate, rewriting
 from semistrict.check import TypingError, infer_term
 from semistrict.cli import main
 from semistrict.harness import GenConfig, enumerate_trees, gen_population, support
@@ -14,12 +14,13 @@ from semistrict.syntax import STAR, Arrow, Coh, Context, Var, id_sub
 from semistrict.trees import block_starts, disc, point_positions, tree_inc, tree_to_ctx
 from semistrict.unbiased import identity_term, unbiased_coh, unbiased_term, unbiased_type
 
-from conftest import CHAIN1, CHAIN2
+from conftest import CHAIN1, CHAIN2, forged_ctx
 
 CORPUS = Path(__file__).parent.parent / "corpus"
 
 
 def _clear_memos():
+    elaborate._APPLIED.clear()
     check._INFER_CACHE.clear()
     check._TYPES.clear()
     check._GOOD_HEADS.clear()
@@ -385,18 +386,10 @@ def test_a_term_checked_in_two_contexts_is_typed_once(monkeypatch, comp_fg):
     assert [a for a in subs if a[0] is comp_fg.cell] == [subs[0]]
 
 
-def _forged(ctx, types):
-    """A context with ctx's hash and other types, as a collision makes."""
-    out = object.__new__(Context)
-    out.__dict__.update(entries=tuple(zip("xyzwv", types)), names=tuple("xyzwv"[:len(types)]),
-                        types=tuple(types), _hash=ctx._hash)
-    return out
-
-
 @pytest.mark.parametrize("good_first", [True, False])
 def test_contexts_that_share_a_hash_keep_their_own_verdicts(comp_fg, good_first):
     good = tree_to_ctx(CHAIN2)
-    bad = _forged(good, (STAR,) * 5)  # f and g are objects there, not arrows
+    bad = forged_ctx(good, (STAR,) * 5)  # f and g are objects there, not arrows
     assert hash(bad) == hash(good) and bad != good
     for _ in range(2):
         _clear_memos()

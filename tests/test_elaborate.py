@@ -1,17 +1,22 @@
 """The elaborator on its own: implicit arguments and located errors."""
 
 import pickle
+from pathlib import Path
 
 import pytest
 
-from semistrict import syntax
-from semistrict.elaborate import ElabError, process_decl
+from semistrict import elaborate, syntax
+from semistrict.check import TypingError
+from semistrict.elaborate import ElabError, _value, process_decl
 from semistrict.parser import parse
 from semistrict.rewriting import normalize
-from semistrict.syntax import Var, apply_sub_term, id_sub
+from semistrict.syntax import STAR, Coh, Var, apply_sub_term, id_sub
+from semistrict.trees import tree_to_ctx
 from semistrict.unbiased import identity_term, unbiased_coh
 
-from conftest import CHAIN2
+from conftest import CHAIN2, forged_ctx
+
+CORPUS = Path(__file__).parent.parent / "corpus"
 
 
 def _elaborate(env, src):
@@ -216,3 +221,103 @@ def test_checked_declarations_compare_by_their_fields(env):
     [b] = parse("normalize (a(u)b(v)c) | comp u v")
     assert process_decl(a, env) == process_decl(b, env)
     assert process_decl(a, env) != process_decl(parse("normalize (x(f)y) | f")[0], env)
+
+
+# --- the memo of successful applications ------------------------------------
+
+@pytest.fixture
+def applied(monkeypatch):
+    """A fresh memo of applications, and the values ``_infer_sub`` is run on."""
+    memo, runs = {}, []
+    infer_sub = elaborate._infer_sub
+
+    def spy(val, args, ctx, line, col):
+        runs.append(val)
+        return infer_sub(val, args, ctx, line, col)
+
+    monkeypatch.setattr(elaborate, "_APPLIED", memo)
+    monkeypatch.setattr(elaborate, "_infer_sub", spy)
+    return memo, runs
+
+
+def test_an_application_under_other_names_is_elaborated_once(env, applied):
+    [(a,), (b,)] = _elaborate(env, "normalize (x(f)y(g)z) | comp f g\n"
+                                   "normalize (p(u)q(v)r) | comp u v")
+    assert a is b is unbiased_coh(1, CHAIN2)
+    assert applied[1] == [env["comp"]]
+
+
+@pytest.mark.parametrize("body, kind", [
+    # f and f do not compose: found while inferring the arguments
+    ("comp f f", "InferenceFailure"),
+    # the literal's target is not supported: found by typing the application
+    ("coh (a(p)b : a -> a) f", "SupportMismatch"),
+])
+def test_a_failed_application_is_diagnosed_afresh_at_each_occurrence(env, applied, body, kind):
+    where = []
+    for decl in parse(f"normalize (x(f)y) | {body}\n\n  normalize (x(f)y) | {body}"):
+        with pytest.raises((ElabError, TypingError)) as info:
+            process_decl(decl, env)
+        e = info.value
+        where.append((e.kind, getattr(e, "line", None), getattr(e, "col", None)))
+    if kind == "InferenceFailure":
+        assert where == [(kind, 1, 21), (kind, 3, 23)]
+    else:
+        assert where == [(kind, None, None)] * 2
+    assert applied[0] == {}
+
+
+def test_a_braced_argument_is_part_of_the_application(env, applied):
+    _elaborate(env, "normalize (x(f)y(g)z) | comp f g")
+    # braced, f and g fill x and y, and nothing is left for f
+    assert _error(env, "normalize (x(f)y(g)z) | comp {f} {g}") == ("ArityMismatch", 1, 25)
+
+
+@pytest.mark.parametrize("good_first", [True, False])
+def test_contexts_that_share_a_hash_keep_their_own_applications(env, applied, good_first):
+    comp = env["comp"]
+    good = tree_to_ctx(CHAIN2)
+    bad = forged_ctx(good, (STAR,) * 5)  # f and g are objects there, not arrows
+    # comp's body over five objects, all explicit: f goes to the object x
+    flat = _value(forged_ctx(comp.ctx, (STAR,) * 5), comp.body)
+    args = ((Var(2), False), (Var(4), False))
+    cases = [(comp, good, None), (comp, bad, "TypeMismatch"), (flat, good, "TypeMismatch")]
+    for val, ctx, kind in (cases if good_first else cases[::-1]) * 2:
+        if kind is None:
+            assert elaborate._apply_value(val, args, ctx, 1, 1) is unbiased_coh(1, CHAIN2)
+        else:
+            with pytest.raises(ElabError) as info:
+                elaborate._apply_value(val, args, ctx, 1, 1)
+            assert info.value.kind == kind
+    assert len(applied[0]) == 1
+
+
+def test_a_coherence_applied_directly_is_its_body_substituted(monkeypatch):
+    # every application the prelude and the corpus make, coherences and
+    # definitions, against apply_sub_term on the substitution inferred
+    made, infer_sub, apply_value = [], elaborate._infer_sub, elaborate._apply_value
+
+    def spy(val, args, ctx, line, col):
+        made.append([val, infer_sub(val, args, ctx, line, col)])
+        return made[-1][1]
+
+    def record(*args):
+        n = len(made)
+        term = apply_value(*args)
+        if len(made) > n:  # a miss, which ran _infer_sub once
+            made[-1].append(term)
+        return term
+
+    monkeypatch.setattr(elaborate, "_APPLIED", {})
+    monkeypatch.setattr(elaborate, "_PRELUDE", None)
+    monkeypatch.setattr(elaborate, "_infer_sub", spy)
+    monkeypatch.setattr(elaborate, "_apply_value", record)
+    env = elaborate.new_env()
+    for path in sorted(CORPUS.glob("*.catt")):
+        for decl in parse(path.read_text(encoding="utf-8")):
+            process_decl(decl, env)
+    cohs = 0
+    for val, sub, term in made:
+        assert term is apply_sub_term(val.body, sub)
+        cohs += isinstance(val.body, Coh) and val.body.args == id_sub(len(sub))
+    assert cohs > len(made) // 2

@@ -52,6 +52,15 @@ def test_output_matches_its_golden(path, mode):
     assert _render(path, mode) == _golden_path(path, mode).read_text(encoding="utf-8")
 
 
+def test_outputs_do_not_depend_on_what_ran_before():
+    # the kernel's memos live as long as the process: in one process, every
+    # input in every mode, forward and then backward, renders as it does alone
+    runs = [(p, m) for p in INPUTS for m in MODES]
+    for path, mode in runs + runs[::-1]:
+        assert _render(path, mode) == _golden_path(path, mode).read_text(
+            encoding="utf-8"), (path, mode)
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for old in GOLDEN.iterdir():

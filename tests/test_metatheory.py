@@ -3,6 +3,7 @@
 Local confluence and termination: each ``one_step`` reduct of a term
 normalizes to the term's normal form, and each step lowers the
 syntactic complexity, or keeps it when it is taken inside a cell.
+Type preservation: each reduct has the term's type up to conversion.
 Stability: normalizing commutes with suspension and with substitution.
 The samples are population terms of three seeds and bracketed composite
 chains in dimensions 1 and 2.
@@ -17,7 +18,7 @@ from semistrict.harness import (
     GenConfig, TermGen, ctx_to_tree, gen_population, gen_tree, one_step,
     ord_lt, syntactic_complexity,
 )
-from semistrict.rewriting import normalize
+from semistrict.rewriting import def_eq, normalize
 from semistrict.syntax import apply_sub_term
 from semistrict.trees import suspend_term, tree_to_ctx
 
@@ -29,7 +30,7 @@ SEEDS = [7, 11, 23]
 def _chains():
     rng = random.Random(0)
     for dim in (1, 2):
-        for n in range(2, 13):
+        for n in range(2, 25):
             for shape in ("left", "right", "random"):
                 t = comp_chain(n, shape, rng)[1]
                 yield suspend_term(t) if dim == 2 else t
@@ -56,7 +57,18 @@ def test_every_step_from_a_population_term_rejoins_it_and_lowers_its_complexity(
 
 
 def test_every_step_from_a_chain_rejoins_it_and_lowers_its_complexity():
-    assert _locally_confluent_and_decreasing(_chains()) > 300
+    assert _locally_confluent_and_decreasing(_chains()) > 1500
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_every_step_from_a_population_term_preserves_its_type(seed):
+    steps = 0
+    for ctx, t in gen_population(GenConfig(seed=seed), 300):
+        ty = infer_term(ctx, t)
+        for rule, path, reduct in one_step(t):
+            assert def_eq(infer_term(ctx, reduct), ty), (t, rule, path)
+            steps += 1
+    assert steps > 800
 
 
 @pytest.mark.parametrize("seed", SEEDS)

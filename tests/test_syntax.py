@@ -12,7 +12,7 @@ from semistrict.syntax import (
 )
 from semistrict.check import _GOOD_HEADS, _INFER_CACHE, _TYPES, infer_term
 from semistrict.cli import main
-from semistrict.elaborate import CheckedDecl, new_env, process_decl
+from semistrict.elaborate import _APPLIED, CheckedDecl, new_env, process_decl
 from semistrict.harness import GenConfig, free_vars, gen_population, support
 from semistrict.parser import NameE, StarE, parse
 from semistrict.printer import fmt_term
@@ -335,7 +335,7 @@ def test_a_second_corpus_run_interns_and_remembers_nothing_new(capsys, monkeypat
     def sizes():
         return (len(_TREES), len(_COHS), len(_ARROWS), len(_NF_TERMS["sua"]),
                 len(_NF_TYPES["sua"]), len(rewriting._HEADS), len(_INFER_CACHE),
-                len(_TYPES), len(_GOOD_HEADS))
+                len(_TYPES), len(_GOOD_HEADS), len(_APPLIED))
 
     run()
     first = sizes()
