@@ -186,30 +186,21 @@ def _infer_sub(val: Value, args, ctx: Context, line, col) -> Sub:
     src_ctx = val.ctx
     explicit = val.explicit
     bound: List[Optional[Term]] = [None] * len(src_ctx)
-    placed = len(args) == len(explicit)
-    if placed:
-        for pos, (term, braced) in zip(explicit, args):
-            if braced:
-                placed = False
-                break
+    # a braced argument takes the next position, explicit or not
+    cursor = 0
+    for pos in range(len(bound)):
+        if cursor >= len(args):
+            break
+        term, braced = args[cursor]
+        if braced or pos in explicit:
             bound[pos] = term
-    if not placed:
-        # a braced argument takes the next position, explicit or not
-        bound = [None] * len(src_ctx)
-        cursor = 0
-        for pos in range(len(bound)):
-            if cursor >= len(args):
-                break
-            term, braced = args[cursor]
-            if braced or pos in explicit:
-                bound[pos] = term
-                cursor += 1
-        if cursor != len(args):
-            supplied = len([1 for _, b in args if not b])
-            noun = "argument" if len(explicit) == 1 else "arguments"
-            raise ElabError("ArityMismatch",
-                            f"expected {len(explicit)} {noun}, got {supplied}",
-                            line, col)
+            cursor += 1
+    if cursor != len(args):
+        supplied = len([1 for _, b in args if not b])
+        noun = "argument" if len(explicit) == 1 else "arguments"
+        raise ElabError("ArityMismatch",
+                        f"expected {len(explicit)} {noun}, got {supplied}",
+                        line, col)
 
     # match each explicit argument's type against its declared chain; a
     # position keeps its first binding, so explicit ones win

@@ -8,12 +8,14 @@ contexts, and the boundary support oracle reads boundary membership off
 variable occurrences instead of the tree inclusions; ``one_step``, which
 ``reduction_graph`` closes terms under, enumerates every step under
 congruence.  The metatheory helpers are the ordinal measure behind
-termination (syntactic complexity), the inverse of ``tree_to_ctx``,
-recognizers for unbiased coherences and the branch bookkeeping of
-insertion points, with any branch's positions found by a walk
-(``branch_at``) and the interior substitution built whole
-(``interior_sub``), references for what the kernel reads off a branch
-row.  Generators are seeded and deterministic.
+termination (syntactic complexity), the inverse of ``tree_to_ctx`` (a
+shape read off the entries' dimensions, checked by ``tree_to_ctx``
+itself, so the layout is stated once), recognizers for unbiased
+coherences and the branch bookkeeping of insertion points, with any
+branch's positions found by a walk (``branch_at``) and the interior
+substitution built whole (``interior_sub``), references for what the
+kernel reads off a branch row.  Generators are seeded and
+deterministic.
 """
 
 from __future__ import annotations
@@ -180,69 +182,36 @@ class NotPastingError(Exception):
         super().__init__(f"not a pasting context (entry {position}): {reason}")
 
 
-def _strip_suspension(ty: Type, pos: int) -> Type:
-    """Invert suspend_type on a block entry already renumbered to poles 0,1."""
-    if isinstance(ty, Arrow) and isinstance(ty.base, Star):
-        if ty.src != Var(0) or ty.tgt != Var(1):
-            raise NotPastingError(pos, "cell does not join its gluing points")
-        return STAR
-    if isinstance(ty, Arrow):
-        return Arrow(_unsuspend_term(ty.src, pos), _strip_suspension(ty.base, pos),
-                     _unsuspend_term(ty.tgt, pos))
-    raise NotPastingError(pos, "object-typed variable inside a cell block")
-
-
-def _unsuspend_term(t: Term, pos: int):
-    if not isinstance(t, Var):
-        raise NotPastingError(pos, "cell boundary is not a variable")
-    if t.idx < 2:
-        raise NotPastingError(pos, "gluing point used above its dimension")
-    return Var(t.idx - 2)
-
-
 def ctx_to_tree(ctx: Context) -> Tree:
-    """Parse a context as a pasting tree; raises NotPastingError otherwise."""
-    n = len(ctx)
-    if n == 0:
-        raise NotPastingError(0, "empty context")
+    """Parse a context as a pasting tree; raises NotPastingError otherwise.
+
+    The shape is read off the entries' dimensions: in the layout
+    ``p0 p1 B0 p2 B1 ...`` each point of dimension d after the first is
+    followed by its child's block, one dimension up.  The context is
+    pasting exactly when ``tree_to_ctx`` of that shape gives its types.
+    """
     types = ctx.types
-    if not isinstance(types[0], Star):
-        raise NotPastingError(0, "first variable must be an object")
-    if n == 1:
-        return tree(())
-    if not isinstance(types[1], Star):
-        raise NotPastingError(1, "second variable of a composite context must be an object")
-    stars = [i for i, ty in enumerate(types) if isinstance(ty, Star)]
-    # expected layout: p0 p1 B0 p2 B1 ... pn Bn-1 with nonempty blocks
-    children = []
-    for k in range(1, len(stars)):
-        lo = stars[k]
-        hi = stars[k + 1] if k + 1 < len(stars) else n
-        block = range(lo + 1, hi)
-        if len(block) == 0:
-            raise NotPastingError(lo, "disconnected objects")
-        neg_pole, pos_pole = stars[k - 1], stars[k]
-        entries = []
-        for j, p in enumerate(block):
-            ty = types[p]
-            renum = {neg_pole: 0, pos_pole: 1}
-            renum.update({block[0] + jj: 2 + jj for jj in range(j)})
-            try:
-                ty = _renumber_type(ty, renum, p)
-            except KeyError:
-                raise NotPastingError(p, "cell crosses its gluing points") from None
-            entries.append((ctx.name_of(p), _strip_suspension(ty, p)))
-        children.append(ctx_to_tree(Context(tuple(entries))))
-    return tree(tuple(children))
+    dims = [dim_type(ty) for ty in types]
+    pos = 0
 
+    def read(d: int) -> Tree:
+        # the subtree whose first point, of dimension d, is entry pos
+        nonlocal pos
+        pos += 1
+        kids = []
+        while pos < len(dims) and dims[pos] == d:
+            pos += 1
+            kids.append(read(d + 1))
+        return tree(tuple(kids))
 
-def _renumber_type(ty: Type, renum: dict, pos: int) -> Type:
-    if isinstance(ty, Star):
-        return ty
-    if not isinstance(ty.src, Var) or not isinstance(ty.tgt, Var):
-        raise NotPastingError(pos, "cell boundary is not a variable")
-    return Arrow(Var(renum[ty.src.idx]), _renumber_type(ty.base, renum, pos),
-                 Var(renum[ty.tgt.idx]))
+    shape = read(0)
+    want = tree_to_ctx(shape).types
+    if want != types:
+        i = next((i for i, (a, b) in enumerate(zip(want, types)) if a != b),
+                 min(len(want), len(types)))
+        raise NotPastingError(i, f"expected {want[i]!r}" if i < len(want)
+                              else "entry after the layout's last point")
+    return shape
 
 
 # --- unbiased recognizers --------------------------------------------------------
@@ -544,9 +513,11 @@ def eq_max_def(sigma: Sub, tau: Sub, tree: tuple) -> bool:
 def pasting_oracle(ctx: Context) -> bool:
     """Replay of the original pasting-context derivation rules.
 
-    A derivation starts at the initial object, alternately extends with
-    a (target, fill) pair after descending to the matching dimension,
-    and must come back down to an object at the end.
+    A derivation starts at the initial object and alternately extends
+    with a (target, fill) pair after descending to the matching
+    dimension.  The focus type is always * or a fill, whose targets are
+    variables, so each descent, and the one back down to an object at
+    the end, always succeeds.
     """
     n = len(ctx)
     if n == 0 or not isinstance(ctx.type_of(0), Star):
@@ -556,8 +527,6 @@ def pasting_oracle(ctx: Context) -> bool:
     while i < n:
         ty_y = ctx.type_of(i)
         while dim_type(focus_ty) > dim_type(ty_y):
-            if not isinstance(focus_ty.tgt, Var):
-                return False
             focus_var, focus_ty = focus_ty.tgt.idx, focus_ty.base
         if ty_y != focus_ty:
             return False
@@ -568,10 +537,6 @@ def pasting_oracle(ctx: Context) -> bool:
             return False
         focus_var, focus_ty = i + 1, fill
         i += 2
-    while isinstance(focus_ty, Arrow):
-        if not isinstance(focus_ty.tgt, Var):
-            return False
-        focus_var, focus_ty = focus_ty.tgt.idx, focus_ty.base
     return True
 
 

@@ -258,8 +258,6 @@ def inserted_sub(sigma: Sub, tau: Sub, at: tuple) -> Sub:
 def _inserts(arg: Coh, p: Branch, lh: int) -> bool:
     """Whether the coherence at branch p, of leaf height lh, makes an
     insertion redex there."""
-    if dim_type(arg.cell) != lh:
-        return False
     t = arg.head
     d = t.dim
     # only unbiased composites and identities insert; the shape is tested

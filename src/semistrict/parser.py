@@ -55,7 +55,6 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 KEYWORDS = {"coh", "def", "normalize", "asserteq"}
-_RPAREN, _RBRACE = frozenset({")"}), frozenset({"}"})
 
 
 def tokenize(src: str) -> List[tuple]:
@@ -257,7 +256,7 @@ class Parser:
             first = self.expect_name()
             if self.peek()[1] == ":":
                 self.i += 1
-                ty = self.parse_ty(stop={closer})
+                ty = self.parse_ty()
                 self.expect(closer)
                 groups.append((first, ty, line, col))
             else:
@@ -275,28 +274,28 @@ class Parser:
 
     # -- types
 
-    def parse_ty(self, stop=frozenset()):
+    def parse_ty(self):
         _, text, line, col = self.peek()
         if text == "*":
             self.i += 1
             return StarE(line, col)
-        lhs = self.parse_tm(stop=stop | {"->", "=>"})
+        lhs = self.parse_tm()
         _, arr, aline, acol = self.peek()
         if arr not in ("->", "=>"):
             raise ParseError(aline, acol, f"found {arr or 'end of file'!r}",
                              expected=("->", "=>"))
         self.i += 1
-        rhs = self.parse_tm(stop=stop)
+        rhs = self.parse_tm()
         return ArrowE(lhs, rhs, line, col)
 
     # -- terms
 
-    def parse_tm(self, stop=frozenset()):
+    def parse_tm(self):
         toks = self.toks
         _, text, line, col = toks[self.i]
         if text == "(":
             self.i += 1
-            head = self.parse_tm(_RPAREN)
+            head = self.parse_tm()
             self.expect(")")
         elif text == "coh":
             head = self.parse_coh()
@@ -310,15 +309,13 @@ class Parser:
                     break
                 args.append((NameE(text, aline, acol), False))
                 self.i += 1
-            elif text in stop:
-                break
             elif text == "(":
                 self.i += 1
-                args.append((self.parse_tm(_RPAREN), False))
+                args.append((self.parse_tm(), False))
                 self.expect(")")
             elif text == "{":
                 self.i += 1
-                args.append((self.parse_tm(_RBRACE), True))
+                args.append((self.parse_tm(), True))
                 self.expect("}")
             else:
                 break
@@ -331,7 +328,7 @@ class Parser:
         self.expect("(")
         tree, names = self.parse_ps_level()
         self.expect(":")
-        ty = self.parse_ty(stop=_RPAREN)
+        ty = self.parse_ty()
         self.expect(")")
         return CohE(tree, names, ty, line, col)
 

@@ -156,6 +156,20 @@ def test_a_coherence_needs_an_arrow_type(env, src, where):
     assert _error(env, src) == ("TypeMismatch", *where)
 
 
+@pytest.mark.parametrize("src, where", [
+    # a binding's type: x is an object, f an arrow
+    ("normalize (x : *) (y : *) (f : x -> y) (a : x -> f) | a", "1:45"),
+    # a coherence's cell, in a coh literal and in a declaration
+    ("normalize (x(f)y) | coh (x(f)y : f -> x) f", "1:34"),
+    ("coh bad (x(f)y) : f -> x", "1:19"),
+])
+def test_arrow_endpoints_must_live_at_one_type(env, src, where):
+    with pytest.raises(ElabError) as info:
+        _elaborate(env, src)
+    e = info.value
+    assert f"{e.line}:{e.col}: {e}" == f"{where}: TypeMismatch: arrow endpoints live at different types"
+
+
 def test_an_error_leaves_the_environment_unchanged(env):
     with pytest.raises(ElabError):
         _elaborate(env, "def d (x(f)y) := comp f f")

@@ -21,6 +21,10 @@ from semistrict.harness import (
     enumerate_insertion_points, enumerate_trees, eq_max_def, eq_max_syntactic, free_vars,
     gen_redex, gen_tree_of_dim, interior_sub, is_branch, leaf_height, subtree,
 )
+from semistrict.elaborate import process_decl
+from semistrict.parser import parse
+from semistrict.printer import fmt_term
+from semistrict.rewriting import normalize
 
 from conftest import CHAIN2, CHAIN3
 from test_trees import child_incl
@@ -520,3 +524,17 @@ def test_find_redexes_skips_a_full_coherence_one_dimension_up(comp_fg):
     t = Coh(disc(2), unbiased_type(2, disc(2)), (Var(0), Var(3), comp_fg, comp_fg, endo))
     assert leaf_height(disc(2), (0,)) == 2
     assert find_redexes(t) == []
+
+
+def test_the_insertion_side_condition_compares_the_cell_syntactically(env):
+    # bad f has an identity's shape at vert's second branch, of leaf height
+    # 2, but its cell is only convertible to the unbiased f -> f, so only
+    # the identity at the first branch inserts
+    decls = parse("coh bad (x(f)y) : f -> comp f (id y)\n"
+                  "normalize (x(f)y) | vert (id1 f) (bad f)")
+    process_decl(decls[0], env)
+    checked = process_decl(decls[1], env)
+    t = checked.terms[0]
+    assert is_linear(t.args[-1].head) and leaf_height(t.head, (0, 1)) == 2
+    assert [row[0] for row in find_redexes(t)] == [(0, 0)]
+    assert fmt_term(normalize(t), checked.ctx.names) == "coh (x(f)y : f -> f) f"

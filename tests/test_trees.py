@@ -68,6 +68,43 @@ def test_ctx_to_tree_rejects_misoriented():
         ctx_to_tree(backwards)
 
 
+def _well_formed_types(n):
+    """Every well-formed context of 1 to n entries, as its types: each
+    entry is * or s -> u over the common type of s and u."""
+    def go(types):
+        yield types
+        if len(types) < n:
+            i = len(types)
+            yield from go(types + (STAR,))
+            for s in range(i):
+                for u in range(i):
+                    if types[s] == types[u]:
+                        yield from go(types + (Arrow(Var(s), types[s], Var(u)),))
+    yield from go((STAR,))
+
+
+def test_ctx_to_tree_accepts_exactly_what_the_pasting_oracle_accepts():
+    # the oracle replays the derivation rules, ctx_to_tree reads a shape
+    # off the dimensions and checks it by tree_to_ctx
+    seen, pasting = 0, 0
+    for types in _well_formed_types(6):
+        ctx = Context(tuple((f"v{i}", ty) for i, ty in enumerate(types)))
+        try:
+            shape = ctx_to_tree(ctx)
+        except NotPastingError as e:
+            assert not pasting_oracle(ctx), types
+            assert 0 < e.position <= len(types), types
+        else:
+            assert pasting_oracle(ctx), types
+            assert tree_to_ctx(shape).types == types
+            pasting += 1
+        seen += 1
+    assert (seen, pasting) == (5259, 4)
+    with pytest.raises(NotPastingError) as e:
+        ctx_to_tree(Context(()))
+    assert e.value.position == 0 and not pasting_oracle(Context(()))
+
+
 def test_tree_wedge_is_concatenation():
     assert CHAIN2 + ((),) == ((), (), ())
 
